@@ -119,9 +119,11 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
 
 
 def cmd_region_scan(cfg: RunConfig, args) -> int:
+    lam = float(cfg["lambda"])
+    if lam <= 0.0:
+        raise ConfigError("region-scan needs lambda > 0")
     model = cfg.model()
     kernel = cfg.kernel()
-    lam = float(cfg["lambda"])
     result = region_scan(
         model,
         kernel,
@@ -196,13 +198,18 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
     model = cfg.model()
-    bath = default_oracle_bath(
-        omega_c=float(cfg["bath.omega_cutoff"]),
-        beta=float(cfg["oracle.beta"]),
-        n_modes=int(cfg["oracle.n_modes"]),
-        omega_max=float(cfg["oracle.omega_max"]) * model.epsilon,
-        fock_cutoff=int(cfg["oracle.fock_cutoff"]),
-    )
+    try:
+        bath = default_oracle_bath(
+            omega_c=float(cfg["bath.omega_cutoff"]),
+            beta=float(cfg["oracle.beta"]),
+            n_modes=int(cfg["oracle.n_modes"]),
+            omega_max=float(cfg["oracle.omega_max"]) * model.epsilon,
+            fock_cutoff=int(cfg["oracle.fock_cutoff"]),
+        )
+    except ValueError as exc:
+        # the truncated bath rejects a visible thermal tail or an
+        # oversized Hilbert space: both come from the oracle.* keys
+        raise ConfigError(f"oracle bath: {exc}") from exc
     rho_s = bloch_to_density((0.6, 0.0, 0.3))
     n_times = int(cfg["oracle.n_times"])
     times = np.linspace(0.2, 6.0, n_times)
@@ -285,6 +292,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         cfg = RunConfig.load(args.config, args.overrides)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

@@ -44,25 +44,31 @@ def csv_float(x) -> str:
 
 
 def golden_min(f, lo, hi, iters=48):
-    """Golden-section minimum of a scalar function on [lo, hi].
+    """Golden-section minima of a batch of functions, one per bracket.
 
-    Assumes the bracket contains a single local minimum. Returns the
-    best probed (t, f(t)) pair.
+    lo and hi are arrays of bracket ends and f maps an array of probe
+    points (one per bracket) to the array of values there; scalars are
+    a batch of one. Each element runs the same fixed-count iteration,
+    selected elementwise, so it follows the scalar update rule exactly.
+    Assumes each bracket contains a single local minimum. Returns the
+    best probed (t, f(t)) arrays.
     """
     invphi = 0.6180339887498949
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
     for _ in range(int(iters)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+        left = f1 <= f2
+        lo = np.where(left, lo, x1)
+        hi = np.where(left, x2, hi)
+        x_new = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    best = f1 <= f2
+    return np.where(best, x1, x2), np.where(best, f1, f2)
 
 
 @dataclass(frozen=True)
@@ -344,9 +350,10 @@ class PositivityScanner:
 
     Precomputes the eigendecomposition of the generator, a coarse time
     grid dense enough that no positivity dip can hide between nodes, and
-    the stationary state used to cut the scan early. evaluate() then
-    costs a 4 x T matrix product per initial state, plus golden-section
-    refinement of the few dips that approach zero.
+    the stationary state used to cut the scan early. evaluate_many()
+    then costs one (n x 4) x (4 x T) product for n initial states, plus
+    one batched golden-section refinement of every dip, over all states,
+    that approaches zero.
     """
 
     def __init__(self, generator: RedfieldGenerator, pos_tol=POSITIVITY_TOL):
@@ -369,62 +376,80 @@ class PositivityScanner:
         self._r_ss = np.array([b.x, b.y, b.z])
         self.rho_ss = rho_ss
 
-    def _bloch_path(self, rho0):
-        y0 = self._vinv @ vec(rho0)
-        s = self._v @ (self._phases * y0[:, None])
-        x = 2.0 * s[1].real
-        y = 2.0 * s[1].imag
-        z = (s[0] - s[3]).real
-        return np.stack((x, y, z)), y0
+    @staticmethod
+    def _bloch(s):
+        """Bloch components of vectorized states s (..., 4)."""
+        return 2.0 * s[..., 1].real, 2.0 * s[..., 1].imag, (s[..., 0] - s[..., 3]).real
 
     def _min_eig_at(self, t, y0):
-        s = self._v @ (np.exp(self._w * t) * y0)
-        x = 2.0 * s[1].real
-        y = 2.0 * s[1].imag
-        z = (s[0] - s[3]).real
+        """(1 - |r(t)|)/2 at times t (n,) of the states with generator
+        eigen-coordinates y0 (n, 4)."""
+        s = (np.exp(np.multiply.outer(t, self._w)) * y0) @ self._v.T
+        x, y, z = self._bloch(s)
         return 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
 
-    def evaluate(self, rho0, refine_iters=32) -> NMembership:
-        path, y0 = self._bloch_path(rho0)
-        dist = np.linalg.norm(path - self._r_ss[:, None], axis=0)
-        conv = np.flatnonzero(dist < 4e-9)
-        truncated = conv.size == 0
-        cut = int(conv[0]) + 1 if conv.size else len(self.times)
-        r = np.linalg.norm(path[:, :cut], axis=0)
-        mins = 0.5 * (1.0 - r)
+    def evaluate_many(self, rhos, refine_iters=32) -> list:
+        """NMembership of each initial state in rhos (n, 2, 2)."""
+        rhos = np.asarray(rhos, dtype=complex)
+        n = rhos.shape[0]
+        # vec() stacks columns: (rho00, rho10, rho01, rho11)
+        y0 = rhos.transpose(0, 2, 1).reshape(n, 4) @ self._vinv.T
+        s = np.moveaxis(self._v @ (self._phases * y0[:, :, None]), 1, 2)
+        path = np.stack(self._bloch(s), axis=1)
+        dist = np.linalg.norm(path - self._r_ss[None, :, None], axis=1)
+        conv = dist < 4e-9
+        truncated = ~conv.any(axis=1)
+        n_t = len(self.times)
+        cut = np.where(truncated, n_t, np.argmax(conv, axis=1) + 1)
+        last = cut - 1
+        idx = np.arange(n_t)
+        mins = np.where(
+            idx < cut[:, None], 0.5 * (1.0 - np.linalg.norm(path, axis=1)), np.inf
+        )
 
-        best_t = float(self.times[int(np.argmin(mins))])
-        best_v = float(np.min(mins))
+        cells = np.arange(n)
+        coarse = np.argmin(mins, axis=1)
+        best_v = mins[cells, coarse]
+        best_t = self.times[coarse]
         # refine every local dip that could undershoot below the best
         # coarse value once sub-grid wiggle is accounted for
         thresh = best_v + self.refine_margin
-        if len(mins) > 2:
-            interior = 1 + np.flatnonzero(
-                (mins[1:-1] <= mins[:-2]) & (mins[1:-1] <= mins[2:])
-            )
-        else:
-            interior = np.array([], dtype=int)
-        candidates = [int(i) for i in interior if mins[i] < thresh]
-        if len(mins) > 1 and mins[0] < thresh:
-            candidates.append(0)
-        if len(mins) > 1 and mins[-1] < thresh:
-            candidates.append(len(mins) - 1)
-        f = lambda t: self._min_eig_at(t, y0)
-        for i in candidates:
-            lo = self.times[max(i - 1, 0)]
-            hi = self.times[min(i + 1, len(mins) - 1)]
-            if hi <= lo:
-                continue
-            t_ref, v_ref = golden_min(f, float(lo), float(hi), iters=refine_iters)
-            if v_ref < best_v:
-                best_v, best_t = float(v_ref), float(t_ref)
+        dip = np.zeros(mins.shape, dtype=bool)
+        dip[:, 1:-1] = (mins[:, 1:-1] <= mins[:, :-2]) & (mins[:, 1:-1] <= mins[:, 2:])
+        dip &= idx < last[:, None]
+        ends = ((idx == 0) | (idx == last[:, None])) & (last[:, None] >= 1)
+        cell, i = np.nonzero((dip | ends) & (mins < thresh[:, None]))
+        lo = self.times[np.maximum(i - 1, 0)]
+        hi = self.times[np.minimum(i + 1, last[cell])]
+        y0_c = y0[cell]
+        t_ref, v_ref = golden_min(
+            lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=refine_iters
+        )
+        # lowest refined dip per cell; lexsort is stable, so ties keep
+        # the earliest dip
+        order = np.lexsort((v_ref, cell))
+        hit, first = np.unique(cell[order], return_index=True)
+        pick = order[first]
+        lower = v_ref[pick] < best_v[hit]
+        best_v[hit[lower]] = v_ref[pick[lower]]
+        best_t[hit[lower]] = t_ref[pick[lower]]
 
-        in_n = bool(best_v < -self.pos_tol)
-        if truncated and not in_n:
-            # no violation found inside the scanned horizon; report as
-            # truncated rather than claiming a certificate
-            return NMembership(False, None, best_v, truncated=True)
-        return NMembership(in_n, best_t if in_n else None, best_v, truncated=False)
+        in_n = best_v < -self.pos_tol
+        # without a violation inside the scanned horizon, an unconverged
+        # scan is reported as truncated rather than as a certificate
+        return [
+            NMembership(
+                bool(in_n[k]),
+                float(best_t[k]) if in_n[k] else None,
+                float(best_v[k]),
+                truncated=bool(truncated[k] and not in_n[k]),
+            )
+            for k in range(n)
+        ]
+
+    def evaluate(self, rho0, refine_iters=32) -> NMembership:
+        """NMembership of one initial state, as a batch of one."""
+        return self.evaluate_many(np.asarray(rho0)[None], refine_iters)[0]
 
 
 def n_membership(generator: RedfieldGenerator, rho0, pos_tol=POSITIVITY_TOL) -> NMembership:

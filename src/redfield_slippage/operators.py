@@ -25,6 +25,8 @@ SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
 HERMITICITY_TOL = 1e-10
+# eigenvalue gap below which the bottom of a spectrum counts as degenerate
+DEGENERACY_TOL = 1e-10
 
 
 def commutator(a, b):
@@ -56,7 +58,7 @@ def hermitian_eigendecomposition(m, tol=HERMITICITY_TOL):
     return w, v
 
 
-def ground_eigenpair(rho, degeneracy_tol=1e-10):
+def ground_eigenpair(rho, degeneracy_tol=DEGENERACY_TOL):
     """Smallest eigenvalue of a Hermitian matrix, its eigenvector and a
     flag marking near-degeneracy of the bottom of the spectrum."""
     w, v = hermitian_eigendecomposition(rho)

@@ -14,8 +14,12 @@ where p0 is the smallest eigenvalue of rho_S with eigenvector phi0 and
     N_{s' s''} = <phi0| [S^{s'}, S^{s''} rho_S] |phi0>.
 
 I and D are closed-form double integrals of the reservoir kernel,
-reduced here to dot products against exp(-g t) so that a full
-201 x 201 disk scan stays in the tens-of-seconds range on one core.
+reduced here to dot products against exp(-g t). Scans evaluate one
+grid row of states as a batch: one matrix product for the sup on the
+time grid, then one golden-section pass that refines every state's
+sup, and likewise for the positivity dips. The default 201 x 201 disk
+scan takes about 10 s on one core (9.6 s measured on a 2-core Intel
+Xeon VM, against 251 s for the former point-by-point scan).
 Failing the bound (a negative value of the expression above) defines
 membership in the region where the correlated construction breaks
 down, which the scans pair with the positivity-violation region of the
@@ -36,13 +40,27 @@ from .master import (
     csv_float,
     golden_min,
 )
-from .operators import SM, SP, bloch_to_density, check_density, ground_eigenpair
+from .operators import (
+    DEGENERACY_TOL,
+    I2,
+    SM,
+    SP,
+    SX,
+    SY,
+    SZ,
+    bloch_to_density,
+    check_density,
+    ground_eigenpair,
+)
 
 PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SOP = {1: SP, -1: SM}
 
 # below this, A is treated as zero and the ratio is excluded from the sup
 A_FLOOR = 1e-14
+
+# kernel terms with Re g * t above this weigh below e^-40 ~ 4e-18 at t
+TERM_CUTOFF = 40.0
 
 
 class VariationalTables:
@@ -51,16 +69,18 @@ class VariationalTables:
     Everything that depends only on (kernel, eps) is reduced to twelve
     amplitude vectors against the common decay factor exp(-g t): four
     for the I integrals and four each for the two orientations of the
-    D integrals. A single time evaluation is then one exponential of
-    length K and a (12 x K) matrix-vector product; kernels with real
-    decay rates (the continuum pole expansion) use a split real product
-    which roughly halves the cost in the refinement loop.
+    D integrals. Evaluating n times is then one (n x K) exponential and
+    a (12 x K) matrix product; kernels with real decay rates (the
+    continuum pole expansion) use a split real product. Terms are kept
+    in ascending order of Re g, so the terms negligible at a time t
+    (Re g * t > TERM_CUTOFF) are a suffix that b_a leaves out.
     """
 
     def __init__(self, model, kernel):
         eps = model.epsilon
-        g = kernel.g
-        c = kernel.c
+        order = np.argsort(kernel.g.real, kind="stable")
+        g = kernel.g[order]
+        c = kernel.c[order]
         scale = max(float(np.max(np.abs(g))), abs(eps), 1.0)
         for s in (1, -1):
             if np.any(np.abs(g + 1j * s * eps) < 1e-9 * scale):
@@ -71,6 +91,8 @@ class VariationalTables:
         self.model = model
         self.kernel = kernel
         self.eps = float(eps)
+        self._g = g
+        self._re_g = g.real
         self.sw = np.empty(4, dtype=complex)
         self.sk = np.empty(4, dtype=complex)
         self.aa = np.empty(4, dtype=complex)
@@ -97,67 +119,82 @@ class VariationalTables:
         self._sp = np.array([p[0] for p in PAIRS], dtype=float)
         self._sq = np.array([p[1] for p in PAIRS], dtype=float)
 
-    def _dots(self, t):
-        """(w . E, b_plus . E, b_minus . conj E) for the four pairs."""
+    def _dots(self, times, n_terms=None):
+        """(w . E, b_plus . E, b_minus . conj E), each (..., 4), from the
+        first n_terms kernel terms."""
+        k = slice(0, n_terms)
         if self._real_g:
-            e = np.exp(self._gneg * t)
-            v = self._amp_re @ e + 1j * (self._amp_im @ e)
-            return v[0:4], v[4:8], v[8:12]
-        e = np.exp(-self.kernel.g * t)
-        return self._amp[0:4] @ e, self._amp[4:8] @ e, self._amp[8:12] @ np.conj(e)
+            e = np.exp(np.multiply.outer(times, self._gneg[k]))
+            v = e @ self._amp_re[:, k].T + 1j * (e @ self._amp_im[:, k].T)
+            return v[..., 0:4], v[..., 4:8], v[..., 8:12]
+        e = np.exp(-np.multiply.outer(times, self._g[k]))
+        return e @ self._amp[0:4, k].T, e @ self._amp[4:8, k].T, np.conj(e) @ self._amp[8:12, k].T
 
-    def _assemble(self, t, wd, bpd, bmd):
+    def _assemble(self, times, wd, bpd, bmd):
+        """(I, D), each (..., 4), from the dot products at times."""
         eps = self.eps
-        esp = np.exp(1j * self._sp * eps * t)
-        esq = np.exp(1j * self._sq * eps * t)
+        esp = np.exp(1j * np.multiply.outer(times, self._sp) * eps)
+        esq = np.exp(1j * np.multiply.outer(times, self._sq) * eps)
         i_vals = esp * wd - self.sw
         s_sum = self._sp + self._sq
         e_s = esp * esq
-        phi2 = np.where(
-            s_sum == 0.0,
-            t,
-            (e_s - 1.0) / np.where(s_sum == 0.0, 1.0, 1j * s_sum * eps),
-        )
+        denom = np.where(s_sum == 0.0, 1.0, 1j * s_sum * eps)
+        phi2 = np.where(s_sum == 0.0, np.expand_dims(times, -1), (e_s - 1.0) / denom)
         d_vals = phi2 * self.sk - e_s * self.aa + esq * bpd + esp * bmd
         return i_vals, d_vals
 
-    def b_a_at(self, t, m_vec, n_vec):
-        wd, bpd, bmd = self._dots(t)
-        i_vals, d_vals = self._assemble(t, wd, bpd, bmd)
-        b = 0.5 * np.real(np.dot(i_vals, n_vec))
-        a = 0.25 * np.real(np.dot(d_vals, m_vec))
+    def tables(self, times):
+        """(I, D) arrays of shape (len(times), 4) from every kernel term."""
+        times = np.asarray(times, dtype=float)
+        return self._assemble(times, *self._dots(times))
+
+    def b_a(self, t, m, n):
+        """B and A at times t (k,) for states with moments m, n (k, 4).
+
+        Each probe keeps at least the terms with Re g * t <= TERM_CUTOFF
+        (the count rounded up to a power of two, so that probes share
+        few distinct counts). A dropped term weighs below e^-40 times its
+        amplitude, so the dropped tail of B and of A is bounded by
+        e^-40 * sum |amp| over the dropped terms.
+        """
+        t = np.asarray(t, dtype=float)
+        limit = np.divide(TERM_CUTOFF, t, out=np.full(t.shape, np.inf), where=t > 0.0)
+        need = np.maximum(np.searchsorted(self._re_g, limit, side="right"), 16)
+        kept = np.minimum(2 ** np.ceil(np.log2(need)).astype(int), self._re_g.size)
+        dots = np.empty((3,) + t.shape + (4,), dtype=complex)
+        for n_terms in np.unique(kept):
+            sel = kept == n_terms
+            dots[:, sel] = self._dots(t[sel], n_terms)
+        i_vals, d_vals = self._assemble(t, *dots)
+        b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))
+        a = 0.25 * np.real(np.sum(d_vals * m, axis=-1))
         return b, a
 
-    def tables(self, times):
-        """(I, D) arrays of shape (len(times), 4) for grid evaluation."""
-        times = np.asarray(times, dtype=float)
-        e_mat = np.exp(-np.multiply.outer(times, self.kernel.g))
-        wd = e_mat @ self._amp[0:4].T
-        bpd = e_mat @ self._amp[4:8].T
-        bmd = np.conj(e_mat) @ self._amp[8:12].T
-        eps = self.eps
-        esp = np.exp(1j * np.outer(times, self._sp) * eps)
-        esq = np.exp(1j * np.outer(times, self._sq) * eps)
-        i_tab = esp * wd - self.sw[None, :]
-        s_sum = self._sp + self._sq
-        e_s = esp * esq
-        denom = np.where(s_sum == 0.0, 1.0, 1j * s_sum * eps)
-        phi2 = np.where(s_sum[None, :] == 0.0, times[:, None], (e_s - 1.0) / denom)
-        d_tab = phi2 * self.sk[None, :] - e_s * self.aa[None, :] + esq * bpd + esp * bmd
-        return i_tab, d_tab
+    def b_a_at(self, t, m_vec, n_vec):
+        """B(t) and A(t) at one time from every kernel term."""
+        i_tab, d_tab = self.tables([t])
+        b = 0.5 * np.real(np.dot(i_tab[0], n_vec))
+        a = 0.25 * np.real(np.dot(d_tab[0], m_vec))
+        return float(b), float(a)
 
 
 def state_moments(rho_s, phi0):
-    """The four M and N moments of rho_S seen from the direction phi0."""
+    """The four M and N moments of rho_S seen from the direction phi0.
+
+    Takes one state (2, 2) and direction (2,), or stacks (k, 2, 2) and
+    (k, 2); returns M and N of shape (..., 4).
+    """
     rho_s = np.asarray(rho_s, dtype=complex)
-    m_vec = np.empty(4, dtype=complex)
-    n_vec = np.empty(4, dtype=complex)
+    phi0 = np.asarray(phi0, dtype=complex)
     bra = phi0.conj()
+    m_vec = np.empty(phi0.shape[:-1] + (4,), dtype=complex)
+    n_vec = np.empty(phi0.shape[:-1] + (4,), dtype=complex)
     for k, (sp, sq) in enumerate(PAIRS):
         a_op = _SOP[sp]
         b_op = _SOP[sq]
-        m_vec[k] = bra @ (a_op @ rho_s @ b_op) @ phi0
-        n_vec[k] = bra @ (a_op @ (b_op @ rho_s) - (b_op @ rho_s) @ a_op) @ phi0
+        b_rho = b_op @ rho_s
+        m_vec[..., k] = np.einsum("...i,...ij,...j->...", bra, a_op @ rho_s @ b_op, phi0)
+        n_vec[..., k] = np.einsum("...i,...ij,...j->...", bra, a_op @ b_rho - b_rho @ a_op, phi0)
     return m_vec, n_vec
 
 
@@ -232,29 +269,57 @@ class VariationalResult:
     degenerate_p0: bool
 
 
-def _sup_search(tables, grid, i_tab, d_tab, m_vec, n_vec, refine_iters):
-    b_arr = 0.5 * np.real(i_tab @ n_vec)
-    a_arr = 0.25 * np.real(d_tab @ m_vec)
+def _sup_search(tables, grid, grid_tables, m, n, refine_iters):
+    """sup_t B^2 / (4A) and its t (NaN where the sup is zero) for states
+    with moments m, n (k, 4): the argmax on the grid, then one batched
+    golden-section refinement of every state's bracket around it."""
+    grid = np.asarray(grid, dtype=float)
+    i_tab, d_tab = grid_tables
+    b_arr = 0.5 * np.real(i_tab @ n.T)
+    a_arr = 0.25 * np.real(d_tab @ m.T)
     vals = np.zeros_like(b_arr)
-    mask = a_arr > A_FLOOR
-    np.divide(b_arr * b_arr, 4.0 * a_arr, out=vals, where=mask)
-    idx = int(np.argmax(vals))
-    coarse = float(vals[idx])
-    if coarse <= 0.0:
-        return 0.0, None
-    lo = float(grid[max(idx - 1, 0)])
-    hi = float(grid[min(idx + 1, len(grid) - 1)])
+    np.divide(b_arr * b_arr, 4.0 * a_arr, out=vals, where=a_arr > A_FLOOR)
+    idx = np.argmax(vals, axis=0)
+    coarse = vals[idx, np.arange(idx.size)]
+    sup = np.zeros(idx.size)
+    t_star = np.full(idx.size, np.nan)
+    go = coarse > 0.0
+    idx, coarse, m_go, n_go = idx[go], coarse[go], m[go], n[go]
+    lo = grid[np.maximum(idx - 1, 0)]
+    hi = grid[np.minimum(idx + 1, len(grid) - 1)]
 
     def neg_ratio(t):
-        b, a = tables.b_a_at(t, m_vec, n_vec)
-        if a <= A_FLOOR:
-            return 0.0
-        return -(b * b) / (4.0 * a)
+        b, a = tables.b_a(t, m_go, n_go)
+        out = np.zeros_like(b)
+        np.divide(-(b * b), 4.0 * a, out=out, where=a > A_FLOOR)
+        return out
 
-    t_star, neg = golden_min(neg_ratio, lo, hi, iters=refine_iters)
-    if -neg < coarse:
-        return coarse, float(grid[idx])
-    return float(-neg), float(t_star)
+    t_ref, neg = golden_min(neg_ratio, lo, hi, iters=refine_iters)
+    # refinement that fails to beat the grid keeps the grid value
+    kept = -neg < coarse
+    sup[go] = np.where(kept, coarse, -neg)
+    t_star[go] = np.where(kept, grid[idx], t_ref)
+    return sup, t_star
+
+
+def _u_prime_many(tables, grid, grid_tables, lam, rhos, refine_iters) -> list:
+    """VariationalResult for each state in rhos (k, 2, 2), all at once."""
+    w, v = np.linalg.eigh(rhos)
+    p0 = w[:, 0]
+    m, n = state_moments(rhos, v[:, :, 0])
+    sup, t_star = _sup_search(tables, grid, grid_tables, m, n, refine_iters)
+    bound = p0 - lam * lam * sup
+    return [
+        VariationalResult(
+            p0=float(p0[k]),
+            sup_value=float(sup[k]),
+            t_star=None if np.isnan(t_star[k]) else float(t_star[k]),
+            bound=float(bound[k]),
+            in_u_prime=bool(bound[k] < 0.0),
+            degenerate_p0=bool(w[k, 1] - w[k, 0] < DEGENERACY_TOL),
+        )
+        for k in range(len(p0))
+    ]
 
 
 def u_prime_membership(
@@ -279,19 +344,7 @@ def u_prime_membership(
         grid = default_time_grid(model, kernel, t_window)
     if grid_tables is None:
         grid_tables = tables.tables(grid)
-    i_tab, d_tab = grid_tables
-    p0, phi0, degenerate = ground_eigenpair(rho_s)
-    m_vec, n_vec = state_moments(rho_s, phi0)
-    sup, t_star = _sup_search(tables, grid, i_tab, d_tab, m_vec, n_vec, refine_iters)
-    bound = p0 - lam * lam * sup
-    return VariationalResult(
-        p0=float(p0),
-        sup_value=float(sup),
-        t_star=t_star,
-        bound=float(bound),
-        in_u_prime=bool(bound < 0.0),
-        degenerate_p0=bool(degenerate),
-    )
+    return _u_prime_many(tables, grid, grid_tables, lam, rho_s[None], refine_iters)[0]
 
 
 def natural_state_first_order(model, kernel, lam, rho_s) -> NaturalFamily:
@@ -324,64 +377,51 @@ class RegionScanResult:
         return "\n".join(lines) + "\n"
 
 
-_SCAN_STATE: dict = {}
+class _RowScan:
+    """Scan of one grid row, y fixed; every physical cell of the row is
+    evaluated as one batch. Built once per scan and shared by the rows."""
 
+    def __init__(self, model, kernel, lam, xs, z, t_window, refine_iters, pos_tol):
+        self.tables = VariationalTables(model, kernel)
+        self.grid = default_time_grid(model, kernel, t_window)
+        self.grid_tables = self.tables.tables(self.grid)
+        generator = build_redfield_generator(model, kernel, lam)
+        self.scanner = PositivityScanner(generator, pos_tol=pos_tol)
+        self.lam = float(lam)
+        self.xs = xs
+        self.z = float(z)
+        self.refine_iters = int(refine_iters)
 
-def _scan_setup(model, kernel, lam, z, t_window, refine_iters, pos_tol):
-    tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel, t_window)
-    grid_tables = tables.tables(grid)
-    generator = build_redfield_generator(model, kernel, lam)
-    scanner = PositivityScanner(generator, pos_tol=pos_tol)
-    _SCAN_STATE.update(
-        tables=tables,
-        grid=grid,
-        grid_tables=grid_tables,
-        scanner=scanner,
-        model=model,
-        kernel=kernel,
-        lam=float(lam),
-        z=float(z),
-        refine_iters=int(refine_iters),
-        t_window=float(t_window),
-    )
-
-
-def _scan_point(x, y):
-    s = _SCAN_STATE
-    z = s["z"]
-    r2 = x * x + y * y + z * z
-    if r2 > 1.0 + 1e-12:
-        return (x, y, z, None, None, None, None, None, None)
-    rho = bloch_to_density((x, y, z))
-    res = u_prime_membership(
-        s["model"],
-        s["kernel"],
-        s["lam"],
-        rho,
-        t_window=s["t_window"],
-        refine_iters=s["refine_iters"],
-        tables=s["tables"],
-        grid=s["grid"],
-        grid_tables=s["grid_tables"],
-    )
-    n_res = s["scanner"].evaluate(rho)
-    return (
-        x,
-        y,
-        z,
-        res.p0,
-        res.bound,
-        res.in_u_prime,
-        n_res.in_n,
-        n_res.min_eigenvalue_attained,
-        n_res.witness_time,
-    )
-
-
-def _scan_row(args):
-    y, xs = args
-    return [_scan_point(float(x), float(y)) for x in xs]
+    def __call__(self, y):
+        """(row tuples in x order, number of truncated N scans)."""
+        y, z, xs = float(y), self.z, self.xs
+        physical = xs * xs + y * y + z * z <= 1.0 + 1e-12
+        rhos = 0.5 * I2 + xs[physical][:, None, None] * SX + y * SY + z * SZ
+        u_res = _u_prime_many(
+            self.tables, self.grid, self.grid_tables, self.lam, rhos, self.refine_iters
+        )
+        n_res = self.scanner.evaluate_many(rhos)
+        evaluated = iter(zip(u_res, n_res))
+        rows = []
+        for x, inside in zip(xs, physical):
+            if not inside:
+                rows.append((float(x), y, z, None, None, None, None, None, None))
+                continue
+            u, nm = next(evaluated)
+            rows.append(
+                (
+                    float(x),
+                    y,
+                    z,
+                    u.p0,
+                    u.bound,
+                    u.in_u_prime,
+                    nm.in_n,
+                    nm.min_eigenvalue_attained,
+                    nm.witness_time,
+                )
+            )
+        return rows, sum(1 for nm in n_res if nm.truncated)
 
 
 def region_scan(
@@ -399,8 +439,12 @@ def region_scan(
 
     Rows are emitted in row-major order, y varying slowest, both axes
     ascending over [-1, 1] with grid_n nodes. Points outside the unit
-    ball are flagged unphysical (empty fields), not evaluated. The
-    output is deterministic and independent of jobs.
+    ball are flagged unphysical (empty fields), not evaluated. A grid
+    row is the unit of batched evaluation and of the work handed to
+    each of the jobs worker processes, so the output is deterministic
+    and independent of jobs. metadata["n_truncated"] counts the cells
+    whose positivity scan reached its horizon without converging and
+    without finding a violation.
     """
     grid_n = int(grid_n)
     if grid_n < 3 or grid_n % 2 == 0:
@@ -409,19 +453,15 @@ def region_scan(
         raise ValueError("region scans need lam > 0")
     xs = np.linspace(-1.0, 1.0, grid_n)
     ys = np.linspace(-1.0, 1.0, grid_n)
-    args = (model, kernel, lam, z, t_window, refine_iters, pos_tol)
-    rows: list = []
+    scan = _RowScan(model, kernel, lam, xs, z, t_window, refine_iters, pos_tol)
     if int(jobs) > 1:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork")
-        with ctx.Pool(int(jobs), initializer=_scan_setup, initargs=args) as pool:
-            for chunk in pool.map(_scan_row, [(y, xs) for y in ys]):
-                rows.extend(chunk)
+        with mp.get_context("fork").Pool(int(jobs)) as pool:
+            results = pool.map(scan, ys)
     else:
-        _scan_setup(*args)
-        for y in ys:
-            rows.extend(_scan_row((y, xs)))
+        results = [scan(y) for y in ys]
+    rows = [row for chunk, _ in results for row in chunk]
     meta = {
         "grid_n": grid_n,
         "z": float(z),
@@ -437,6 +477,7 @@ def region_scan(
         "n_in_u_prime": sum(1 for r in rows if r[5]),
         "n_in_n": sum(1 for r in rows if r[6]),
         "n_unphysical": sum(1 for r in rows if r[3] is None),
+        "n_truncated": sum(n for _, n in results),
     }
     return RegionScanResult(xs=xs, ys=ys, z=float(z), rows=rows, metadata=meta)
 

@@ -186,6 +186,22 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
     assert main(["region-scan", "--out", str(tmp_path), "--set", "scan.grid_n=10"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region-scan", "--set", "lambda=0", "--set", "scan.grid_n=11"],
+        # beta = 0.5 leaves a visible thermal tail above the Fock cutoff
+        ["oracle", "--set", "oracle.beta=0.5"],
+        ["region-scan", "--set", "scan.grid_n=3", "--jobs", "0"],
+    ],
+    ids=["region_scan_lambda_zero", "oracle_thermal_tail", "jobs_zero"],
+)
+def test_cli_config_error_exit2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_propagate_markov(tmp_path):
     rc = main(
         [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redfield_slippage.bath import fit_exponential_mixture, half_fourier_quadrature
 from redfield_slippage.master import (
@@ -224,6 +226,58 @@ def test_golden_min():
     x, f = golden_min(lambda u: (u - 1.3) ** 2 + 0.25, 0.0, 3.0)
     assert x == pytest.approx(1.3, abs=1e-8)
     assert f == pytest.approx(0.25, abs=1e-12)
+
+
+def golden_min_scalar(f, lo, hi, iters):
+    """Reference golden-section loop on one bracket."""
+    invphi = 0.6180339887498949
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(iters):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return (x1, f1) if f1 <= f2 else (x2, f2)
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-5.0, 5.0, **_finite),  # bracket start
+            st.floats(1e-6, 10.0, **_finite),  # bracket width
+            st.floats(-6.0, 16.0, **_finite),  # minimizer, possibly outside
+            st.floats(0.0, 3.0, **_finite),  # quadratic weight
+            st.floats(0.0, 3.0, **_finite),  # kink weight
+            st.floats(-1.0, 1.0, **_finite),  # offset
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(0, 48),
+)
+def test_golden_min_batch_matches_scalar_loop(cases, iters):
+    lo, width, c, a, b, d = (np.array(col) for col in zip(*cases))
+    hi = lo + width
+
+    def f(t):
+        return a * (t - c) * (t - c) + b * np.abs(t - c) + d
+
+    t_b, f_b = golden_min(f, lo, hi, iters=iters)
+    for k in range(len(cases)):
+        fk = lambda t, k=k: a[k] * (t - c[k]) * (t - c[k]) + b[k] * np.abs(t - c[k]) + d[k]
+        t_s, f_s = golden_min_scalar(fk, lo[k], hi[k], iters)
+        assert t_b[k] == t_s
+        assert f_b[k] == f_s
 
 
 def test_n_membership_stationary_state_is_out(generator):

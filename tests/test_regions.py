@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, NaturalFamily, delta_rho1
+from redfield_slippage.master import n_membership
 from redfield_slippage.operators import bloch_to_density, ground_eigenpair
 from redfield_slippage.regions import (
     PAIRS,
     RegionScanResult,
     VariationalProbe,
     VariationalTables,
+    _RowScan,
     a_of_t,
     b_of_t,
     default_time_grid,
@@ -152,6 +156,62 @@ def test_u_prime_sup_stable_under_grid_refinement(model, kernel):
     assert dense.sup_value == pytest.approx(base.sup_value, rel=1e-6)
 
 
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi), st.lists(_unit, min_size=1, max_size=8))
+def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, phi, fracs):
+    # a scan row is one batch; every entry must equal the batch-of-one
+    # public calls on the same state
+    y, z = rho_yz * np.cos(phi), rho_yz * np.sin(phi)
+    reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
+    row_scan = _RowScan(model, kernel, 0.5, reach * np.array(fracs), z, 50.0, 32, 1e-12)
+    rows, n_truncated = row_scan(y)
+    truncated = 0
+    for x, _, _, p0, bound, in_u, in_n, min_eig, witness in rows:
+        rho = bloch_to_density((x, y, z))
+        u = u_prime_membership(
+            model,
+            kernel,
+            0.5,
+            rho,
+            refine_iters=32,
+            tables=row_scan.tables,
+            grid=row_scan.grid,
+            grid_tables=row_scan.grid_tables,
+        )
+        nm = n_membership(generator, rho)
+        assert p0 == pytest.approx(u.p0, abs=1e-15)
+        assert in_u == u.in_u_prime
+        assert bound == pytest.approx(u.bound, abs=1e-12)
+        assert in_n == nm.in_n
+        assert min_eig == pytest.approx(nm.min_eigenvalue_attained, abs=1e-12)
+        assert (witness is None) == (nm.witness_time is None)
+        truncated += nm.truncated
+    assert n_truncated == truncated
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), _unit, _unit, _unit)
+def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
+    # the kept terms reproduce the full 4001-term sum to 1e-14 anywhere
+    # on the sup search window
+    tables = VariationalTables(model, kernel)
+    grid = default_time_grid(model, kernel, 50.0)
+    scale = max(kernel.tau_r_estimate, 1.0 / model.epsilon)
+    t = grid[0] + u * (50.0 * scale - grid[0])
+    v = np.array([x, y, z])
+    v *= r / max(np.linalg.norm(v), 1e-300)
+    rho = bloch_to_density(tuple(v))
+    _, phi0, _ = ground_eigenpair(rho)
+    m_vec, n_vec = state_moments(rho, phi0)
+    b, a = tables.b_a(np.array([t]), m_vec[None], n_vec[None])
+    b_full, a_full = tables.b_a_at(t, m_vec, n_vec)
+    assert abs(b[0] - b_full) < 1e-14
+    assert abs(a[0] - a_full) < 1e-14
+
+
 def test_natural_state_first_order(model, kernel):
     fam = natural_state_first_order(model, kernel, 0.5, bloch_to_density((0.5, 0.0, 0.0)))
     assert isinstance(fam, NaturalFamily)
@@ -216,6 +276,24 @@ def test_region_scan_jobs_identical(model, kernel):
     one = region_scan(model, kernel, 0.5, grid_n=11, jobs=1).to_csv()
     two = region_scan(model, kernel, 0.5, grid_n=11, jobs=2).to_csv()
     assert one == two
+
+
+def test_region_scan_n_truncated(model, kernel, generator):
+    # the count of N scans cut at the horizon is reported, equals the
+    # per-cell flags and does not depend on jobs
+    counts = [
+        region_scan(model, kernel, 0.5, grid_n=7, jobs=jobs).metadata["n_truncated"]
+        for jobs in (1, 2)
+    ]
+    xs = np.linspace(-1.0, 1.0, 7)
+    expect = sum(
+        n_membership(generator, bloch_to_density((x, y, 0.0))).truncated
+        for y in xs
+        for x in xs
+        if x * x + y * y <= 1.0
+    )
+    assert counts == [expect, expect]
+    assert expect > 0
 
 
 def test_max_radial_depth_scaling(model, kernel):
