@@ -37,6 +37,10 @@ DEFAULT_K_MAX = 4000
 T_MIN_FACTOR = 1e-6
 # decay rates below this are treated as non-decaying
 INTEGRABILITY_FLOOR = 1e-12
+# kernel terms with Re g * t above this weigh below e^-40 ~ 4e-18 at t
+TERM_CUTOFF = 40.0
+# largest (times x terms) block of exponentials evaluated at once
+EXP_BLOCK = 2**16
 
 
 class KernelNotIntegrableError(RuntimeError):
@@ -125,6 +129,26 @@ def golden_rule_rate(spec: LorentzDrudeBath, w) -> float:
     return math.pi * j * (n + 1.0) if w > 0 else math.pi * j * n
 
 
+def term_groups(re_g, t):
+    """Group times by the number of leading kernel terms they need.
+
+    re_g holds the real decay rates of the terms in ascending order.
+    Each time keeps at least the terms with Re g * t <= TERM_CUTOFF,
+    the count rounded up to a power of two (so that times share few
+    distinct counts), at least 16 and at most all. A dropped term
+    weighs below e^-40 times its amplitude at t. Yields (mask, n_terms)
+    pairs that partition t.
+    """
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        # subnormal t overflows to an infinite limit: every term is kept
+        limit = np.divide(TERM_CUTOFF, t, out=np.full(t.shape, np.inf), where=t > 0.0)
+    need = np.maximum(np.searchsorted(re_g, limit, side="right"), 16)
+    kept = np.minimum(2 ** np.ceil(np.log2(need)).astype(int), re_g.size)
+    for n_terms in np.unique(kept):
+        yield kept == n_terms, int(n_terms)
+
+
 class TailKernel:
     """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form.
 
@@ -132,26 +156,65 @@ class TailKernel:
     c exp((i sigma eps - g) tau) / (g - i sigma eps). Purely oscillatory
     terms (discrete modes) get the Abel-regularized value, which is what
     the perturbative formulas require off resonance.
+
+    sigma is +1, -1 or a tuple of them; a tuple adds a trailing axis
+    over its entries to the result, and every entry shares the same
+    exponentials exp(-g tau). Evaluation over an array of times keeps
+    per time only the terms selected by term_groups and works in blocks
+    of at most EXP_BLOCK (time x term) exponentials; kernels with real
+    decay rates (the continuum pole expansion) use real exponentials.
     """
 
     def __init__(self, kernel, eps, sigma):
-        if sigma not in (1, -1):
-            raise ValueError("sigma must be +1 or -1")
-        den = kernel.g - 1j * sigma * float(eps)
-        scale = max(float(np.max(np.abs(kernel.g))), abs(float(eps)), 1.0)
+        sigmas = np.atleast_1d(np.asarray(sigma))
+        if sigmas.ndim != 1 or not np.all(np.isin(sigmas, (1, -1))):
+            raise ValueError("sigma must be +1, -1 or a tuple of them")
+        order = np.argsort(kernel.g.real, kind="stable")
+        g = kernel.g[order]
+        den = g[:, None] - 1j * float(eps) * sigmas
+        scale = max(float(np.max(np.abs(g))), abs(float(eps)), 1.0)
         if np.any(np.abs(den) < 1e-9 * scale):
             raise KernelNotIntegrableError(
                 "a kernel term is resonant with the requested frequency; "
                 "the half-range integral has no t -> infinity limit there"
             )
         self.eps = float(eps)
-        self.sigma = int(sigma)
-        self._den = den
-        self._amp = kernel.c / den
+        self.sigma = sigma
+        self._freq = self.eps * sigmas
+        self._re_g = g.real
+        # the sums run from the fastest-decaying (smallest) term up, one
+        # matrix-vector product per sigma: both keep the rounding error of
+        # the 4001-term continuum sums near 1e-15
+        rev = slice(None, None, -1)
+        self._amp = (kernel.c[order, None] / den)[rev].T.copy()
+        self._real_g = bool(np.all(g.imag == 0.0))
+        self._gneg = -g[rev].real if self._real_g else -g[rev]
+        if self._real_g:
+            self._amp_re = self._amp.real.copy()
+            self._amp_im = self._amp.imag.copy()
+
+    def _sum(self, tau, n_terms):
+        k = slice(self._re_g.size - n_terms, None)
+        e = np.exp(np.multiply.outer(tau, self._gneg[k]))
+        if self._real_g:
+            v = [e @ re[k] + 1j * (e @ im[k]) for re, im in zip(self._amp_re, self._amp_im)]
+        else:
+            v = [e @ amp[k] for amp in self._amp]
+        return np.stack(v, axis=-1) * np.exp(1j * np.multiply.outer(tau, self._freq))
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
-        return np.exp(-np.multiply.outer(tau, self._den)) @ self._amp
+        flat = tau.ravel()
+        out = np.empty(flat.shape + self._freq.shape, dtype=complex)
+        for sel, n_terms in term_groups(self._re_g, flat):
+            idx = np.flatnonzero(sel)
+            step = max(1, EXP_BLOCK // n_terms)
+            for lo in range(0, idx.size, step):
+                part = idx[lo : lo + step]
+                out[part] = self._sum(flat[part], n_terms)
+        if np.ndim(self.sigma) == 0:
+            return out.reshape(tau.shape)
+        return out.reshape(tau.shape + self._freq.shape)
 
 
 class ExponentialMixture:

@@ -35,7 +35,13 @@ from .bath import (
 )
 from .config import ConfigError, RunConfig
 from .corrections import NATURAL_SIGN, NaturalFamily, Product, slipped_initial_condition
-from .master import build_redfield_generator, csv_float, propagate_markovian, propagate_tcl2
+from .master import (
+    TCL2_TOL,
+    build_redfield_generator,
+    csv_float,
+    propagate_markovian,
+    propagate_tcl2,
+)
 from .operators import BlochVector, bloch_to_density
 from .oracle import (
     OracleConsistencyError,
@@ -143,6 +149,8 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
+    if not np.isfinite(args.kappa):
+        raise ConfigError(f"--kappa must be finite, got {args.kappa!r}")
     model = cfg.model()
     kernel = cfg.kernel()
     lam = float(cfg["lambda"])
@@ -159,6 +167,9 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     meta["initial"] = [float(p) for p in args.initial.split(",")]
     meta["mode"] = args.mode
     meta["kappa"] = float(args.kappa)
+    if args.mode == "tcl2":
+        meta["tcl2_err_est"] = traj.err_est
+        meta["tcl2_converged"] = traj.err_est < TCL2_TOL
     _write(os.path.join(out, "trajectory_meta.json"), _dump_json(meta))
     return 0
 

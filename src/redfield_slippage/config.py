@@ -9,11 +9,14 @@ options, applied after the file in order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bath import (
     DiscreteModes,
     LorentzDrudeBath,
+    PoleCollisionError,
     discrete_kernel,
     fit_exponential_mixture,
 )
@@ -69,10 +72,17 @@ def _coerce(key, text):
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):
-            return float(text)
+            return _finite_float(text)
         return text
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r}") from exc
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 class RunConfig:
@@ -161,7 +171,7 @@ class RunConfig:
 
     def oracle_lambdas(self):
         try:
-            return [float(tok) for tok in str(self.values["oracle.lambdas"]).split(",") if tok.strip()]
+            return [_finite_float(tok) for tok in str(self.values["oracle.lambdas"]).split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError("oracle.lambdas must be a comma list of floats") from exc
 
@@ -176,7 +186,7 @@ class RunConfig:
                 raise ConfigError(f"bad mode entry {tok!r}, expected omega:nu")
             w, _, nu = tok.partition(":")
             try:
-                modes.append((float(w), float(nu)))
+                modes.append((_finite_float(w), _finite_float(nu)))
             except ValueError as exc:
                 raise ConfigError(f"bad mode entry {tok!r}") from exc
         return tuple(modes)
@@ -185,16 +195,22 @@ class RunConfig:
         return SystemModel(epsilon=float(self.values["model.epsilon"]))
 
     def bath_spec(self):
-        if self.values["bath.type"] == "lorentz_drude":
-            return LorentzDrudeBath(
-                omega_c=float(self.values["bath.omega_cutoff"]),
+        try:
+            if self.values["bath.type"] == "lorentz_drude":
+                return LorentzDrudeBath(
+                    omega_c=float(self.values["bath.omega_cutoff"]),
+                    beta=float(self.values["bath.beta"]),
+                )
+            return DiscreteModes(
+                self.parsed_modes(),
                 beta=float(self.values["bath.beta"]),
+                fock_cutoff=int(self.values["bath.fock_cutoff"]),
             )
-        return DiscreteModes(
-            self.parsed_modes(),
-            beta=float(self.values["bath.beta"]),
-            fock_cutoff=int(self.values["bath.fock_cutoff"]),
-        )
+        except PoleCollisionError:
+            # a kernel diagnostic, not a malformed value
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bath: {exc}") from exc
 
     def kernel(self):
         spec = self.bath_spec()

@@ -9,14 +9,19 @@ The memoryless generator is
 
 with Gamma the half-range Fourier transform of the reservoir kernel.
 The finite-memory variant replaces Gamma by the partial integrals
-F_sigma(t) (Lambda_t below), and propagate_tcl2 integrates the
-resulting time-local equation with an optional initial-correlation
-counterterm parameterized by kappa.
+F_sigma(t) (Lambda_t below, evaluated by bath.TailKernel), and
+propagate_tcl2 solves the resulting time-local equation with an
+optional initial-correlation counterterm parameterized by kappa. In the
+interaction picture of G its right-hand side does not depend on the
+state, so the solution is a quadrature: composite Gauss-Legendre
+panels aligned with the output times and graded geometrically toward
+t = 0, refined until two passes agree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +41,18 @@ from .operators import (
 )
 
 POSITIVITY_TOL = 1e-12
+# default pass-to-pass tolerance of propagate_tcl2
+TCL2_TOL = 1e-9
+# Gauss-Legendre nodes per propagate_tcl2 panel
+TCL2_NODES = 8
+# the base panels of propagate_tcl2 halve geometrically from the base
+# width h0 down to w = h0 2^-TCL2_GRADES. The innermost panel [0, w] is
+# never split; the drive moves there by at most ~ lam^2 w sum |c_k|, so
+# its quadrature error is of order lam^2 w^2 sum |c_k|, with w^2 about
+# h0^2 times the double-precision epsilon.
+TCL2_GRADES = 26
+# panels per vectorised drive evaluation in propagate_tcl2
+TCL2_PANEL_BLOCK = 4096
 
 
 def csv_float(x) -> str:
@@ -123,49 +140,21 @@ class RedfieldGenerator:
             - self.lambda0.matrix,
             dim=2,
         )
-        # amplitudes of the partial half-range integrals F_sigma(t)
-        self._amp_p = kernel.c / (kernel.g - 1j * eps)
-        self._amp_m = kernel.c / (kernel.g + 1j * eps)
+
+    @cached_property
+    def f_sigma(self):
+        """Evaluator of the partial half-range integrals F_+(t) and
+        F_-(t), on a trailing axis of length 2 (bath.TailKernel)."""
+        return self.kernel.tail_kernel(self.model.epsilon, (1, -1))
 
     def theta_tail(self, t: float) -> np.ndarray:
         """Theta_t = (1/2)(S^+ F_-(t) + S^- F_+(t)); theta_tail(0) == theta."""
-        e = np.exp(-float(t) * self.kernel.g)
-        eps_phase = np.exp(1j * self.model.epsilon * float(t))
-        f_plus = eps_phase * np.dot(self._amp_p, e)
-        f_minus = np.conj(eps_phase) * np.dot(self._amp_m, e)
+        f_plus, f_minus = self.f_sigma(np.array([float(t)]))[0]
         return 0.5 * (SP * f_minus + SM * f_plus)
 
 
 def build_redfield_generator(model: SystemModel, kernel, lam: float) -> RedfieldGenerator:
     return RedfieldGenerator(model, kernel, lam)
-
-
-def _superop_from_map(fn, dim=2) -> Superoperator:
-    cols = []
-    for j in range(dim * dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j % dim, j // dim] = 1.0
-        cols.append(vec(fn(e)))
-    return Superoperator(np.stack(cols, axis=1), dim=dim)
-
-
-def redfield_generator_bruteforce(model: SystemModel, theta, lam: float) -> Superoperator:
-    """Generator assembled column by column from dense matrix products.
-
-    Takes theta directly (so tests can feed a quadrature-built one) and
-    shares no kron algebra with the main construction.
-    """
-    h = model.hamiltonian
-    x = model.coupling
-    td = theta.conj().T
-
-    def gen(rho):
-        comm = -1j * (h @ rho - rho @ h)
-        diss = x @ (theta @ rho) - (theta @ rho) @ x
-        diss -= x @ (rho @ td) - (rho @ td) @ x
-        return comm - lam * lam * diss
-
-    return _superop_from_map(gen)
 
 
 def build_lambda_t(generator: RedfieldGenerator, t: float) -> Superoperator:
@@ -182,6 +171,8 @@ class Trajectory:
     states: list
     min_eigenvalues: np.ndarray
     trace_errors: np.ndarray
+    # largest change between the last two quadrature passes (TCL2 only)
+    err_est: float = 0.0
 
     def blochs(self):
         return [density_to_bloch(s) for s in self.states]
@@ -198,14 +189,14 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def trajectory_from_states(times, states) -> Trajectory:
+def trajectory_from_states(times, states, err_est=0.0) -> Trajectory:
     mins = np.empty(len(states))
     terr = np.empty(len(states))
     for i, s in enumerate(states):
         b = density_to_bloch(s)
         mins[i] = 0.5 * (1.0 - b.norm())
         terr[i] = abs(complex(np.trace(s)) - 1.0)
-    return Trajectory(np.asarray(times, dtype=float), list(states), mins, terr)
+    return Trajectory(np.asarray(times, dtype=float), list(states), mins, terr, float(err_est))
 
 
 def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory:
@@ -219,7 +210,41 @@ def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory
     return trajectory_from_states(times, states)
 
 
-def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=1e-9, max_halvings=8) -> Trajectory:
+def _tcl2_drive(generator, rho0, tau):
+    """e^{i tau L_S} Lambda_tau e^{-i tau L_S} rho0 at times tau (n,),
+    as vectorized states (n, 4)."""
+    f_plus, f_minus = generator.f_sigma(tau).T
+    ph = np.exp(-1j * generator.model.epsilon * tau)
+    n = tau.size
+    rf = np.empty((n, 2, 2), dtype=complex)
+    rf[:, 0, 0] = rho0[0, 0]
+    rf[:, 0, 1] = rho0[0, 1] * ph
+    rf[:, 1, 0] = rho0[1, 0] * np.conj(ph)
+    rf[:, 1, 1] = rho0[1, 1]
+    th = np.zeros((n, 2, 2), dtype=complex)
+    th[:, 0, 1] = 0.5 * f_minus
+    th[:, 1, 0] = 0.5 * f_plus
+    a = th @ rf
+    b = rf @ np.conj(np.swapaxes(th, 1, 2))
+    m = (SX @ a - a @ SX) - (SX @ b - b @ SX)
+    m[:, 0, 1] *= np.conj(ph)
+    m[:, 1, 0] *= ph
+    # vec() stacks columns: (m00, m10, m01, m11)
+    return generator.lam**2 * np.swapaxes(m, 1, 2).reshape(n, 4)
+
+
+def _split_panels(edges, parts):
+    """Split every panel [a, b] of edges with a > 0 into `parts`
+    geometrically equal panels; the first panel [0, edges[1]] stays
+    whole. Every edge of the input is kept exactly."""
+    a, b = np.log(edges[1:-1]), np.log(edges[2:])
+    # in logarithms, so that a subnormal edge cannot overflow b / a
+    inner = np.exp(a[:, None] + (b - a)[:, None] * (np.arange(parts) / parts))
+    inner[:, 0] = edges[1:-1]
+    return np.concatenate((edges[:1], inner.ravel(), edges[-1:]))
+
+
+def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL2_TOL, max_halvings=8) -> Trajectory:
     """Time-local second-order propagation with memory and slippage.
 
     Works in the interaction picture of the full constant generator,
@@ -227,9 +252,18 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=1e-
 
         dy/dtau = (1 - kappa) e^{i tau L_S} Lambda_tau e^{-i tau L_S} rho0,
 
-    integrated by fixed-step RK4 with the step halved until the sampled
-    trajectory moves by less than tol; the physical state is recovered
-    as rho(t) = e^{t G} y(t). At this order in the coupling all
+    which does not depend on y, so y(t) = rho0 + int_0^t drive is a
+    quadrature; the physical state is rho(t) = e^{t G} y(t). The base
+    panels end at every output time, at every multiple of the base width
+    h0 and at h0 2^-k (k = 0 .. TCL2_GRADES), which grades them toward
+    tau = 0 where F_sigma behaves like tau log tau. Each pass sums
+    TCL2_NODES-point Gauss-Legendre rules over its panels and
+    accumulates them up to each output time. The next pass splits every
+    panel but the innermost into two geometric halves (half the width,
+    the square root of the grading ratio); passes stop once two in a
+    row agree to within tol at every output time, or after max_halvings
+    refinements. The last difference is returned as err_est (infinite
+    when no refinement ran). At this order in the coupling all
     orderings of the memory term agree; kappa = 1 cancels the drive
     exactly and reproduces the memoryless semigroup.
     """
@@ -237,74 +271,69 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=1e-
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("times must be non-empty")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be non-negative and non-decreasing")
+    if not np.isfinite(kappa):
+        raise ValueError("kappa must be finite")
 
-    eps = generator.model.epsilon
-    lam = generator.lam
     scale = 1.0 - float(kappa)
-
-    def drive(tau):
-        ph = np.exp(-1j * eps * tau)
-        rf = np.array(
-            [
-                [rho0[0, 0], rho0[0, 1] * ph],
-                [rho0[1, 0] * np.conj(ph), rho0[1, 1]],
-            ]
-        )
-        th = generator.theta_tail(tau)
-        td = th.conj().T
-        m = SX @ (th @ rf) - (th @ rf) @ SX
-        m -= SX @ (rf @ td) - (rf @ td) @ SX
-        m *= scale * lam * lam
-        return np.array(
-            [
-                [m[0, 0], m[0, 1] * np.conj(ph)],
-                [m[1, 0] * ph, m[1, 1]],
-            ]
-        )
-
-    def integrate(h0):
-        ys = []
-        y = rho0.astype(complex)
-        t_prev = 0.0
-        for t_next in times:
-            span = t_next - t_prev
-            if span > 0.0:
-                steps = max(1, int(np.ceil(span / h0)))
-                h = span / steps
-                tau = t_prev
-                for _ in range(steps):
-                    k1 = drive(tau)
-                    k2 = drive(tau + 0.5 * h)
-                    k3 = k2  # the drive does not depend on y
-                    k4 = drive(tau + h)
-                    y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                    tau += h
-            ys.append(y)
-            t_prev = t_next
-        return ys
-
-    if lam == 0.0 or scale == 0.0:
-        ys = [rho0.astype(complex) for _ in times]
+    y0 = vec(rho0).astype(complex)
+    t_end = float(times[-1])
+    err = 0.0
+    if generator.lam == 0.0 or scale == 0.0 or t_end == 0.0:
+        ys = np.broadcast_to(y0, (times.size, 4))
     else:
-        h = min(1.0 / eps, generator.kernel.tau_r_estimate) / 40.0
-        ys = integrate(h)
-        for _ in range(int(max_halvings)):
-            h *= 0.5
-            ys_fine = integrate(h)
-            delta = max(
-                float(np.linalg.norm(a - b)) for a, b in zip(ys, ys_fine)
+        # base width: no wider than the system period, the slowest kernel
+        # decay and the fastest discrete-mode oscillation (over 2 pi)
+        g = generator.kernel.g
+        rate = max(
+            generator.model.epsilon,
+            1.0 / generator.kernel.tau_r_estimate,
+            float(np.max(np.abs(g.imag))),
+        )
+        h0 = 1.0 / rate
+        base = np.unique(
+            np.concatenate(
+                (
+                    [0.0],
+                    h0 * 2.0 ** -np.arange(TCL2_GRADES + 1.0),
+                    h0 * np.arange(1.0, np.floor(t_end / h0) + 1.0),
+                    times,
+                )
             )
-            ys = ys_fine
-            if delta < tol:
+        )
+        base = base[base <= t_end]
+        x_gl, w_gl = np.polynomial.legendre.leggauss(TCL2_NODES)
+
+        def integrate(parts):
+            edges = _split_panels(base, parts)
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            half = 0.5 * (edges[1:] - edges[:-1])
+            panel = np.empty((mid.size, 4), dtype=complex)
+            for lo in range(0, mid.size, TCL2_PANEL_BLOCK):
+                sl = slice(lo, lo + TCL2_PANEL_BLOCK)
+                tau = (mid[sl, None] + half[sl, None] * x_gl).ravel()
+                d = _tcl2_drive(generator, rho0, tau).reshape(-1, TCL2_NODES, 4)
+                panel[sl] = half[sl, None] * np.einsum("pnk,n->pk", d, w_gl)
+            cum = np.concatenate((np.zeros((1, 4)), np.cumsum(panel, axis=0)))
+            return y0 + scale * cum[np.searchsorted(edges, times)]
+
+        ys = integrate(1)
+        err = np.inf
+        for level in range(1, int(max_halvings) + 1):
+            fine = integrate(2**level)
+            err = float(np.max(np.linalg.norm(fine - ys, axis=1)))
+            ys = fine
+            if err < tol:
                 break
 
     states = [
-        unvec(generator.liouvillian.expm_action(t, vec(y)))
+        unvec(generator.liouvillian.expm_action(t, y))
         for t, y in zip(times, ys)
     ]
-    return trajectory_from_states(times, states)
+    return trajectory_from_states(times, states, err_est=err)
 
 
 def stationary_state(generator: RedfieldGenerator) -> np.ndarray:

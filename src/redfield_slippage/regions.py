@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import KernelNotIntegrableError
+from .bath import KernelNotIntegrableError, term_groups
 from .corrections import NATURAL_SIGN, NaturalFamily
 from .master import (
     PositivityScanner,
@@ -59,9 +59,6 @@ _SOP = {1: SP, -1: SM}
 # below this, A is treated as zero and the ratio is excluded from the sup
 A_FLOOR = 1e-14
 
-# kernel terms with Re g * t above this weigh below e^-40 ~ 4e-18 at t
-TERM_CUTOFF = 40.0
-
 
 class VariationalTables:
     """Kernel-dependent coefficient tables for fast A and B evaluation.
@@ -73,7 +70,7 @@ class VariationalTables:
     a (12 x K) matrix product; kernels with real decay rates (the
     continuum pole expansion) use a split real product. Terms are kept
     in ascending order of Re g, so the terms negligible at a time t
-    (Re g * t > TERM_CUTOFF) are a suffix that b_a leaves out.
+    (bath.term_groups) are a suffix that b_a leaves out.
     """
 
     def __init__(self, model, kernel):
@@ -151,19 +148,14 @@ class VariationalTables:
     def b_a(self, t, m, n):
         """B and A at times t (k,) for states with moments m, n (k, 4).
 
-        Each probe keeps at least the terms with Re g * t <= TERM_CUTOFF
-        (the count rounded up to a power of two, so that probes share
-        few distinct counts). A dropped term weighs below e^-40 times its
-        amplitude, so the dropped tail of B and of A is bounded by
-        e^-40 * sum |amp| over the dropped terms.
+        Each probe keeps the leading terms that bath.term_groups selects
+        for it. A dropped term weighs below e^-40 times its amplitude, so
+        the dropped tail of B and of A is bounded by e^-40 * sum |amp|
+        over the dropped terms.
         """
         t = np.asarray(t, dtype=float)
-        limit = np.divide(TERM_CUTOFF, t, out=np.full(t.shape, np.inf), where=t > 0.0)
-        need = np.maximum(np.searchsorted(self._re_g, limit, side="right"), 16)
-        kept = np.minimum(2 ** np.ceil(np.log2(need)).astype(int), self._re_g.size)
         dots = np.empty((3,) + t.shape + (4,), dtype=complex)
-        for n_terms in np.unique(kept):
-            sel = kept == n_terms
+        for sel, n_terms in term_groups(self._re_g, t):
             dots[:, sel] = self._dots(t[sel], n_terms)
         i_vals, d_vals = self._assemble(t, *dots)
         b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from redfield_slippage.bath import (
@@ -160,6 +162,41 @@ def test_tail_kernel(kernel):
         assert complex(f(tau)) == pytest.approx(ref_re + 1j * ref_im, abs=1e-8)
     with pytest.raises(ValueError):
         kernel.tail_kernel(eps, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(-12.0, 2.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=80,
+    ),
+    st.sampled_from([1, -1, (1, -1)]),
+)
+def test_tail_kernel_blocks_match_full_sum(kernel, taus, sigma):
+    # the blocked evaluation that drops the terms with Re g * tau > 40
+    # reproduces the full 4001-term sum, here summed exactly (fsum)
+    tau = np.array(taus)
+    got = kernel.tail_kernel(1.0, sigma)(tau)
+    for k, s in enumerate(np.atleast_1d(sigma)):
+        den = kernel.g - 1j * s
+        part = got if np.ndim(sigma) == 0 else got[:, k]
+        for t, value in zip(tau, part):
+            terms = np.exp(-t * den) * (kernel.c / den)
+            full = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(value - full) < 1e-14
+
+
+def test_tail_kernel_sigma_pairs_and_shapes(kernel):
+    pair = kernel.tail_kernel(1.0, (1, -1))
+    tau = np.array([[0.0, 0.3], [2.0, 7.0]])
+    out = pair(tau)
+    assert out.shape == (2, 2, 2)
+    assert np.max(np.abs(out[..., 0] - kernel.tail_kernel(1.0, 1)(tau))) < 1e-15
+    assert np.max(np.abs(out[..., 1] - kernel.tail_kernel(1.0, -1)(tau))) < 1e-15
+    assert kernel.tail_kernel(1.0, 1)(0.5).shape == ()
+    with pytest.raises(ValueError):
+        kernel.tail_kernel(1.0, (1, 2))
 
 
 def test_tau_r_estimate(kernel):

@@ -1,19 +1,25 @@
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import redfield_slippage
 from redfield_slippage import __version__
 from redfield_slippage.bath import DiscreteModes, LorentzDrudeBath
 from redfield_slippage.cli import main
 from redfield_slippage.config import DEFAULTS, ConfigError, RunConfig
+from redfield_slippage.corrections import NaturalFamily, perturbative_solution
+from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.oracle import OracleConsistencyError
 
 C_AT_1 = 1.0596900936272289 - 0.5778636748954609j
@@ -193,8 +199,26 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         # beta = 0.5 leaves a visible thermal tail above the Fock cutoff
         ["oracle", "--set", "oracle.beta=0.5"],
         ["region-scan", "--set", "scan.grid_n=3", "--jobs", "0"],
+        ["diagnose", "--set", "bath.type=discrete", "--set", "bath.modes=0.3:0.1,-2:0.1"],
+        ["propagate", "--mode", "tcl2", "--kappa", "nan"],
+        ["propagate", "--mode", "tcl2", "--kappa=-inf"],
+        ["propagate", "--set", "lambda=nan"],
+        ["propagate", "--set", "propagation.t_end=nan"],
+        ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=inf"],
+        ["diagnose", "--set", "bath.type=discrete", "--set", "bath.modes=nan:0.1"],
     ],
-    ids=["region_scan_lambda_zero", "oracle_thermal_tail", "jobs_zero"],
+    ids=[
+        "region_scan_lambda_zero",
+        "oracle_thermal_tail",
+        "jobs_zero",
+        "discrete_negative_frequency",
+        "kappa_nan",
+        "kappa_inf",
+        "lambda_nan",
+        "t_end_nan",
+        "t_end_inf",
+        "mode_frequency_nan",
+    ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -286,6 +310,68 @@ def test_cli_tcl2_kappa_one_matches_markov(tmp_path):
     meta = _read_json(out_t / "trajectory_meta.json")
     assert meta["mode"] == "tcl2"
     assert meta["kappa"] == 1.0
+
+
+def test_cli_tcl2_reports_quadrature_error(tmp_path):
+    common = ["--set", "propagation.t_end=3.0", "--set", "propagation.n_points=7"]
+    out_m = tmp_path / "m"
+    out_t = tmp_path / "t"
+    assert main(["propagate", "--out", str(out_m)] + common) == 0
+    assert main(["propagate", "--out", str(out_t), "--mode", "tcl2", "--kappa", "0.2"] + common) == 0
+    meta = _read_json(out_t / "trajectory_meta.json")
+    assert meta["tcl2_converged"] is True
+    assert 0.0 <= meta["tcl2_err_est"] < 1e-9
+    # the certificate goes to the metadata only: the CSV layout is shared
+    assert "tcl2_err_est" not in _read_json(out_m / "trajectory_meta.json")
+    header_m, _ = _read_csv(out_m / "trajectory.csv")
+    header_t, rows = _read_csv(out_t / "trajectory.csv")
+    assert header_t == header_m == "t,x,y,z,min_eig,trace_err"
+    assert len(rows) == 7
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # mode frequencies stay 0.05 or more away from the splitting
+            st.one_of(st.floats(0.2, 0.95), st.floats(1.05, 3.0)),
+            st.floats(0.0, 0.5),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.floats(0.5, 5.0),
+    st.floats(0.0, 0.3),
+    st.floats(0.0, 1.0),
+    st.tuples(st.floats(-0.55, 0.55), st.floats(-0.55, 0.55), st.floats(-0.55, 0.55)),
+    st.floats(0.5, 25.0),
+)
+def test_cli_tcl2_discrete_matches_closed_form(modes, beta, lam, kappa, bloch, t_end):
+    out = Path(tempfile.mkdtemp())
+    try:
+        spec = ",".join(f"{w!r}:{nu!r}" for w, nu in modes)
+        initial = ",".join(repr(c) for c in bloch)
+        argv = [
+            "propagate", "--out", str(out), "--mode", "tcl2",
+            f"--initial={initial}", f"--kappa={kappa!r}",
+            "--set", "bath.type=discrete", "--set", f"bath.modes={spec}",
+            "--set", f"bath.beta={beta!r}", "--set", f"lambda={lam!r}",
+            "--set", f"propagation.t_end={t_end!r}", "--set", "propagation.n_points=9",
+        ]
+        assert main(argv) == 0
+        cfg = RunConfig.load(None, [a for a in argv[argv.index("--set"):] if a != "--set"])
+        closed = perturbative_solution(
+            cfg.model(), cfg.kernel(), lam, bloch_to_density(bloch),
+            NaturalFamily(kappa), cfg.propagation_times(),
+        )
+        _, rows = _read_csv(out / "trajectory.csv")
+        assert len(rows) == 9
+        for row, b in zip(rows, closed.blochs()):
+            x, y, z = (float(v) for v in row[1:4])
+            # trace distance of qubit states is half their Bloch distance
+            assert 0.5 * math.dist((x, y, z), (b.x, b.y, b.z)) < 1e-10
+    finally:
+        shutil.rmtree(out)
 
 
 def test_cli_diagnose_report(tmp_path, capsys):

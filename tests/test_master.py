@@ -16,7 +16,6 @@ from redfield_slippage.master import (
     n_membership,
     propagate_markovian,
     propagate_tcl2,
-    redfield_generator_bruteforce,
     relaxation_horizon,
     stationary_state,
     trajectory_from_states,
@@ -24,6 +23,7 @@ from redfield_slippage.master import (
 from redfield_slippage.operators import (
     SM,
     SP,
+    Superoperator,
     bloch_to_density,
     density_to_bloch,
     trace_distance,
@@ -70,6 +70,34 @@ def test_theta_against_quadrature(model, kernel):
     gen = build_redfield_generator(model, kernel, lam=0.5)
     theta_ref = 0.5 * (np.asarray(SP) * gm + np.asarray(SM) * gp)
     assert np.max(np.abs(gen.theta - theta_ref)) < 1e-8
+
+
+def _superop_from_map(fn, dim=2) -> Superoperator:
+    cols = []
+    for j in range(dim * dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[j % dim, j // dim] = 1.0
+        cols.append(vec(fn(e)))
+    return Superoperator(np.stack(cols, axis=1), dim=dim)
+
+
+def redfield_generator_bruteforce(model, theta, lam) -> Superoperator:
+    """Generator assembled column by column from dense matrix products.
+
+    Takes theta directly (so tests can feed a quadrature-built one) and
+    shares no kron algebra with the main construction.
+    """
+    h = model.hamiltonian
+    x = model.coupling
+    td = theta.conj().T
+
+    def gen(rho):
+        comm = -1j * (h @ rho - rho @ h)
+        diss = x @ (theta @ rho) - (theta @ rho) @ x
+        diss -= x @ (rho @ td) - (rho @ td) @ x
+        return comm - lam * lam * diss
+
+    return _superop_from_map(gen)
 
 
 def test_generator_matches_bruteforce(model, kernel, generator):
@@ -202,6 +230,67 @@ def test_tcl2_trace_and_hermiticity(generator):
     assert np.max(traj.trace_errors) < 1e-10
     for rho in traj.states:
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.6),
+    st.floats(-0.5, 1.5),
+    st.floats(0.1, 40.0),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
+)
+def test_tcl2_matches_perturbative_solution(model, kernel, v, r, lam, kappa, t_end, fracs):
+    # the quadrature and the closed form share no code below the kernel
+    # terms, on random states, couplings and non-uniform time grids
+    from redfield_slippage.corrections import NaturalFamily, perturbative_solution
+
+    v = np.array(v)
+    v *= r / max(math.hypot(*v), 1e-300)  # hypot does not underflow
+    rho0 = bloch_to_density(tuple(v))
+    times = np.sort(t_end * np.array(fracs))
+    gen = build_redfield_generator(model, kernel, lam)
+    traj = propagate_tcl2(gen, rho0, times, kappa=kappa)
+    closed = perturbative_solution(model, kernel, lam, rho0, NaturalFamily(kappa), times)
+    assert traj.err_est < 1e-9
+    worst = max(trace_distance(a, b) for a, b in zip(traj.states, closed.states))
+    assert worst < 1e-10
+
+
+def test_tcl2_does_not_use_the_closed_form_route(model, kernel, monkeypatch):
+    # criterion 9 compares the two routes, so the quadrature must not reach
+    # the slippage integrals or the scalar theta_tail
+    import redfield_slippage.corrections as corrections
+    from redfield_slippage.master import RedfieldGenerator
+
+    def boom(*args, **kwargs):
+        raise AssertionError("closed-form route called")
+
+    for name in ("phi", "i_coefficients", "delta_rho1", "perturbative_solution"):
+        monkeypatch.setattr(corrections, name, boom)
+    monkeypatch.setattr(RedfieldGenerator, "theta_tail", boom)
+    gen = build_redfield_generator(model, kernel, 0.4)
+    traj = propagate_tcl2(gen, bloch_to_density((0.2, 0.5, 0.3)), np.linspace(0.0, 4.0, 5))
+    assert traj.err_est < 1e-9
+
+
+def test_tcl2_err_est_and_input_guards(generator):
+    rho0 = bloch_to_density((0.0, 0.8, 0.1))
+    times = np.linspace(0.0, 5.0, 6)
+    assert propagate_markovian(generator, rho0, times).err_est == 0.0
+    # no refinement, no certificate
+    assert propagate_tcl2(generator, rho0, times, max_halvings=0).err_est == np.inf
+    # a spent halving budget reports the last pass difference
+    spent = propagate_tcl2(generator, rho0, times, tol=0.0, max_halvings=1)
+    assert 0.0 <= spent.err_est < 1e-9
+    # kappa = 1 has no drive to integrate
+    assert propagate_tcl2(generator, rho0, times, kappa=1.0).err_est == 0.0
+    for bad in ([0.0, np.nan], [0.0, np.inf], [1.0, 0.5], [-1.0, 0.0], []):
+        with pytest.raises(ValueError):
+            propagate_tcl2(generator, rho0, np.array(bad))
+    with pytest.raises(ValueError):
+        propagate_tcl2(generator, rho0, times, kappa=np.nan)
 
 
 def test_trajectory_csv():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,7 +204,7 @@ def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
     scale = max(kernel.tau_r_estimate, 1.0 / model.epsilon)
     t = grid[0] + u * (50.0 * scale - grid[0])
     v = np.array([x, y, z])
-    v *= r / max(np.linalg.norm(v), 1e-300)
+    v *= r / max(math.hypot(*v), 1e-300)  # hypot does not underflow
     rho = bloch_to_density(tuple(v))
     _, phi0, _ = ground_eigenpair(rho)
     m_vec, n_vec = state_moments(rho, phi0)
