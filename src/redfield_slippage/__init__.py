@@ -18,8 +18,7 @@ from .operators import (
 )
 from .bath import (
     DiscreteModes,
-    DiscreteSum,
-    ExponentialMixture,
+    ExponentialSum,
     KernelNotIntegrableError,
     LorentzDrudeBath,
     PoleCollisionError,
@@ -49,7 +48,6 @@ from .corrections import (
 )
 from .regions import (
     max_radial_depth,
-    natural_state_first_order,
     region_scan,
     u_prime_membership,
 )
@@ -72,8 +70,7 @@ __all__ = [
     "density_to_bloch",
     "trace_distance",
     "DiscreteModes",
-    "DiscreteSum",
-    "ExponentialMixture",
+    "ExponentialSum",
     "KernelNotIntegrableError",
     "LorentzDrudeBath",
     "PoleCollisionError",
@@ -97,7 +94,6 @@ __all__ = [
     "perturbative_solution",
     "slipped_initial_condition",
     "max_radial_depth",
-    "natural_state_first_order",
     "region_scan",
     "u_prime_membership",
     "OracleConsistencyError",

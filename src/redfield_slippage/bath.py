@@ -10,11 +10,17 @@ and its finite-temperature correlation function
 
 is carried in two interchangeable representations. The workhorse is a
 pole expansion C(t) = sum_k c_k exp(-g_k t) (cutoff pole plus Matsubara
-series), which makes every downstream time integral closed form. An
-adaptive-quadrature evaluator on a shifted frequency contour provides a
-fully independent cross-check. Small discrete mode sets, used by the
-exact reference dynamics, share the exponential-sum interface with
-purely imaginary decay rates.
+series) held in ExponentialSum, the one kernel type; small discrete
+mode sets, used by the exact reference dynamics, are exponential sums
+with purely imaginary decay rates. Every downstream time integral is
+closed form and reduces to sums sum_k a_k exp(-g_k t) over rows of
+amplitudes a, which TermSums alone evaluates over arrays of times: the
+finite-memory rates F_sigma (TailKernel) and the slippage integrals I
+(SlippageIntegrals), from which the regions module also assembles its
+variational D. Half-range integrals divide by g_k - i omega, and
+ExponentialSum.denominators is the one place that refuses a resonant
+term. An adaptive-quadrature evaluator on a shifted frequency contour
+provides a fully independent cross-check.
 
 C(t) has an integrable logarithmic divergence at t = 0, so evaluation
 through the public `correlation` entry point is exposed only for
@@ -27,7 +33,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -41,6 +47,9 @@ INTEGRABILITY_FLOOR = 1e-12
 TERM_CUTOFF = 40.0
 # largest (times x terms) block of exponentials evaluated at once
 EXP_BLOCK = 2**16
+# (s', s'') of the four slippage integrals; S^{+1} = S^+, S^{-1} = S^-
+PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+PAIR_SP, PAIR_SQ = np.array(PAIRS, dtype=float).T
 
 
 class KernelNotIntegrableError(RuntimeError):
@@ -149,151 +158,184 @@ def term_groups(re_g, t):
         yield kept == n_terms, int(n_terms)
 
 
-class TailKernel:
-    """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form.
+class ExponentialSum:
+    """Reservoir kernel C(t) = sum_k c_k exp(-g_k t).
 
-    For an exponential-sum kernel each term integrates to
-    c exp((i sigma eps - g) tau) / (g - i sigma eps). Purely oscillatory
-    terms (discrete modes) get the Abel-regularized value, which is what
-    the perturbative formulas require off resonance.
-
-    sigma is +1, -1 or a tuple of them; a tuple adds a trailing axis
-    over its entries to the result, and every entry shares the same
-    exponentials exp(-g tau). Evaluation over an array of times keeps
-    per time only the terms selected by term_groups and works in blocks
-    of at most EXP_BLOCK (time x term) exponentials; kernels with real
-    decay rates (the continuum pole expansion) use real exponentials.
+    Carries the continuum pole expansion (every Re g_k > 0) and finite
+    mode sets (purely imaginary g_k) alike. The kernel is integrable
+    over the half line when every Re g_k exceeds INTEGRABILITY_FLOOR;
+    otherwise half-range integrals are Abel-regularized values
+    (int_0^inf e^{i a s} ds -> i / a), valid only away from resonance.
     """
-
-    def __init__(self, kernel, eps, sigma):
-        sigmas = np.atleast_1d(np.asarray(sigma))
-        if sigmas.ndim != 1 or not np.all(np.isin(sigmas, (1, -1))):
-            raise ValueError("sigma must be +1, -1 or a tuple of them")
-        order = np.argsort(kernel.g.real, kind="stable")
-        g = kernel.g[order]
-        den = g[:, None] - 1j * float(eps) * sigmas
-        scale = max(float(np.max(np.abs(g))), abs(float(eps)), 1.0)
-        if np.any(np.abs(den) < 1e-9 * scale):
-            raise KernelNotIntegrableError(
-                "a kernel term is resonant with the requested frequency; "
-                "the half-range integral has no t -> infinity limit there"
-            )
-        self.eps = float(eps)
-        self.sigma = sigma
-        self._freq = self.eps * sigmas
-        self._re_g = g.real
-        # the sums run from the fastest-decaying (smallest) term up, one
-        # matrix-vector product per sigma: both keep the rounding error of
-        # the 4001-term continuum sums near 1e-15
-        rev = slice(None, None, -1)
-        self._amp = (kernel.c[order, None] / den)[rev].T.copy()
-        self._real_g = bool(np.all(g.imag == 0.0))
-        self._gneg = -g[rev].real if self._real_g else -g[rev]
-        if self._real_g:
-            self._amp_re = self._amp.real.copy()
-            self._amp_im = self._amp.imag.copy()
-
-    def _sum(self, tau, n_terms):
-        k = slice(self._re_g.size - n_terms, None)
-        e = np.exp(np.multiply.outer(tau, self._gneg[k]))
-        if self._real_g:
-            v = [e @ re[k] + 1j * (e @ im[k]) for re, im in zip(self._amp_re, self._amp_im)]
-        else:
-            v = [e @ amp[k] for amp in self._amp]
-        return np.stack(v, axis=-1) * np.exp(1j * np.multiply.outer(tau, self._freq))
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        flat = tau.ravel()
-        out = np.empty(flat.shape + self._freq.shape, dtype=complex)
-        for sel, n_terms in term_groups(self._re_g, flat):
-            idx = np.flatnonzero(sel)
-            step = max(1, EXP_BLOCK // n_terms)
-            for lo in range(0, idx.size, step):
-                part = idx[lo : lo + step]
-                out[part] = self._sum(flat[part], n_terms)
-        if np.ndim(self.sigma) == 0:
-            return out.reshape(tau.shape)
-        return out.reshape(tau.shape + self._freq.shape)
-
-
-class ExponentialMixture:
-    """C(t) = sum_k c_k exp(-g_k t) with every Re g_k > 0."""
-
-    integrable = True
 
     def __init__(self, c, g, remainder_bound=0.0, meta=None):
         c = np.asarray(c, dtype=complex)
         g = np.asarray(g, dtype=complex)
         if c.shape != g.shape or c.ndim != 1 or c.size == 0:
             raise ValueError("c and g must be matching non-empty 1-d arrays")
-        if np.any(g.real <= INTEGRABILITY_FLOOR):
-            raise KernelNotIntegrableError(
-                "kernel has no t -> infinity limit: a decay rate has "
-                "non-positive real part (use a discrete-sum kernel for "
-                "purely oscillatory terms)"
-            )
         self.c = c
         self.g = g
         self.remainder_bound = float(remainder_bound)
         self.meta = dict(meta or {})
+        self.integrable = bool(np.all(g.real > INTEGRABILITY_FLOOR))
 
     @property
     def tau_r_estimate(self) -> float:
-        return float(1.0 / np.min(self.g.real))
+        """Memory time: the slowest decay, or the slowest oscillation of
+        a kernel that does not decay."""
+        rates = self.g.real if self.integrable else np.abs(self.g.imag)
+        return float(1.0 / np.min(rates))
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
         return np.exp(-np.multiply.outer(t, self.g)) @ self.c
+
+    def denominators(self, omega):
+        """g_k - i omega for each frequency in omega, of shape
+        omega.shape + (K,). Every half-range integral of the kernel
+        divides by these, so this is where resonant terms are refused."""
+        omega = np.asarray(omega, dtype=float)
+        den = self.g - 1j * omega[..., None]
+        # relative to the two rates compared, so that a slowly decaying
+        # term is not taken for a resonance next to fast ones
+        scale = np.maximum(np.maximum(np.abs(self.g), np.abs(omega)[..., None]), 1.0)
+        if np.any(np.abs(den) < 1e-9 * scale):
+            raise KernelNotIntegrableError(
+                "a kernel term is resonant with the requested frequency; "
+                "its half-range integral is undefined there"
+            )
+        return den
 
     def half_fourier(self, omega) -> complex:
         """Gamma(omega) = int_0^inf exp(i omega t) C(t) dt."""
-        return complex(np.sum(self.c / (self.g - 1j * float(omega))))
+        return complex(np.sum(self.c / self.denominators(float(omega))))
 
     def tail_kernel(self, eps, sigma) -> TailKernel:
         return TailKernel(self, eps, sigma)
 
 
-class DiscreteSum:
-    """Finite-mode kernel, same interface, purely imaginary decay rates.
+class TermSums:
+    """t -> sum_k a_rk exp(-g_k t) for amplitude rows a (R, K) of a
+    kernel, as an array of shape t.shape + (R,).
 
-    Not integrable over the half line: half-range integrals are returned
-    as Abel-regularized values (int_0^inf e^{i a s} ds -> i / a), valid
-    only away from resonance.
+    Every time integral of the kernel reduces to such sums. Terms are
+    sorted by Re g, and each time keeps only the leading terms that
+    term_groups selects for it. Exponentials are formed in blocks of at
+    most EXP_BLOCK (time x term) entries, and each block is summed from
+    its smallest (fastest-decaying) term up in one matrix product, which
+    keeps the rounding error of the 4001-term continuum sums near 1e-16.
+    Kernels with real decay rates use real exponentials.
     """
 
-    integrable = False
+    def __init__(self, kernel, amp):
+        amp = np.atleast_2d(np.asarray(amp, dtype=complex))
+        order = np.argsort(kernel.g.real, kind="stable")[::-1]
+        g = kernel.g[order]
+        self._re_g = g.real[::-1]
+        self._rows = amp.shape[0]
+        self._real_g = bool(np.all(g.imag == 0.0))
+        a = amp[:, order].T
+        if self._real_g:
+            self._gneg = -g.real
+            self._amp = np.ascontiguousarray(np.hstack((a.real, a.imag)))
+        else:
+            self._gneg = -g
+            self._amp = np.ascontiguousarray(a)
 
-    def __init__(self, c, g, meta=None):
-        c = np.asarray(c, dtype=complex)
-        g = np.asarray(g, dtype=complex)
-        if c.shape != g.shape or c.ndim != 1 or c.size == 0:
-            raise ValueError("c and g must be matching non-empty 1-d arrays")
-        self.c = c
-        self.g = g
-        self.remainder_bound = 0.0
-        self.meta = dict(meta or {})
-
-    @property
-    def tau_r_estimate(self) -> float:
-        return float(1.0 / np.min(np.abs(self.g.imag)))
-
-    def evaluate(self, t):
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        return np.exp(-np.multiply.outer(t, self.g)) @ self.c
+        flat = t.ravel()
+        out = np.empty((flat.size, self._rows), dtype=complex)
+        n_all = self._re_g.size
+        for sel, n_terms in term_groups(self._re_g, flat):
+            idx = np.flatnonzero(sel)
+            k = slice(n_all - n_terms, None)
+            step = max(1, EXP_BLOCK // n_terms)
+            for lo in range(0, idx.size, step):
+                part = idx[lo : lo + step]
+                v = np.exp(np.multiply.outer(flat[part], self._gneg[k])) @ self._amp[k]
+                out[part] = v[:, : self._rows] + 1j * v[:, self._rows :] if self._real_g else v
+        return out.reshape(t.shape + (self._rows,))
 
-    def half_fourier(self, omega) -> complex:
-        den = self.g - 1j * float(omega)
-        scale = max(float(np.max(np.abs(self.g))), abs(float(omega)), 1.0)
-        if np.any(np.abs(den) < 1e-9 * scale):
-            raise KernelNotIntegrableError(
-                "resonant mode: the Abel-regularized half-range integral "
-                "is undefined at this frequency"
-            )
-        return complex(np.sum(self.c / den))
 
-    def tail_kernel(self, eps, sigma) -> TailKernel:
-        return TailKernel(self, eps, sigma)
+class TailKernel:
+    """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form.
+
+    Each term integrates to c exp((i sigma eps - g) tau) / (g - i sigma eps),
+    a TermSums row times the phase exp(i sigma eps tau). Purely
+    oscillatory terms (discrete modes) get the Abel-regularized value,
+    which is what the perturbative formulas require off resonance.
+
+    sigma is +1, -1 or a tuple of them; a tuple adds a trailing axis
+    over its entries to the result, and every entry shares the same
+    exponentials exp(-g tau).
+    """
+
+    def __init__(self, kernel, eps, sigma):
+        sigmas = np.atleast_1d(np.asarray(sigma))
+        if sigmas.ndim != 1 or not np.all(np.isin(sigmas, (1, -1))):
+            raise ValueError("sigma must be +1, -1 or a tuple of them")
+        self.sigma = sigma
+        self._freq = float(eps) * sigmas
+        self._sums = TermSums(kernel, kernel.c / kernel.denominators(self._freq))
+
+    def __call__(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        out = self._sums(tau) * np.exp(1j * np.multiply.outer(tau, self._freq))
+        return out[..., 0] if np.ndim(self.sigma) == 0 else out
+
+
+def sign_phases(eps, t, signs):
+    """exp(i s eps t) for times t, on a trailing axis over signs s = +-1,
+    from one complex exponential per time."""
+    z = np.exp(1j * float(eps) * np.asarray(t, dtype=float))[..., None]
+    return np.where(np.asarray(signs) > 0, z, np.conj(z))
+
+
+class SlippageIntegrals:
+    """The integrals I_{s' s''}(t) of the slippage correction,
+
+        I_{s' s''}(t) = sum_k c_k / (g_k + i s'' eps) phi(i s' eps - g_k, t),
+
+    phi(a, t) = (e^{a t} - 1) / a, for the four PAIRS on a trailing axis
+    over times t. Each is one TermSums row,
+
+        I(t) = e^{i s' eps t} S(t) - S(0),   S(t) = sum_k w_k e^{-g_k t},
+        w_k = c_k / ((g_k + i s'' eps)(i s' eps - g_k)).
+
+    I(0) is exactly zero. At t = inf the decaying part S(t) is gone,
+    which is the limit for integrable kernels only.
+    """
+
+    def __init__(self, kernel, eps):
+        self.eps = float(eps)
+        self._kernel = kernel
+        # g - i s eps for s = +1, -1, so that w = -c / (den[-s''] den[s'])
+        den = dict(zip((1, -1), kernel.denominators(self.eps * np.array([1.0, -1.0]))))
+        self._w = -kernel.c / np.array([den[-sq] * den[sp] for sp, sq in PAIRS])
+        self.s0 = self._w.sum(axis=-1)
+
+    @cached_property
+    def sums(self):
+        """S(t) for the four pairs, built on first use: t = inf needs
+        only S(0)."""
+        return TermSums(self._kernel, self._w)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if not np.all(t >= 0.0):
+            raise ValueError("t must be non-negative")
+        out = np.empty(t.shape + (4,), dtype=complex)
+        out[...] = -self.s0
+        out[t == 0.0] = 0.0
+        live = np.isfinite(t) & (t > 0.0)
+        if np.any(live):
+            out[live] = self.from_sums(t[live], self.sums(t[live]))
+        return out
+
+    def from_sums(self, t, sums):
+        """I at finite times t from the sums S(t) = self.sums(t)."""
+        return sign_phases(self.eps, t, PAIR_SP) * sums - self.s0
 
 
 def _matsubara_remainder(omega_c, beta, k_max, t_ref=None, chunk=20000):
@@ -331,10 +373,10 @@ def _fit_cached(omega_c, beta, k_max):
     g = np.concatenate(([omega_c], nu)).astype(complex)
     rb = _matsubara_remainder(omega_c, beta, k_max)
     meta = {"beta": beta, "omega": omega_c, "k_max": int(k_max)}
-    return ExponentialMixture(c, g, remainder_bound=rb, meta=meta)
+    return ExponentialSum(c, g, remainder_bound=rb, meta=meta)
 
 
-def fit_exponential_mixture(spec: LorentzDrudeBath, k_max=DEFAULT_K_MAX) -> ExponentialMixture:
+def fit_exponential_mixture(spec: LorentzDrudeBath, k_max=DEFAULT_K_MAX) -> ExponentialSum:
     """Pole expansion of the continuum kernel.
 
     One term for the cutoff pole,
@@ -356,7 +398,7 @@ def fit_exponential_mixture(spec: LorentzDrudeBath, k_max=DEFAULT_K_MAX) -> Expo
     return _fit_cached(float(spec.omega_c), float(spec.beta), k_max)
 
 
-def discrete_kernel(spec: DiscreteModes) -> DiscreteSum:
+def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
     """Exact finite-sum kernel with untruncated thermal occupations,
 
         C(t) = sum_r nu_r^2 [ (nbar_r + 1) e^{-i w_r t} + nbar_r e^{+i w_r t} ].
@@ -366,7 +408,7 @@ def discrete_kernel(spec: DiscreteModes) -> DiscreteSum:
     nbar = bose_occupation(spec.beta, w)
     c = np.concatenate((nu2 * (nbar + 1.0), nu2 * nbar)).astype(complex)
     g = np.concatenate((1j * w, -1j * w))
-    return DiscreteSum(c, g, meta={"beta": spec.beta, "n_modes": len(spec.modes)})
+    return ExponentialSum(c, g, meta={"beta": spec.beta, "n_modes": len(spec.modes)})
 
 
 def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=1e-12):
@@ -515,9 +557,9 @@ def recurrence_estimate(spec: DiscreteModes) -> float:
     return 2.0 * np.pi / gap
 
 
-def kernel_to_json(kernel: ExponentialMixture) -> str:
-    if not isinstance(kernel, ExponentialMixture):
-        raise TypeError("only exponential-mixture kernels serialize to JSON")
+def kernel_to_json(kernel: ExponentialSum) -> str:
+    if not kernel.integrable:
+        raise TypeError("only integrable kernels serialize to JSON")
     obj = {
         "type": "exp_mixture",
         "terms": [
@@ -536,14 +578,46 @@ def kernel_to_json(kernel: ExponentialMixture) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def kernel_from_json(text: str) -> ExponentialMixture:
+def _json_numbers(values):
+    """values as finite floats; ValueError for anything else."""
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError("kernel JSON values must be numbers")
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("kernel JSON value out of range") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValueError("kernel JSON values must be finite")
+    return out
+
+
+def kernel_from_json(text: str) -> ExponentialSum:
+    """Inverse of kernel_to_json. A malformed or non-finite document
+    raises ValueError, a decay rate at or below INTEGRABILITY_FLOOR
+    raises KernelNotIntegrableError."""
     obj = json.loads(text)
-    if obj.get("type") != "exp_mixture":
+    if not isinstance(obj, dict) or obj.get("type") != "exp_mixture":
         raise ValueError("unsupported kernel JSON type")
-    c = np.array([t["c_re"] + 1j * t["c_im"] for t in obj["terms"]], dtype=complex)
-    g = np.array([t["g_re"] + 1j * t["g_im"] for t in obj["terms"]], dtype=complex)
+    terms = obj.get("terms")
+    if not isinstance(terms, list) or not terms:
+        raise ValueError("kernel JSON needs a non-empty list of terms")
+    keys = ("c_re", "c_im", "g_re", "g_im")
+    if not all(isinstance(t, dict) and all(k in t for k in keys) for t in terms):
+        raise ValueError(f"every kernel JSON term needs the keys {', '.join(keys)}")
+    vals = _json_numbers([t[k] for t in terms for k in keys]).reshape(-1, 4)
     meta = {k: obj.get(k) for k in ("beta", "omega", "k_max")}
     rb = 0.0
-    if all(meta.get(k) is not None for k in ("beta", "omega", "k_max")):
-        rb = _matsubara_remainder(float(meta["omega"]), float(meta["beta"]), int(meta["k_max"]))
-    return ExponentialMixture(c, g, remainder_bound=rb, meta=meta)
+    if all(v is not None for v in meta.values()):
+        beta, omega, k_max = _json_numbers(list(meta.values()))
+        if min(beta, omega, k_max) <= 0.0 or not isinstance(meta["k_max"], int):
+            raise ValueError("kernel JSON needs positive beta and omega and a positive integer k_max")
+        rb = _matsubara_remainder(omega, beta, meta["k_max"])
+    c = vals[:, 0] + 1j * vals[:, 1]
+    g = vals[:, 2] + 1j * vals[:, 3]
+    kernel = ExponentialSum(c, g, remainder_bound=rb, meta=meta)
+    if not kernel.integrable:
+        raise KernelNotIntegrableError(
+            "kernel has no t -> infinity limit: a decay rate has "
+            "non-positive real part"
+        )
+    return kernel

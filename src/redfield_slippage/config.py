@@ -34,9 +34,7 @@ DEFAULTS = {
     "bath.beta": 1.0,
     "bath.matsubara_k_max": 4000,
     "bath.modes": "",
-    "bath.fock_cutoff": 5,
     "lambda": 0.5,
-    "quadrature.rel_tol": 1e-10,
     "quadrature.t_min": 1e-3,
     "quadrature.t_max": 50.0,
     "quadrature.n_points": 200,
@@ -55,7 +53,6 @@ DEFAULTS = {
     "oracle.cancellation_lambda": 0.08,
     "oracle.n_times": 32,
     "output.directory": ".",
-    "output.format": "csv",
 }
 
 
@@ -166,8 +163,6 @@ class RunConfig:
             raise ConfigError("oracle.cancellation_lambda must be positive")
         if v["oracle.n_times"] < 1:
             raise ConfigError("oracle.n_times must be at least 1")
-        if v["output.format"] != "csv":
-            raise ConfigError("output.format supports only csv")
 
     def oracle_lambdas(self):
         try:
@@ -204,7 +199,6 @@ class RunConfig:
             return DiscreteModes(
                 self.parsed_modes(),
                 beta=float(self.values["bath.beta"]),
-                fock_cutoff=int(self.values["bath.fock_cutoff"]),
             )
         except PoleCollisionError:
             # a kernel diagnostic, not a malformed value

@@ -9,7 +9,8 @@ absorbs the relaxation transient of the memory kernel,
     I_{s' s''}(t) = sum_j c_j / (g_j + i s'' eps) phi(i s' eps - g_j, t),
 
 with phi(a, t) = (exp(a t) - 1)/a and the sums running over s = +-1
-(S^{+1} = S^+, S^{-1} = S^-). delta_rho2 absorbs the first-order
+(S^{+1} = S^+, S^{-1} = S^-); bath.SlippageIntegrals evaluates them
+over arrays of times. delta_rho2 absorbs the first-order
 system-reservoir correlation of the initial total state; for the
 one-parameter correlated family it collapses onto -kappa delta_rho1
 because the correlated part free-streams inside the same memory
@@ -25,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import KernelNotIntegrableError
+from .bath import PAIRS, KernelNotIntegrableError, SlippageIntegrals
 from .master import build_redfield_generator, trajectory_from_states
 from .operators import SM, SP, matrix_exponential_action
 
 NATURAL_SIGN = -1
 
-SIGMA = (1, -1)
 _SOP = {1: SP, -1: SM}
 
 
@@ -65,81 +65,26 @@ class ExplicitOracleState:
     state: object
 
 
-def phi(a, t):
-    """int_0^t exp(a u) du, elementwise in a.
-
-    Near a t = 0 the closed form loses digits to cancellation, so a
-    six-term series takes over below |a t| = 1e-4. t = inf is allowed
-    when every Re a < 0 and gives -1/a.
-    """
-    a_arr = np.atleast_1d(np.asarray(a, dtype=complex))
-    if np.isinf(t):
-        if np.any(a_arr.real >= 0.0):
-            raise ValueError("phi(a, inf) requires Re a < 0")
-        out = -1.0 / a_arr
-        return out if np.ndim(a) else complex(out[0])
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    x = a_arr * t
-    out = np.empty_like(a_arr)
-    small = np.abs(x) < 1e-4
-    if np.any(small):
-        xs = x[small]
-        out[small] = t * (
-            1.0
-            + xs / 2.0
-            + xs**2 / 6.0
-            + xs**3 / 24.0
-            + xs**4 / 120.0
-            + xs**5 / 720.0
-        )
-    big = ~small
-    if np.any(big):
-        out[big] = np.expm1(x[big]) / a_arr[big]
-    return out if np.ndim(a) else complex(out[0])
-
-
-def _check_offresonant(kernel, eps):
-    scale = max(float(np.max(np.abs(kernel.g))), abs(eps), 1.0)
-    for sq in SIGMA:
-        if np.any(np.abs(kernel.g + 1j * sq * eps) < 1e-9 * scale):
-            raise KernelNotIntegrableError(
-                "a kernel term is resonant with the system splitting; "
-                "the correction integrals are undefined there"
-            )
-
-
-def i_coefficients(model, kernel, t):
-    """The four I_{s' s''}(t) integrals, keyed by (s', s'')."""
-    eps = model.epsilon
-    _check_offresonant(kernel, eps)
-    out = {}
-    for sp in SIGMA:
-        ph = phi(1j * sp * eps - kernel.g, t)
-        for sq in SIGMA:
-            out[(sp, sq)] = complex(np.sum(kernel.c / (kernel.g + 1j * sq * eps) * ph))
-    return out
-
-
 def delta_rho1(model, kernel, lam, rho_s, t):
-    """Memory-transient correction at time t; t = inf is the slippage."""
+    """Memory-transient correction at times t, of shape t.shape + (2, 2);
+    zero at t = 0, and t = inf is the slippage."""
     rho_s = np.asarray(rho_s, dtype=complex)
-    if np.isinf(t) and not kernel.integrable:
+    t = np.asarray(t, dtype=float)
+    if np.any(np.isinf(t)) and not kernel.integrable:
         raise KernelNotIntegrableError(
             "the t -> infinity slippage needs an integrable kernel; "
             "discrete mode sets never relax"
         )
-    ivals = i_coefficients(model, kernel, t)
-    psi = np.zeros((2, 2), dtype=complex)
-    for (sp, sq), val in ivals.items():
-        op = _SOP[sp] @ (_SOP[sq] @ rho_s) - (_SOP[sq] @ rho_s) @ _SOP[sp]
-        psi += 0.25 * val * op
-    return (lam * lam) * (psi + psi.conj().T)
+    ivals = SlippageIntegrals(kernel, model.epsilon)(t)
+    ops = np.array(
+        [_SOP[sp] @ (_SOP[sq] @ rho_s) - (_SOP[sq] @ rho_s) @ _SOP[sp] for sp, sq in PAIRS]
+    )
+    psi = 0.25 * np.tensordot(ivals, ops, axes=1)
+    return (lam * lam) * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
 def delta_rho2(model, kernel, lam, rho_s, correlation, t):
-    """Initial-correlation correction at time t.
+    """Initial-correlation correction at times t, shaped like delta_rho1.
 
     Vanishes identically for product states. For the kappa family the
     correlated part of the total state feeds the same memory integral
@@ -147,7 +92,7 @@ def delta_rho2(model, kernel, lam, rho_s, correlation, t):
     sign * kappa * delta_rho1.
     """
     if isinstance(correlation, Product):
-        return np.zeros((2, 2), dtype=complex)
+        return np.zeros(np.shape(t) + (2, 2), dtype=complex)
     if isinstance(correlation, NaturalFamily):
         return correlation.sign * correlation.kappa * delta_rho1(
             model, kernel, lam, rho_s, t
@@ -219,9 +164,10 @@ def perturbative_solution(model, kernel, lam, rho_s, correlation, times):
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
     gen = build_redfield_generator(model, kernel, lam)
-    states = []
-    for t in times:
-        d1 = delta_rho1(model, kernel, lam, rho_s, t)
-        d2 = delta_rho2(model, kernel, lam, rho_s, correlation, t)
-        states.append(matrix_exponential_action(gen.liouvillian, t, rho_s + d1 + d2))
+    starts = (
+        rho_s
+        + delta_rho1(model, kernel, lam, rho_s, times)
+        + delta_rho2(model, kernel, lam, rho_s, correlation, times)
+    )
+    states = [matrix_exponential_action(gen.liouvillian, t, s) for t, s in zip(times, starts)]
     return trajectory_from_states(times, states)

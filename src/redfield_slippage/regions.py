@@ -13,11 +13,13 @@ where p0 is the smallest eigenvalue of rho_S with eigenvector phi0 and
     M_{s' s''} = <phi0| S^{s'} rho_S S^{s''} |phi0>,
     N_{s' s''} = <phi0| [S^{s'}, S^{s''} rho_S] |phi0>.
 
-I and D are closed-form double integrals of the reservoir kernel,
-reduced here to dot products against exp(-g t). Scans evaluate one
-grid row of states as a batch: one matrix product for the sup on the
-time grid, then one golden-section pass that refines every state's
-sup, and likewise for the positivity dips. The default 201 x 201 disk
+I and D are closed-form double integrals of the reservoir kernel. Both
+are assembled from the four kernel sums of bath.SlippageIntegrals (the
+I of the slippage correction), evaluated over arrays of times by
+bath.TermSums with the terms negligible at each time left out. Scans
+evaluate one grid row of states as a batch: one matrix product for the
+sup on the time grid, then one golden-section pass that refines every
+state's sup, and likewise for the positivity dips. The default 201 x 201 disk
 scan takes about 10 s on one core (9.6 s measured on a 2-core Intel
 Xeon VM, against 251 s for the former point-by-point scan).
 Failing the bound (a negative value of the expression above) defines
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import KernelNotIntegrableError, term_groups
-from .corrections import NATURAL_SIGN, NaturalFamily
+from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, sign_phases
+from .corrections import NATURAL_SIGN
 from .master import (
     PositivityScanner,
     build_redfield_generator,
@@ -53,7 +55,6 @@ from .operators import (
     ground_eigenpair,
 )
 
-PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 _SOP = {1: SP, -1: SM}
 
 # below this, A is treated as zero and the ratio is excluded from the sup
@@ -61,113 +62,59 @@ A_FLOOR = 1e-14
 
 
 class VariationalTables:
-    """Kernel-dependent coefficient tables for fast A and B evaluation.
+    """I and D over arrays of times, for fast B and A evaluation.
 
-    Everything that depends only on (kernel, eps) is reduced to twelve
-    amplitude vectors against the common decay factor exp(-g t): four
-    for the I integrals and four each for the two orientations of the
-    D integrals. Evaluating n times is then one (n x K) exponential and
-    a (12 x K) matrix product; kernels with real decay rates (the
-    continuum pole expansion) use a split real product. Terms are kept
-    in ascending order of Re g, so the terms negligible at a time t
-    (bath.term_groups) are a suffix that b_a leaves out.
+    Both come from the four kernel sums S_{s' s''}(t) behind
+    bath.SlippageIntegrals. The amplitudes b_k = c_k / ((g_k - i s'' eps)
+    (g_k + i s' eps)) of D are those of the pair (-s', -s'') with the sign
+    flipped, so with Sb_{s' s''}(t) = sum_k b_k e^{-g_k t} = -S_{-s',-s''}(t),
+
+        D_{s' s''}(t) = Phi_{s'+s''}(t) K_{s' s''} - e^{i (s'+s'') eps t} 2 Re Sb(0)
+                        + e^{i s'' eps t} Sb(t) + e^{i s' eps t} conj Sb(t),
+
+    where K_{s' s''} = Gamma(s'' eps) + conj Gamma(-s' eps) and Phi_s(t) is
+    int_0^t e^{i s eps u} du.
     """
 
     def __init__(self, model, kernel):
-        eps = model.epsilon
-        order = np.argsort(kernel.g.real, kind="stable")
-        g = kernel.g[order]
-        c = kernel.c[order]
-        scale = max(float(np.max(np.abs(g))), abs(eps), 1.0)
-        for s in (1, -1):
-            if np.any(np.abs(g + 1j * s * eps) < 1e-9 * scale):
-                raise KernelNotIntegrableError(
-                    "a kernel term is resonant with the system splitting; "
-                    "the variational integrals are undefined there"
-                )
         self.model = model
         self.kernel = kernel
-        self.eps = float(eps)
-        self._g = g
-        self._re_g = g.real
-        self.sw = np.empty(4, dtype=complex)
-        self.sk = np.empty(4, dtype=complex)
-        self.aa = np.empty(4, dtype=complex)
-        rows = []
-        for idx, (sp, sq) in enumerate(PAIRS):
-            w = c / ((g + 1j * sq * eps) * (1j * sp * eps - g))
-            k_plus = c / (g - 1j * sq * eps)
-            b_plus = k_plus / (g + 1j * sp * eps)
-            k_minus = np.conj(c) / (np.conj(g) - 1j * sp * eps)
-            b_minus = k_minus / (np.conj(g) + 1j * sq * eps)
-            self.sw[idx] = w.sum()
-            self.sk[idx] = k_plus.sum() + k_minus.sum()
-            self.aa[idx] = b_plus.sum() + b_minus.sum()
-            rows.append((w, b_plus, b_minus))
-        self._amp = np.vstack(
-            [r[0] for r in rows] + [r[1] for r in rows] + [r[2] for r in rows]
-        )
-        self._real_g = bool(np.all(g.imag == 0.0))
-        if self._real_g:
-            self._gneg = -g.real
-            self._amp_re = np.ascontiguousarray(self._amp.real)
-            self._amp_im = np.ascontiguousarray(self._amp.imag)
-        # per-pair sigma phases, fixed ordering of PAIRS
-        self._sp = np.array([p[0] for p in PAIRS], dtype=float)
-        self._sq = np.array([p[1] for p in PAIRS], dtype=float)
-
-    def _dots(self, times, n_terms=None):
-        """(w . E, b_plus . E, b_minus . conj E), each (..., 4), from the
-        first n_terms kernel terms."""
-        k = slice(0, n_terms)
-        if self._real_g:
-            e = np.exp(np.multiply.outer(times, self._gneg[k]))
-            v = e @ self._amp_re[:, k].T + 1j * (e @ self._amp_im[:, k].T)
-            return v[..., 0:4], v[..., 4:8], v[..., 8:12]
-        e = np.exp(-np.multiply.outer(times, self._g[k]))
-        return e @ self._amp[0:4, k].T, e @ self._amp[4:8, k].T, np.conj(e) @ self._amp[8:12, k].T
-
-    def _assemble(self, times, wd, bpd, bmd):
-        """(I, D), each (..., 4), from the dot products at times."""
-        eps = self.eps
-        esp = np.exp(1j * np.multiply.outer(times, self._sp) * eps)
-        esq = np.exp(1j * np.multiply.outer(times, self._sq) * eps)
-        i_vals = esp * wd - self.sw
-        s_sum = self._sp + self._sq
-        e_s = esp * esq
-        denom = np.where(s_sum == 0.0, 1.0, 1j * s_sum * eps)
-        phi2 = np.where(s_sum == 0.0, np.expand_dims(times, -1), (e_s - 1.0) / denom)
-        d_vals = phi2 * self.sk - e_s * self.aa + esq * bpd + esp * bmd
-        return i_vals, d_vals
+        self.eps = eps = float(model.epsilon)
+        self.integrals = SlippageIntegrals(kernel, eps)
+        gamma = {s: kernel.half_fourier(s * eps) for s in (1, -1)}
+        self._k = np.array([gamma[sq] + np.conj(gamma[-sp]) for sp, sq in PAIRS])
+        self._two_re_sb0 = 2.0 * np.real(-self.integrals.s0[::-1])
+        s_sum = PAIR_SP + PAIR_SQ
+        self._phi_is_t = s_sum == 0.0
+        self._phi_den = np.where(self._phi_is_t, 1.0, 1j * s_sum * eps)
 
     def tables(self, times):
-        """(I, D) arrays of shape (len(times), 4) from every kernel term."""
-        times = np.asarray(times, dtype=float)
-        return self._assemble(times, *self._dots(times))
+        """(I, D), each of shape times.shape + (4,)."""
+        return self._i_d(np.asarray(times, dtype=float))
+
+    def _i_d(self, times):
+        sums = self.integrals.sums(times)
+        i_vals = self.integrals.from_sums(times, sums)
+        esp = sign_phases(self.eps, times, PAIR_SP)
+        esq = sign_phases(self.eps, times, PAIR_SQ)
+        e_s = esp * esq
+        phi2 = np.where(self._phi_is_t, times[..., None], (e_s - 1.0) / self._phi_den)
+        sb = -sums[..., ::-1]
+        d_vals = phi2 * self._k - e_s * self._two_re_sb0 + esq * sb + esp * np.conj(sb)
+        return i_vals, d_vals
 
     def b_a(self, t, m, n):
-        """B and A at times t (k,) for states with moments m, n (k, 4).
+        """B and A at times t (...) for states with moments m, n (..., 4).
 
-        Each probe keeps the leading terms that bath.term_groups selects
-        for it. A dropped term weighs below e^-40 times its amplitude, so
-        the dropped tail of B and of A is bounded by e^-40 * sum |amp|
-        over the dropped terms.
+        Each time keeps the leading kernel terms that bath.term_groups
+        selects for it. A dropped term weighs below e^-40 times its
+        amplitude, so the dropped tail of B and of A is bounded by
+        e^-40 * sum |amp| over the dropped terms.
         """
-        t = np.asarray(t, dtype=float)
-        dots = np.empty((3,) + t.shape + (4,), dtype=complex)
-        for sel, n_terms in term_groups(self._re_g, t):
-            dots[:, sel] = self._dots(t[sel], n_terms)
-        i_vals, d_vals = self._assemble(t, *dots)
+        i_vals, d_vals = self._i_d(np.asarray(t, dtype=float))
         b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))
         a = 0.25 * np.real(np.sum(d_vals * m, axis=-1))
         return b, a
-
-    def b_a_at(self, t, m_vec, n_vec):
-        """B(t) and A(t) at one time from every kernel term."""
-        i_tab, d_tab = self.tables([t])
-        b = 0.5 * np.real(np.dot(i_tab[0], n_vec))
-        a = 0.25 * np.real(np.dot(d_tab[0], m_vec))
-        return float(b), float(a)
 
 
 def state_moments(rho_s, phi0):
@@ -207,24 +154,21 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
     return lin
 
 
-def a_of_t(model, kernel, rho_s, t, tables=None):
-    """Quadratic-response coefficient A(t); non-negative, zero at t = 0."""
+def _b_a_of_state(model, kernel, rho_s, t, tables):
     rho_s = check_density(rho_s)
     tables = tables if tables is not None else VariationalTables(model, kernel)
     _, phi0, _ = ground_eigenpair(rho_s)
-    m_vec, n_vec = state_moments(rho_s, phi0)
-    _, a = tables.b_a_at(float(t), m_vec, n_vec)
-    return a
+    return tables.b_a(float(t), *state_moments(rho_s, phi0))
+
+
+def a_of_t(model, kernel, rho_s, t, tables=None):
+    """Quadratic-response coefficient A(t); non-negative, zero at t = 0."""
+    return float(_b_a_of_state(model, kernel, rho_s, t, tables)[1])
 
 
 def b_of_t(model, kernel, rho_s, t, tables=None):
     """Linear-response coefficient B(t); independent of the coupling."""
-    rho_s = check_density(rho_s)
-    tables = tables if tables is not None else VariationalTables(model, kernel)
-    _, phi0, _ = ground_eigenpair(rho_s)
-    m_vec, n_vec = state_moments(rho_s, phi0)
-    b, _ = tables.b_a_at(float(t), m_vec, n_vec)
-    return b
+    return float(_b_a_of_state(model, kernel, rho_s, t, tables)[0])
 
 
 @dataclass(frozen=True)
@@ -246,7 +190,7 @@ def variational_form(model, kernel, lam, rho_s, probe: VariationalProbe):
         phi0 = np.asarray(probe.phi0, dtype=complex)
     tables = VariationalTables(model, kernel)
     m_vec, n_vec = state_moments(rho_s, phi0)
-    b, a = tables.b_a_at(float(probe.t), m_vec, n_vec)
+    b, a = tables.b_a(float(probe.t), m_vec, n_vec)
     xi = float(probe.xi)
     return p0 + lam * lam * (xi * xi * a - xi * b)
 
@@ -337,14 +281,6 @@ def u_prime_membership(
     if grid_tables is None:
         grid_tables = tables.tables(grid)
     return _u_prime_many(tables, grid, grid_tables, lam, rho_s[None], refine_iters)[0]
-
-
-def natural_state_first_order(model, kernel, lam, rho_s) -> NaturalFamily:
-    """The fully correlated (kappa = 1) member attached to rho_S. The
-    reservoir part stays implicit for continuum kernels; only the
-    exact-diagnostics module materializes it."""
-    check_density(rho_s)
-    return NaturalFamily(kappa=1.0, sign=NATURAL_SIGN)
 
 
 @dataclass

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from redfield_slippage.bath import (
     DiscreteModes,
-    DiscreteSum,
-    ExponentialMixture,
+    ExponentialSum,
     KernelNotIntegrableError,
     LorentzDrudeBath,
     PoleCollisionError,
@@ -214,9 +213,68 @@ def test_fit_meta(kernel):
     assert kernel.meta == {"beta": 1.0, "omega": 1.0, "k_max": 4000}
 
 
+def _kernel_doc(terms, **meta):
+    return json.dumps({"type": "exp_mixture", "terms": terms, **meta})
+
+
+_TERM = {"c_re": 1.0, "c_im": 0.0, "g_re": 2.0, "g_im": 0.0}
+
+
 def test_mixture_rejects_non_decaying_terms():
+    # a purely oscillatory term has no t -> infinity limit; such kernels
+    # exist (discrete modes) but are never read back from JSON
     with pytest.raises(KernelNotIntegrableError):
-        ExponentialMixture(c=[1.0 + 0j], g=[1j])
+        kernel_from_json(_kernel_doc([_TERM, dict(_TERM, g_re=0.0, g_im=1.0)]))
+    with pytest.raises(KernelNotIntegrableError):
+        kernel_from_json(_kernel_doc([dict(_TERM, g_re=-0.5)]))
+    assert not ExponentialSum(c=[1.0 + 0j], g=[1j]).integrable
+
+
+def test_kernel_from_json_rejects_non_finite_values():
+    for key in ("c_re", "c_im", "g_re", "g_im"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kernel_from_json(_kernel_doc([dict(_TERM, **{key: bad})]))
+    with pytest.raises(ValueError, match="finite"):
+        kernel_from_json(_kernel_doc([_TERM], beta=math.nan, omega=1.0, k_max=4))
+
+
+def test_kernel_from_json_rejects_missing_keys():
+    term = dict(_TERM)
+    del term["g_im"]
+    with pytest.raises(ValueError, match="g_im"):
+        kernel_from_json(_kernel_doc([_TERM, term]))
+    with pytest.raises(ValueError, match="terms"):
+        kernel_from_json(_kernel_doc([]))
+    with pytest.raises(ValueError, match="terms"):
+        kernel_from_json(json.dumps({"type": "exp_mixture"}))
+
+
+def test_kernel_from_json_rejects_malformed_documents():
+    for text in (
+        json.dumps([_TERM]),
+        json.dumps("exp_mixture"),
+        _kernel_doc([[1.0, 0.0, 2.0, 0.0]]),
+        _kernel_doc([dict(_TERM, g_re="2.0")]),
+        _kernel_doc([dict(_TERM, g_re=True)]),
+        _kernel_doc([dict(_TERM, g_re=10**400)]),
+        _kernel_doc([_TERM], beta=1.0, omega=1.0, k_max=2.5),
+        _kernel_doc([_TERM], beta=1.0, omega=0.0, k_max=4),
+        "{not json",
+    ):
+        with pytest.raises(ValueError):
+            kernel_from_json(text)
+
+
+def test_kernel_flags_follow_the_rates():
+    decaying = ExponentialSum(c=[1.0, 2.0], g=[0.5, 3.0 + 1.0j])
+    assert decaying.integrable
+    assert decaying.tau_r_estimate == pytest.approx(2.0)
+    oscillating = ExponentialSum(c=[1.0, 1.0], g=[0.25j, -4.0j])
+    assert not oscillating.integrable
+    assert oscillating.tau_r_estimate == pytest.approx(4.0)
+    with pytest.raises(ValueError):
+        ExponentialSum(c=[1.0], g=[1.0, 2.0])
 
 
 def test_fit_pole_collision():
@@ -254,6 +312,21 @@ def test_discrete_half_fourier_abel_and_resonance():
         k.half_fourier(1.0)  # on resonance
     with pytest.raises(KernelNotIntegrableError):
         k.half_fourier(-1.0)
+
+
+def test_resonance_guard_is_relative_to_each_term():
+    # the slow cutoff pole of a small-omega_c continuum kernel sits next
+    # to Matsubara rates ~1e4, and is not resonant with a small splitting
+    k = fit_exponential_mixture(LorentzDrudeBath(omega_c=3e-6, beta=1.0), k_max=4000)
+    eps = 1e-6
+    assert np.isfinite(k.half_fourier(eps))
+    assert np.all(np.isfinite(k.tail_kernel(eps, (1, -1))([0.0, 1.0])))
+    # a mode within 1e-9 of the splitting, relative to either, is refused
+    # even next to a much faster mode
+    near = discrete_kernel(DiscreteModes(((1.0 + 5e-10, 0.5), (1e4, 0.1)), beta=2.0))
+    with pytest.raises(KernelNotIntegrableError):
+        near.half_fourier(1.0)
+    assert np.isfinite(near.half_fourier(1.0 + 1e-6))
 
 
 def test_discretize_spectral_density(ld_spec):

@@ -1,12 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from redfield_slippage.bath import (
+    PAIRS,
     DiscreteModes,
     KernelNotIntegrableError,
     LorentzDrudeBath,
+    SlippageIntegrals,
     discrete_kernel,
     fit_exponential_mixture,
 )
@@ -18,13 +24,12 @@ from redfield_slippage.corrections import (
     Product,
     delta_rho1,
     delta_rho2,
-    i_coefficients,
     perturbative_solution,
-    phi,
     slipped_initial_condition,
 )
 from redfield_slippage.master import build_redfield_generator, propagate_tcl2
 from redfield_slippage.operators import bloch_to_density, trace_distance
+from redfield_slippage.oracle import phi
 
 
 def test_phi_basic():
@@ -82,13 +87,61 @@ def test_i_coefficients_against_quadrature(model):
     e_w = np.exp(-np.multiply.outer(w_nodes, kernel.g))
     c_grid = e_u @ (kernel.c[:, None] * e_w.T)
 
-    ivals = i_coefficients(model, kernel, t)
-    for sp in (1, -1):
+    ivals = SlippageIntegrals(kernel, eps)(t)
+    for idx, (sp, sq) in enumerate(PAIRS):
         eu = np.exp(1j * sp * eps * u_nodes) * u_w
-        for sq in (1, -1):
-            ew = np.exp(-1j * sq * eps * w_nodes) * w_w
-            ref = eu @ c_grid @ ew
-            assert abs(ivals[(sp, sq)] - ref) < 1e-7
+        ew = np.exp(-1j * sq * eps * w_nodes) * w_w
+        ref = eu @ c_grid @ ew
+        assert abs(ivals[idx] - ref) < 1e-7
+
+
+def _i_phi_series(kernel, eps, t):
+    # the term-by-term phi-series form of I, one time at a time
+    return np.array(
+        [
+            np.sum(kernel.c / (kernel.g + 1j * sq * eps) * phi(1j * sp * eps - kernel.g, t))
+            for sp, sq in PAIRS
+        ]
+    )
+
+
+_CONTINUUM = fit_exponential_mixture(LorentzDrudeBath(omega_c=1.0, beta=1.0), k_max=64)
+_DISCRETE = discrete_kernel(DiscreteModes(((0.3, 0.4), (1.5, 0.3), (2.2, 0.1)), beta=2.0))
+_times = st.one_of(
+    st.just(0.0),
+    st.floats(-6.0, math.log10(60.0)).map(lambda e: 10.0**e),
+    st.just(math.inf),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_times, min_size=1, max_size=12), st.sampled_from(["continuum", "discrete"]))
+def test_i_layer_matches_phi_series(model, times, which):
+    kernel = _CONTINUUM if which == "continuum" else _DISCRETE
+    t = np.array(times)
+    if not kernel.integrable:
+        t = t[np.isfinite(t)]
+    got = SlippageIntegrals(kernel, model.epsilon)(t)
+    assert got.shape == t.shape + (4,)
+    for tt, row in zip(t, got):
+        assert np.max(np.abs(row - _i_phi_series(kernel, model.epsilon, tt))) < 1e-13
+        if tt == 0.0:
+            assert np.all(row == 0.0)
+
+
+def test_delta_rho1_time_arrays(model, kernel):
+    rho = bloch_to_density((0.3, -0.1, 0.5))
+    times = np.array([[0.0, 0.4], [3.0, np.inf]])
+    d = delta_rho1(model, kernel, 0.5, rho, times)
+    assert d.shape == (2, 2, 2, 2)
+    assert np.all(d[0, 0] == 0.0)
+    for t, dt in zip(times.ravel(), d.reshape(-1, 2, 2)):
+        assert np.max(np.abs(dt - delta_rho1(model, kernel, 0.5, rho, t))) < 1e-16
+    with pytest.raises(ValueError):
+        delta_rho1(model, kernel, 0.5, rho, -1.0)
+    with pytest.raises(ValueError):
+        delta_rho1(model, kernel, 0.5, rho, np.nan)
+    assert delta_rho2(model, kernel, 0.5, rho, Product(), times).shape == (2, 2, 2, 2)
 
 
 def test_delta_rho1_zero_at_t_zero(model, kernel):

@@ -260,14 +260,20 @@ def test_tcl2_matches_perturbative_solution(model, kernel, v, r, lam, kappa, t_e
 
 def test_tcl2_does_not_use_the_closed_form_route(model, kernel, monkeypatch):
     # criterion 9 compares the two routes, so the quadrature must not reach
-    # the slippage integrals or the scalar theta_tail
+    # the slippage integrals I, the variational D, the corrections built
+    # on them or the scalar theta_tail
+    import redfield_slippage.bath as bath
     import redfield_slippage.corrections as corrections
+    import redfield_slippage.regions as regions
     from redfield_slippage.master import RedfieldGenerator
 
     def boom(*args, **kwargs):
         raise AssertionError("closed-form route called")
 
-    for name in ("phi", "i_coefficients", "delta_rho1", "perturbative_solution"):
+    for module in (bath, corrections, regions):
+        monkeypatch.setattr(module, "SlippageIntegrals", boom)
+    monkeypatch.setattr(regions, "VariationalTables", boom)
+    for name in ("delta_rho1", "perturbative_solution"):
         monkeypatch.setattr(corrections, name, boom)
     monkeypatch.setattr(RedfieldGenerator, "theta_tail", boom)
     gen = build_redfield_generator(model, kernel, 0.4)

@@ -1,0 +1,102 @@
+"""The names other code imports from the package.
+
+Every name in `redfield_slippage.__all__`, and every module attribute the
+benchmark scripts under `bench/` reach: `bench/worker.py` imports the
+modules and fits the default kernel, `bench/workloads.py` runs the CLI,
+the oracle entry points and the closed-form TCL2 reference, and
+`bench/tracing.py` wraps layer entry points by name in every module that
+imported them and looks up `regions.default_time_grid`. A rename then
+fails here instead of first showing up as a failed benchmark run.
+"""
+
+import importlib
+
+import pytest
+
+import redfield_slippage
+
+BENCH_NAMES = {
+    "bath": ["fit_exponential_mixture", "correlation_quadrature"],
+    "cli": [
+        "main",
+        "fit_exponential_mixture",
+        "propagate_markovian",
+        "propagate_tcl2",
+        "u_prime_membership",
+        "region_scan",
+        "slipped_initial_condition",
+        "_dump_json",
+        "_write",
+    ],
+    "config": [
+        "fit_exponential_mixture",
+        "RunConfig.load",
+        "RunConfig.kernel",
+        "RunConfig.model",
+        "RunConfig.oracle_lambdas",
+        "RunConfig.propagation_times",
+    ],
+    "corrections": [
+        "NATURAL_SIGN",
+        "NaturalFamily",
+        "delta_rho1",
+        "perturbative_solution",
+        "slipped_initial_condition",
+    ],
+    "master": [
+        "propagate_markovian",
+        "propagate_tcl2",
+        "golden_min",
+        "RedfieldGenerator.theta_tail",
+        "PositivityScanner.evaluate",
+        "Trajectory.to_csv",
+        "Trajectory.blochs",
+    ],
+    "operators": [
+        "bloch_to_density",
+        "Superoperator.expm_action",
+        "Superoperator.expm_action_many",
+    ],
+    "oracle": [
+        "delta_rho1",
+        "default_oracle_bath",
+        "pin_natural_sign",
+        "validate_scaling",
+        "short_time_markovianity",
+        "build_total_hamiltonian",
+        "thermal_total_state",
+        "evolve_exact",
+        "delta_rho2_direct",
+    ],
+    "regions": [
+        "default_time_grid",
+        "golden_min",
+        "u_prime_membership",
+        "region_scan",
+        "VariationalTables.__init__",
+        "VariationalTables.tables",
+        "RegionScanResult.to_csv",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", redfield_slippage.__all__)
+def test_all_names_import(name):
+    assert hasattr(redfield_slippage, name)
+
+
+@pytest.mark.parametrize(
+    "module, dotted", [(m, n) for m, names in BENCH_NAMES.items() for n in names]
+)
+def test_bench_names_resolve(module, dotted):
+    obj = importlib.import_module(f"redfield_slippage.{module}")
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    assert obj is not None
+
+
+def test_config_kernel_exposes_its_rates():
+    from redfield_slippage.config import RunConfig
+
+    kernel = RunConfig.load(None, ["bath.matsubara_k_max=8"]).kernel()
+    assert kernel.g.size == 9

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
-from redfield_slippage.corrections import NATURAL_SIGN, NaturalFamily, delta_rho1
+from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
 from redfield_slippage.master import n_membership
 from redfield_slippage.operators import bloch_to_density, ground_eigenpair
 from redfield_slippage.regions import (
@@ -19,7 +19,6 @@ from redfield_slippage.regions import (
     b_of_t,
     default_time_grid,
     max_radial_depth,
-    natural_state_first_order,
     region_scan,
     state_moments,
     u_prime_membership,
@@ -71,8 +70,7 @@ def test_d_integrals_against_quadrature(model):
     kernel = fit_exponential_mixture(spec, k_max=200)
     tables = VariationalTables(model, kernel)
     t, eps = 2.3, model.epsilon
-    wd, bpd, bmd = tables._dots(t)
-    _, d_vals = tables._assemble(t, wd, bpd, bmd)
+    _, d_vals = tables.tables(t)
 
     x_gl, w_gl = np.polynomial.legendre.leggauss(16)
     edges = np.geomspace(1e-12, t, 81)
@@ -114,7 +112,7 @@ def test_variational_form_vertex(model, kernel):
     tables = VariationalTables(model, kernel)
     _, phi0, _ = ground_eigenpair(rho)
     m_vec, n_vec = state_moments(rho, phi0)
-    b, a = tables.b_a_at(t, m_vec, n_vec)
+    b, a = tables.b_a(t, m_vec, n_vec)
     assert a > 0.0
     xi_star = b / (2.0 * a)
     p0 = ground_eigenpair(rho)[0]
@@ -194,10 +192,42 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     assert n_truncated == truncated
 
 
+def _fsum(terms):
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _full_sum_tables(kernel, eps, t):
+    """I and D at one time from all kernel terms and the twelve amplitude
+    vectors of the closed forms, each sum rounded once (fsum). The
+    coefficient of Phi in D is Gamma(s'' eps) + conj Gamma(-s' eps), the
+    rates of the generator, on both sides: D grows like t times it, so
+    at t = 50 one rounding of Gamma alone would weigh 1e-14."""
+    c, g = kernel.c, kernel.g
+    e = np.exp(-g * t)
+    i_vals, d_vals = np.empty(4, dtype=complex), np.empty(4, dtype=complex)
+    for idx, (sp, sq) in enumerate(PAIRS):
+        w = c / ((g + 1j * sq * eps) * (1j * sp * eps - g))
+        k_plus = c / (g - 1j * sq * eps)
+        b_plus = k_plus / (g + 1j * sp * eps)
+        k_minus = np.conj(c) / (np.conj(g) - 1j * sp * eps)
+        b_minus = k_minus / (np.conj(g) + 1j * sq * eps)
+        esp, esq = np.exp(1j * sp * eps * t), np.exp(1j * sq * eps * t)
+        s_sum = sp + sq
+        phi2 = t if s_sum == 0 else (esp * esq - 1.0) / (1j * s_sum * eps)
+        i_vals[idx] = esp * _fsum(w * e) - _fsum(w)
+        d_vals[idx] = (
+            phi2 * (kernel.half_fourier(sq * eps) + np.conj(kernel.half_fourier(-sp * eps)))
+            - esp * esq * (_fsum(b_plus) + _fsum(b_minus))
+            + esq * _fsum(b_plus * e)
+            + esp * _fsum(b_minus * np.conj(e))
+        )
+    return i_vals, d_vals
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), _unit, _unit, _unit)
 def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
-    # the kept terms reproduce the full 4001-term sum to 1e-14 anywhere
+    # the kept terms reproduce the full 4001-term sums to 1e-14 anywhere
     # on the sup search window
     tables = VariationalTables(model, kernel)
     grid = default_time_grid(model, kernel, 50.0)
@@ -209,18 +239,14 @@ def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
     _, phi0, _ = ground_eigenpair(rho)
     m_vec, n_vec = state_moments(rho, phi0)
     b, a = tables.b_a(np.array([t]), m_vec[None], n_vec[None])
-    b_full, a_full = tables.b_a_at(t, m_vec, n_vec)
+    i_full, d_full = _full_sum_tables(kernel, model.epsilon, t)
+    b_full = 0.5 * np.real(np.dot(i_full, n_vec))
+    a_full = 0.25 * np.real(np.dot(d_full, m_vec))
     assert abs(b[0] - b_full) < 1e-14
     assert abs(a[0] - a_full) < 1e-14
-
-
-def test_natural_state_first_order(model, kernel):
-    fam = natural_state_first_order(model, kernel, 0.5, bloch_to_density((0.5, 0.0, 0.0)))
-    assert isinstance(fam, NaturalFamily)
-    assert fam.kappa == 1.0
-    assert fam.sign == NATURAL_SIGN
-    with pytest.raises(ValueError):
-        natural_state_first_order(model, kernel, 0.5, np.diag([0.7, 0.7]))
+    i_vals, d_vals = tables.tables(t)
+    assert np.max(np.abs(i_vals - i_full)) < 1e-14
+    assert np.all(np.abs(d_vals - d_full) < 1e-14 * np.maximum(1.0, np.abs(d_full)))
 
 
 def test_region_scan_validation(model, kernel):
