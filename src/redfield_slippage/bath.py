@@ -72,12 +72,14 @@ class LorentzDrudeBath:
             raise ValueError("omega_c must be positive and finite")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
-        # cot(beta*omega_c/2) pole: beta*omega_c/2 near a multiple of pi also
-        # collides the cutoff pole with a Matsubara frequency
-        dist = abs(math.remainder(0.5 * self.beta * self.omega_c, math.pi))
-        if dist < 1e-6:
+        # cot(beta*omega_c/2) pole: beta*omega_c/2 near k pi (k >= 1) also
+        # collides the cutoff pole with the Matsubara frequency 2 pi k / beta.
+        # Near k = 0 no Matsubara frequency is close and c_0 tends to the
+        # finite pi omega_c / beta.
+        half = 0.5 * self.beta * self.omega_c
+        if round(half / math.pi) >= 1 and abs(math.remainder(half, math.pi)) < 1e-6:
             raise PoleCollisionError(
-                "beta * omega_c / 2 is within 1e-6 of a multiple of pi; "
+                "beta * omega_c / 2 is within 1e-6 of a nonzero multiple of pi; "
                 "shift omega_c or beta by a relative 1e-6 or more"
             )
 

@@ -45,7 +45,7 @@ from .master import (
 from .operators import BlochVector, bloch_to_density
 from .oracle import (
     OracleConsistencyError,
-    build_total_hamiltonian,
+    check_comparison_time,
     default_oracle_bath,
     pin_natural_sign,
     short_time_markovianity,
@@ -221,6 +221,11 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         # the truncated bath rejects a visible thermal tail or an
         # oversized Hilbert space: both come from the oracle.* keys
         raise ConfigError(f"oracle bath: {exc}") from exc
+    t_star = float(cfg["oracle.t_star"])
+    try:
+        check_comparison_time(bath, t_star)
+    except ValueError as exc:
+        raise ConfigError(f"oracle.t_star: {exc}") from exc
     rho_s = bloch_to_density((0.6, 0.0, 0.3))
     n_times = int(cfg["oracle.n_times"])
     times = np.linspace(0.2, 6.0, n_times)
@@ -231,7 +236,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
         bath,
         rho_s,
         lambdas=tuple(cfg.oracle_lambdas()),
-        t_star=float(cfg["oracle.t_star"]),
+        t_star=t_star,
     )
     markov = short_time_markovianity(
         model, bath, rho_s, 0.2, np.linspace(0.25, 2.0, 8)
@@ -243,7 +248,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
             "cancellation": {str(k): v for k, v in details.items()},
             "scaling": scaling,
             "markovianity": markov,
-            "total_dimension": int(build_total_hamiltonian(model, bath, lam_c).shape[0]),
+            "total_dimension": 2 * bath.dim_bath,
         }
     )
     out = _out_dir(cfg, args)

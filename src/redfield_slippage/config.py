@@ -156,9 +156,12 @@ class RunConfig:
             raise ConfigError("oracle.beta and oracle.omega_max must be positive")
         if v["oracle.t_star"] <= 0.0:
             raise ConfigError("oracle.t_star must be positive")
-        for lam in self.oracle_lambdas():
-            if lam <= 0.0:
-                raise ConfigError("oracle.lambdas must be positive")
+        lambdas = self.oracle_lambdas()
+        if any(lam <= 0.0 for lam in lambdas):
+            raise ConfigError("oracle.lambdas must be positive")
+        # the scaling check fits a log-log slope through these couplings
+        if len(set(lambdas)) < 2:
+            raise ConfigError("oracle.lambdas needs at least two distinct couplings")
         if v["oracle.cancellation_lambda"] <= 0.0:
             raise ConfigError("oracle.cancellation_lambda must be positive")
         if v["oracle.n_times"] < 1:

@@ -34,6 +34,9 @@ from .operators import SM, SP, SX, matrix_exponential_action, trace_distance
 
 DIM_CAP = 4096
 TRUNCATION_TOL = 1e-8
+# output times per block in evolve_exact and delta_rho2_direct: bounds
+# their phase arrays whatever the number of times
+TIME_BLOCK = 256
 
 
 class OracleConsistencyError(RuntimeError):
@@ -178,29 +181,40 @@ def _natural_q(model, bath, rho_s, lam, kappa, sign) -> np.ndarray:
 
     Sector by sector, each rotating term of the interaction picks up
     its Abel-regularized half-range phase integral i/a; resonant modes
-    (a = 0) have no such value and are rejected.
+    (a = 0) have no such value and are rejected. A sector operator
+    S x B acts on p0 = rho_S x rho_R factor by factor,
+    (S x B) p0 = (S rho_S) x (B rho_R), so the bath factors are summed
+    per system operator and each commutator costs two Kronecker products.
     """
     eps = model.epsilon
-    p0 = np.kron(np.asarray(rho_s, dtype=complex), bath.rho_r)
-    w_mat = np.zeros_like(p0)
+    rho_s = np.asarray(rho_s, dtype=complex)
+    nb = bath.dim_bath
+    # bath_sum[s] = sum over sectors with system operator (SP, SM)[s] of
+    # (nu / 2)(i / a) B
+    bath_sum = np.zeros((2, nb, nb), dtype=complex)
     for r in range(bath.n_modes):
         om = bath.frequencies[r]
         nu = bath.couplings[r]
         bop = bath.lowering[r]
         bdag = bop.conj().T
         sectors = (
-            (np.kron(SP, bdag), -(eps + om)),
-            (np.kron(SP, bop), om - eps),
-            (np.kron(SM, bdag), eps - om),
-            (np.kron(SM, bop), eps + om),
+            (0, bdag, -(eps + om)),
+            (0, bop, om - eps),
+            (1, bdag, eps - om),
+            (1, bop, eps + om),
         )
-        for op, freq in sectors:
+        for s_idx, b_op, freq in sectors:
             if abs(freq) < 1e-9 * max(eps, om):
                 raise KernelNotIntegrableError(
                     "a reservoir mode is resonant with the system splitting; "
                     "the correlated state has no stationary first-order part"
                 )
-            w_mat += (nu / 2.0) * (1j / freq) * (op @ p0 - p0 @ op)
+            bath_sum[s_idx] += (nu / 2.0) * (1j / freq) * b_op
+    # rho_R = diag(p) in the number basis: B rho_R scales columns, rho_R B rows
+    p = bath.thermal_probs
+    w_mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    for s_op, b_sum in zip((SP, SM), bath_sum):
+        w_mat += np.kron(s_op @ rho_s, b_sum * p) - np.kron(rho_s @ s_op, p[:, None] * b_sum)
     return sign * 1j * lam * kappa * w_mat
 
 
@@ -226,67 +240,79 @@ def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
     raise TypeError(f"unsupported correlation {type(correlation).__name__}")
 
 
+def _time_blocks(n_times):
+    return [slice(s, s + TIME_BLOCK) for s in range(0, n_times, TIME_BLOCK)]
+
+
 def evolve_exact(h_total, rho_total0, times):
     """Unitary evolution of the total state, reduced to the system.
 
-    One exact diagonalization; each output time costs an elementwise
-    phase twist plus four precontracted partial-trace dot products.
-    Purity of the total state is monitored as an integration invariant.
+    One exact diagonalization H = V diag(w) V^dag. With r0 = V^dag rho V
+    the eigenbasis state and V_a the rows of V whose system index is a,
+    the partial trace pairs r0 with G_ab = V_a^T conj(V_b). Folded into
+    H_ab = G_ab * r0 (elementwise), it gives every output time at once,
+
+        rho_ab(t) = sum_l [(P H_ab) * conj(P)]_{t l},  P_{t k} = e^{-i w_k t}.
+
+    `rho_total0` is one state (dim, dim), giving a Trajectory, or a stack
+    (n, dim, dim) of starts that share the diagonalization, giving a list
+    of n Trajectories. One G_ab is held at a time and times run in blocks
+    of TIME_BLOCK, so memory is O(n dim^2 + TIME_BLOCK dim) for any number
+    of times. The purity of the total state, (|P|^2 |r0|^2) . |P|^2, is
+    checked at every time as an integration invariant.
     """
     h_total = np.asarray(h_total, dtype=complex)
-    rho_total0 = np.asarray(rho_total0, dtype=complex)
-    times = np.asarray(times, dtype=float)
+    rho = np.asarray(rho_total0, dtype=complex)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     dim = h_total.shape[0]
     nb = dim // 2
     w, v = np.linalg.eigh(h_total)
-    r0 = v.conj().T @ rho_total0 @ v
-    purity0 = float(np.sum(np.abs(r0) ** 2))
+    r0 = v.conj().T @ rho.reshape(-1, dim, dim) @ v
+    abs_r0 = np.abs(r0) ** 2
+    purity0 = np.sum(abs_r0, axis=(1, 2))
+    blocks = _time_blocks(times.size)
+    for blk in blocks:
+        p2 = np.abs(np.exp(-1j * np.outer(times[blk], w))) ** 2
+        purity = np.sum((p2 @ abs_r0) * p2, axis=2)
+        if np.any(np.abs(purity - purity0[:, None]) > 1e-10 * np.maximum(purity0[:, None], 1e-30)):
+            raise OracleConsistencyError("total-state purity drifted during evolution")
 
     v4 = v.reshape(2, nb, dim)
-    # G[a, b][k, l] = sum_n V[(a, n), k] conj(V[(b, n), l]); contracting it
-    # elementwise with the eigenbasis state gives the reduced matrix element
-    gmats = np.empty((2, 2, dim, dim), dtype=complex)
+    red = np.empty((r0.shape[0], times.size, 2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
-            gmats[a, b] = np.einsum("nk,nl->kl", v4[a], v4[b].conj())
-
-    states = []
-    for t in times:
-        ph = np.exp(-1j * w * t)
-        rt = (ph[:, None] * r0) * ph.conj()[None, :]
-        purity = float(np.sum(np.abs(rt) ** 2))
-        if abs(purity - purity0) > 1e-10 * max(purity0, 1e-30):
-            raise OracleConsistencyError("total-state purity drifted during evolution")
-        red = np.empty((2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                red[a, b] = np.sum(gmats[a, b] * rt)
-        states.append(red)
-    return trajectory_from_states(times, states)
+            g_ab = v4[a].T @ v4[b].conj()
+            for k, r0_k in enumerate(r0):
+                h_ab = g_ab * r0_k
+                for blk in blocks:
+                    ph = np.exp(-1j * np.outer(times[blk], w))
+                    red[k, blk, a, b] = np.sum((ph @ h_ab) * ph.conj(), axis=1)
+    trajs = [trajectory_from_states(times, list(states)) for states in red]
+    return trajs[0] if rho.ndim == 2 else trajs
 
 
 def phi(a, t):
-    """int_0^t exp(a u) du, elementwise in a.
+    """int_0^t exp(a u) du, elementwise over a and t broadcast together.
 
     Near a t = 0 the closed form loses digits to cancellation, so a
     six-term series takes over below |a t| = 1e-4. t = inf is allowed
-    when every Re a < 0 and gives -1/a.
+    where Re a < 0 and gives -1/a. Scalar a and t give a complex number.
     """
-    a_arr = np.atleast_1d(np.asarray(a, dtype=complex))
-    if np.isinf(t):
-        if np.any(a_arr.real >= 0.0):
-            raise ValueError("phi(a, inf) requires Re a < 0")
-        out = -1.0 / a_arr
-        return out if np.ndim(a) else complex(out[0])
-    t = float(t)
-    if t < 0.0:
+    a_arr, t_arr = np.broadcast_arrays(
+        np.asarray(a, dtype=complex), np.asarray(t, dtype=float)
+    )
+    if np.any(t_arr < 0.0):
         raise ValueError("t must be non-negative")
-    x = a_arr * t
-    out = np.empty_like(a_arr)
-    small = np.abs(x) < 1e-4
+    inf = np.isinf(t_arr)
+    if np.any(a_arr.real[inf] >= 0.0):
+        raise ValueError("phi(a, inf) requires Re a < 0")
+    out = np.empty(a_arr.shape, dtype=complex)
+    out[inf] = -1.0 / a_arr[inf]
+    x = a_arr * np.where(inf, 0.0, t_arr)
+    small = ~inf & (np.abs(x) < 1e-4)
     if np.any(small):
         xs = x[small]
-        out[small] = t * (
+        out[small] = t_arr[small] * (
             1.0
             + xs / 2.0
             + xs**2 / 6.0
@@ -294,15 +320,23 @@ def phi(a, t):
             + xs**4 / 120.0
             + xs**5 / 720.0
         )
-    big = ~small
+    big = ~inf & ~small
     if np.any(big):
         out[big] = np.expm1(x[big]) / a_arr[big]
-    return out if np.ndim(a) else complex(out[0])
+    return out if out.ndim else complex(out)
 
 
 def delta_rho2_direct(model, bath, q_corr, lam, times):
     """First-order correction integral evaluated directly in the
-    system x bath energy basis, one phase factor per matrix element.
+    system x bath energy basis, one phase factor per matrix element,
+
+        delta_rho2_ab(t) = -i lam sum_{m n} Y_mn [
+            sum_c X_ac phi(i(e_a - e_c + E_m - E_n), t) Q_(c n),(b m)
+          - sum_c X_cb phi(i(e_c - e_b + E_m - E_n), t) Q_(a n),(c m) ],
+
+    with e the system and E the bath energies. The sum runs over the
+    nonzero entries of the coupling operator Y only, for all times at
+    once (in blocks of TIME_BLOCK); the result has shape (n_times, 2, 2).
 
     Independent of every closed form in the perturbative modules; used
     to pin the sign convention and certify the cancellation identity.
@@ -312,32 +346,27 @@ def delta_rho2_direct(model, bath, q_corr, lam, times):
     e_bath = bath.bath_energies
     nb = bath.dim_bath
     y = bath.coupling_operator
-    qt = np.asarray(q_corr, dtype=complex).reshape(2, nb, 2, nb)
+    m_idx, n_idx = np.nonzero(y)
+    de_bath = e_bath[m_idx] - e_bath[n_idx]
+    # yq[c, b, j] = Y_(m_j n_j) Q_(c n_j),(b m_j)
+    qt = np.asarray(q_corr, dtype=complex).reshape(2, nb, 2, nb).transpose(0, 2, 1, 3)
+    yq = y[m_idx, n_idx] * qt[:, :, n_idx, m_idx]
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     x = SX
-
-    out = []
-    for t in times:
-        cache: dict = {}
-
-        def pmat(de):
-            key = round(float(de), 12)
-            if key not in cache:
-                warg = de + (e_bath[:, None] - e_bath[None, :])
-                cache[key] = phi(1j * warg, float(t))
-            return cache[key]
-
-        term1 = np.zeros((2, 2), dtype=complex)
-        term2 = np.zeros((2, 2), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    if x[a, c] != 0.0:
-                        p1 = pmat(e_sys[a] - e_sys[c])
-                        term1[a, b] += x[a, c] * np.sum(y * p1 * qt[c, :, b, :].T)
-                    if x[c, b] != 0.0:
-                        p2 = pmat(e_sys[c] - e_sys[b])
-                        term2[a, b] += x[c, b] * np.sum(y.T * p2.T * qt[a, :, c, :])
-        out.append(-1j * lam * (term1 - term2))
+    out = np.empty((times.size, 2, 2), dtype=complex)
+    for blk in _time_blocks(times.size):
+        tb = times[blk, None]
+        term = np.zeros((tb.shape[0], 2, 2), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                if x[i, j] == 0.0:
+                    continue
+                ph = x[i, j] * phi(1j * (e_sys[i] - e_sys[j] + de_bath), tb)
+                # X_ij is X_ac (a = i, c = j) of the first sum and X_cb
+                # (c = i, b = j) of the second
+                term[:, i, :] += ph @ yq[j].T
+                term[:, :, j] -= ph @ yq[:, i].T
+        out[blk] = -1j * lam * term
     return out
 
 
@@ -389,6 +418,17 @@ def pin_natural_sign(model, bath, rho_s, lam, times, tol=1e-8):
     return passing[0], results
 
 
+def check_comparison_time(bath, t_star):
+    """Refuse a comparison time in the second half of the recurrence
+    period of the discrete bath, where the exact evolution revives."""
+    rec = recurrence_estimate(bath.spec)
+    if t_star >= 0.5 * rec:
+        raise ValueError(
+            f"t_star={t_star:g} runs into the discrete-bath recurrence "
+            f"({rec:g}); use more modes or an earlier comparison time"
+        )
+
+
 def validate_scaling(
     model,
     bath,
@@ -408,12 +448,7 @@ def validate_scaling(
         correlation = Product()
     rho_s = np.asarray(rho_s, dtype=complex)
     t_star = float(t_star)
-    rec = recurrence_estimate(bath.spec)
-    if t_star >= 0.5 * rec:
-        raise ValueError(
-            f"t_star={t_star:g} runs into the discrete-bath recurrence "
-            f"({rec:g}); use more modes or an earlier comparison time"
-        )
+    check_comparison_time(bath, t_star)
     kern = truncated_kernel(bath)
     errors = []
     for lam in lambdas:
@@ -447,7 +482,8 @@ def short_time_markovianity(model, bath, rho_s, lam, times):
 
     Inside the reservoir memory window the correlated start tracks the
     semigroup more closely; the transient is what the product start
-    spends building the missing correlation."""
+    spends building the missing correlation. Both starts evolve from
+    one diagonalization of the total Hamiltonian."""
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
     kern = truncated_kernel(bath)
@@ -456,10 +492,10 @@ def short_time_markovianity(model, bath, rho_s, lam, times):
     markov = [
         matrix_exponential_action(gen.liouvillian, t, rho_s) for t in times
     ]
+    starts = {"product": Product(), "natural": NaturalFamily(1.0)}
+    rho_t0 = np.stack([thermal_total_state(model, bath, rho_s, c, lam) for c in starts.values()])
     out = {"times": times.tolist()}
-    for label, corr in (("product", Product()), ("natural", NaturalFamily(1.0))):
-        rho_t0 = thermal_total_state(model, bath, rho_s, corr, lam)
-        traj = evolve_exact(h, rho_t0, times)
+    for label, traj in zip(starts, evolve_exact(h, rho_t0, times)):
         out[f"dist_{label}"] = [
             float(trace_distance(e, m)) for e, m in zip(traj.states, markov)
         ]

@@ -48,6 +48,15 @@ def test_cutoff_matsubara_collision_raises():
         LorentzDrudeBath(omega_c=2.0 * math.pi, beta=1.0)
 
 
+def test_small_cutoff_is_no_collision():
+    # beta * omega_c / 2 near 0 * pi: no Matsubara frequency is near
+    # omega_c, and c_0 tends to pi omega_c / beta
+    spec = LorentzDrudeBath(omega_c=1e-6, beta=1.0)
+    kern = fit_exponential_mixture(spec, k_max=8)
+    assert kern.c[0].real == pytest.approx(math.pi * 1e-6, rel=1e-9)
+    assert np.all(np.isfinite(kern.c))
+
+
 def test_spectral_density_shape():
     spec = LorentzDrudeBath(omega_c=1.0, beta=1.0)
     assert spectral_density(spec, 1.0) == pytest.approx(0.5)

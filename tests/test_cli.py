@@ -169,6 +169,34 @@ def test_cli_pole_collision_exit3(tmp_path, capsys):
     assert "kernel diagnostic" in capsys.readouterr().err
 
 
+def test_cli_small_cutoff_is_no_pole_collision(tmp_path):
+    # beta * omega_c / 2 = 5e-7 sits next to 0 * pi, where no Matsubara
+    # frequency is near omega_c and c_0 tends to pi omega_c / beta
+    rc = main(
+        ["propagate", "--mode", "markov", "--out", str(tmp_path), "--set", "bath.omega_cutoff=1e-6"]
+    )
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "trajectory.csv")
+    assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
+
+
+def test_cli_cutoff_on_first_matsubara_exit3(tmp_path, capsys):
+    # beta * omega_c / 2 = pi: the cutoff pole meets 2 pi / beta
+    rc = main(
+        [
+            "propagate",
+            "--mode",
+            "markov",
+            "--out",
+            str(tmp_path),
+            "--set",
+            "bath.omega_cutoff=6.283185307179586",
+        ]
+    )
+    assert rc == 3
+    assert "kernel diagnostic" in capsys.readouterr().err
+
+
 def test_cli_resonant_discrete_exit3(tmp_path, capsys):
     rc = main(
         [
@@ -206,6 +234,10 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["propagate", "--set", "propagation.t_end=nan"],
         ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=inf"],
         ["diagnose", "--set", "bath.type=discrete", "--set", "bath.modes=nan:0.1"],
+        # t = 100 lies past half the recurrence time of the default oracle bath
+        ["oracle", "--set", "oracle.t_star=100"],
+        ["oracle", "--set", "oracle.lambdas=0.08"],
+        ["oracle", "--set", "oracle.lambdas=0.04,0.04,0.04"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -218,6 +250,9 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "t_end_nan",
         "t_end_inf",
         "mode_frequency_nan",
+        "oracle_t_star_recurrence",
+        "oracle_single_lambda",
+        "oracle_repeated_lambda",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from redfield_slippage.bath import DiscreteModes, KernelNotIntegrableError
 from redfield_slippage.corrections import ExplicitOracleState, NaturalFamily, Product
-from redfield_slippage.operators import bloch_to_density, trace_distance
+from redfield_slippage.master import SystemModel
+from redfield_slippage.operators import SM, SP, SX, bloch_to_density, trace_distance
 from redfield_slippage.oracle import (
     GibbsTotal,
     OracleConsistencyError,
     TruncatedBath,
+    _natural_q,
     build_total_hamiltonian,
     cancellation_test,
     correlated_part,
     default_oracle_bath,
+    delta_rho2_direct,
     evolve_exact,
     gibbs_consistency,
     partial_trace_bath,
+    phi,
     pin_natural_sign,
     short_time_markovianity,
     thermal_total_state,
@@ -227,3 +233,213 @@ def test_resonant_mode_rejected(model):
     rho_s = bloch_to_density((0.6, 0.0, 0.2))
     with pytest.raises(KernelNotIntegrableError):
         thermal_total_state(model, bath, rho_s, NaturalFamily(1.0), 0.1)
+
+
+# -- batched oracle kernels against dense per-time references ------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _small_bath(freqs, couplings, fock_cutoff):
+    # beta = 40 keeps the Fock tail of every mode with w >= 0.5 below 1e-8
+    return TruncatedBath(
+        DiscreteModes(tuple(zip(freqs, couplings)), beta=40.0, fock_cutoff=fock_cutoff)
+    )
+
+
+small_baths = st.integers(1, 2).flatmap(
+    lambda n: st.builds(
+        _small_bath,
+        st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        st.integers(1, 2),
+    )
+)
+
+
+def _evolve_dense(h, rho0, times):
+    """Per-time V e^{-i w t} V^dag rho V e^{i w t} V^dag, partial-traced."""
+    w, v = np.linalg.eigh(h)
+    nb = h.shape[0] // 2
+    out = []
+    for t in times:
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        out.append(partial_trace_bath(u @ rho0 @ u.conj().T, nb))
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, nb=st.integers(1, 4), n_times=st.integers(1, 6))
+def test_evolve_exact_matches_dense_reference(seed, nb, n_times):
+    rng = np.random.default_rng(seed)
+    dim = 2 * nb
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T)
+    starts = np.stack([_random_density(rng, dim) for _ in range(2)])
+    times = rng.uniform(0.0, 5.0, size=n_times)
+    trajs = evolve_exact(h, starts, times)
+    assert len(trajs) == 2
+    for rho0, traj in zip(starts, trajs):
+        ref = _evolve_dense(h, rho0, times)
+        assert np.max(np.abs(np.array(traj.states) - ref)) < 1e-12
+        # one start alone gives the same trajectory as in the stack
+        single = evolve_exact(h, rho0, times)
+        assert np.array_equal(np.array(single.states), np.array(traj.states))
+
+
+def test_evolve_exact_time_blocks(model, monkeypatch):
+    # blocks of output times must not change any time's state
+    bath = _small_bath((0.7, 1.9), (0.4, 0.3), 2)
+    h = build_total_hamiltonian(model, bath, 0.3)
+    rho0 = thermal_total_state(model, bath, bloch_to_density((0.5, 0.2, 0.1)), Product(), 0.3)
+    times = np.linspace(0.0, 4.0, 11)
+    whole = np.array(evolve_exact(h, rho0, times).states)
+    monkeypatch.setattr("redfield_slippage.oracle.TIME_BLOCK", 3)
+    blocked = np.array(evolve_exact(h, rho0, times).states)
+    assert np.max(np.abs(blocked - whole)) < 1e-14
+    ref = _evolve_dense(h, rho0, times)
+    assert np.max(np.abs(blocked - ref)) < 1e-12
+
+
+def _natural_q_dense(model, bath, rho_s, lam, kappa, sign):
+    eps = model.epsilon
+    p0 = np.kron(rho_s, bath.rho_r)
+    w_mat = np.zeros_like(p0)
+    for r in range(bath.n_modes):
+        om, nu = bath.frequencies[r], bath.couplings[r]
+        bop = bath.lowering[r]
+        bdag = bop.conj().T
+        for op, freq in (
+            (np.kron(SP, bdag), -(eps + om)),
+            (np.kron(SP, bop), om - eps),
+            (np.kron(SM, bdag), eps - om),
+            (np.kron(SM, bop), eps + om),
+        ):
+            w_mat += (nu / 2.0) * (1j / freq) * (op @ p0 - p0 @ op)
+    return sign * 1j * lam * kappa * w_mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bath=small_baths,
+    eps=st.floats(0.2, 3.0),
+    seed=SEEDS,
+    lam=st.floats(0.01, 0.5),
+    kappa=st.floats(0.0, 1.0),
+    sign=st.sampled_from((-1, 1)),
+)
+def test_natural_q_matches_dense_kron(bath, eps, seed, lam, kappa, sign):
+    # keep every sector frequency well away from resonance
+    assume(np.min(np.abs(bath.frequencies - eps)) > 0.05)
+    model = SystemModel(epsilon=eps)
+    rho_s = _random_density(np.random.default_rng(seed), 2)
+    got = _natural_q(model, bath, rho_s, lam, kappa, sign)
+    ref = _natural_q_dense(model, bath, rho_s, lam, kappa, sign)
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def _delta_rho2_all_entries(model, bath, q_corr, lam, times):
+    """Per-time sum over every bath matrix element, one phi matrix per
+    system energy difference."""
+    eps = model.epsilon
+    e_sys = np.array([0.5 * eps, -0.5 * eps])
+    e_bath = bath.bath_energies
+    nb = bath.dim_bath
+    y = bath.coupling_operator
+    qt = np.asarray(q_corr, dtype=complex).reshape(2, nb, 2, nb)
+    x = SX
+    out = []
+    for t in times:
+
+        def pmat(de):
+            return phi(1j * (de + (e_bath[:, None] - e_bath[None, :])), float(t))
+
+        term1 = np.zeros((2, 2), dtype=complex)
+        term2 = np.zeros((2, 2), dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                for c in range(2):
+                    if x[a, c] != 0.0:
+                        p1 = pmat(e_sys[a] - e_sys[c])
+                        term1[a, b] += x[a, c] * np.sum(y * p1 * qt[c, :, b, :].T)
+                    if x[c, b] != 0.0:
+                        p2 = pmat(e_sys[c] - e_sys[b])
+                        term2[a, b] += x[c, b] * np.sum(y.T * p2.T * qt[a, :, c, :])
+        out.append(-1j * lam * (term1 - term2))
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bath=small_baths,
+    eps=st.floats(0.2, 3.0),
+    seed=SEEDS,
+    lam=st.floats(0.01, 0.5),
+    n_times=st.integers(1, 5),
+)
+def test_delta_rho2_direct_matches_all_entries_loop(bath, eps, seed, lam, n_times):
+    rng = np.random.default_rng(seed)
+    model = SystemModel(epsilon=eps)
+    dim = 2 * bath.dim_bath
+    q = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    times = np.concatenate(([0.0], rng.uniform(0.0, 6.0, size=n_times)))
+    got = delta_rho2_direct(model, bath, q, lam, times)
+    ref = _delta_rho2_all_entries(model, bath, q, lam, times)
+    assert got.shape == (times.size, 2, 2)
+    assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+finite_complex = st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(finite_complex, min_size=1, max_size=4),
+    times=st.lists(
+        st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 1e-5), st.just(0.0)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_phi_time_array_matches_scalar_calls(a, times):
+    a = np.array(a, dtype=complex)
+    out = phi(a[None, :], np.array(times)[:, None])
+    assert out.shape == (len(times), a.size)
+    for i, t in enumerate(times):
+        for j, aj in enumerate(a):
+            assert out[i, j] == phi(complex(aj), t)
+        assert np.array_equal(out[i], phi(a, t))
+
+
+def test_phi_time_array_infinite_horizon():
+    a = np.array([-2.0, -1.0 + 5.0j])
+    out = phi(a, np.array([[1.5], [np.inf]]))
+    assert np.array_equal(out[1], -1.0 / a)
+    assert out[0, 0] == phi(-2.0, 1.5)
+    with pytest.raises(ValueError):
+        phi(np.array([-1.0, 1j]), np.array([np.inf]))
+    with pytest.raises(ValueError):
+        phi(-1.0, np.array([1.0, -2.0]))
+
+
+def test_short_time_markovianity_diagonalizes_once(model, monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        calls.append(np.shape(m))
+        return real_eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    bath = _small_bath((0.7, 1.9), (0.4, 0.3), 2)
+    out = short_time_markovianity(
+        model, bath, bloch_to_density((1.0, 0.0, 0.0)), 0.2, np.linspace(0.05, 1.5, 4)
+    )
+    assert len(out["dist_product"]) == len(out["dist_natural"]) == 4
+    assert calls == [(2 * bath.dim_bath, 2 * bath.dim_bath)]

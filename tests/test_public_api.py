@@ -10,6 +10,7 @@ fails here instead of first showing up as a failed benchmark run.
 """
 
 import importlib
+import inspect
 
 import pytest
 
@@ -100,3 +101,21 @@ def test_config_kernel_exposes_its_rates():
 
     kernel = RunConfig.load(None, ["bath.matsubara_k_max=8"]).kernel()
     assert kernel.g.size == 9
+
+
+# `bench/tracing.py` counts the time points passed to these layers by
+# position (or by keyword when passed so); a moved or renamed parameter
+# would silently zero its per-layer counter
+BENCH_TIME_ARGS = [
+    ("oracle", "evolve_exact", 2, "times"),
+    ("oracle", "delta_rho2_direct", 4, "times"),
+    ("bath", "correlation_quadrature", 1, "t"),
+]
+
+
+@pytest.mark.parametrize("module, func, pos, name", BENCH_TIME_ARGS)
+def test_bench_time_argument_positions(module, func, pos, name):
+    fn = getattr(importlib.import_module(f"redfield_slippage.{module}"), func)
+    params = list(inspect.signature(fn).parameters.values())
+    assert params[pos].name == name
+    assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
