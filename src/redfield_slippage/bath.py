@@ -19,8 +19,15 @@ finite-memory rates F_sigma (TailKernel) and the slippage integrals I
 (SlippageIntegrals), from which the regions module also assembles its
 variational D. Half-range integrals divide by g_k - i omega, and
 ExponentialSum.denominators is the one place that refuses a resonant
-term. An adaptive-quadrature evaluator on a shifted frequency contour
-provides a fully independent cross-check.
+term.
+
+correlation_quadrature is the independent check of the pole series: it
+integrates the frequency representation of C(t) on a contour shifted
+into the lower half plane, with 16-point Gauss-Legendre panels graded
+toward the nearest singularity, closed-form exponential-integral ends
+and a per-time error estimate from successive panel bisections. It
+evaluates every time of a group with the same nodes and shares no code
+with the pole sum.
 
 C(t) has an integrable logarithmic divergence at t = 0, so evaluation
 through the public `correlation` entry point is exposed only for
@@ -31,12 +38,10 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import exp1
 
 DEFAULT_K_MAX = 4000
@@ -47,6 +52,15 @@ INTEGRABILITY_FLOOR = 1e-12
 TERM_CUTOFF = 40.0
 # largest (times x terms) block of exponentials evaluated at once
 EXP_BLOCK = 2**16
+# contour quadrature: 16-point Gauss-Legendre panel rule, default
+# relative tolerance between passes and the most panel bisections after
+# the first
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_PASSES = 6
+# most panels of the first pass of one time group: 2 X T / (2 pi) for
+# times up to T, with X = max(40 / beta, 30 omega_c)
+QUAD_MAX_PANELS = 2**18
 # (s', s'') of the four slippage integrals; S^{+1} = S^+, S^{-1} = S^-
 PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 PAIR_SP, PAIR_SQ = np.array(PAIRS, dtype=float).T
@@ -413,56 +427,186 @@ def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
     return ExponentialSum(c, g, meta={"beta": spec.beta, "n_modes": len(spec.modes)})
 
 
-def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=1e-12):
-    """Continuum kernel by adaptive quadrature on a shifted contour.
+def _exp1_scaled(z):
+    """e^z E1(z) without overflow: the product of the two factors where
+    |Re z| < 500, the asymptotic series (1/z) sum_n (-1)^n n! / z^n
+    elsewhere, where |z| >= 500 makes 16 terms exact to double precision."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    near = np.abs(z.real) < 500.0
+    out[near] = np.exp(z[near]) * exp1(z[near])
+    inv = 1.0 / z[~near]
+    series = np.ones_like(inv)
+    for n in range(15, 0, -1):
+        series = 1.0 - n * inv * series
+    out[~near] = inv * series
+    return out
 
-    The frequency integrand f(w) = J(w)(coth(beta w / 2) + 1)/2 extended
-    to the whole real line is analytic in the strip
-    |Im w| < min(omega_c, 2 pi / beta). Moving the contour to
-    w = x - i c with c = 0.9 min(omega_c, 2 pi / beta) turns e^{-iwt}
-    into the damped factor e^{-ct} e^{-ixt}, and the truncated ends of
-    the shifted line are completed in closed form with exponential
-    integrals (the integrand decays like omega_c^2 / w there). Agrees
-    with the pole expansion to ~1e-12 relative over many decades of t
-    and shares no code with it.
+
+def _panel_edges(d, x_cut, width):
+    """Edges of Gauss-Legendre panels on [-x_cut, x_cut], symmetric about
+    x = 0, where every singularity of the shifted integrand lies (at
+    distance d or more). A central panel [-d/2, d/2] is followed by
+    panels that grow geometrically to half their distance from 0 and
+    then stay at most `width` wide."""
+    edges = [0.5 * d]
+    while edges[-1] < x_cut and 0.5 * edges[-1] < width:
+        edges.append(1.5 * edges[-1])
+    right = np.minimum(edges, x_cut)
+    if right[-1] < x_cut:
+        n = math.ceil((x_cut - right[-1]) / width)
+        right = np.concatenate((right, np.linspace(right[-1], x_cut, n + 1)[1:]))
+    return np.concatenate((-right[::-1], right))
+
+
+def _panel_rule(edges, splits):
+    """Nodes and weights of 16-point Gauss-Legendre panels on
+    edges, each panel cut into `splits` equal parts."""
+    frac = np.arange(splits) / splits
+    lo = (edges[:-1, None] + np.diff(edges)[:, None] * frac).ravel()
+    hi = np.append(lo[1:], edges[-1])
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * GL_NODES).ravel()
+    return x, (half[:, None] * GL_WEIGHTS).ravel()
+
+
+def _shifted_integrand(spec, x, c):
+    """f(w) = J(w)(1 + nbar(w)) on w = x - i c, nbar(w) = 1 / (e^{beta w} - 1),
+    in a form that neither overflows nor cancels on either side of 0."""
+    z = x - 1j * c
+    j = z * spec.omega_c**2 / (z * z + spec.omega_c**2)
+    occ = np.empty_like(z)
+    pos = x >= 0.0
+    occ[pos] = -1.0 / np.expm1(-spec.beta * z[pos])
+    bz = spec.beta * z[~pos]
+    occ[~pos] = np.exp(bz) / np.expm1(bz)
+    return j * occ
+
+
+def _contour_sums(spec, c, edges, splits, t):
+    """sum_j f_j w_j e^{-i x_j t} for each time t, over the panels on
+    edges cut into `splits` parts each. Nodes are built in chunks and the
+    exponentials formed in blocks of at most EXP_BLOCK entries. Each row
+    is summed on its own (pairwise, along the nodes), so a time's sum does
+    not depend on the block it falls in and an array call agrees bit for
+    bit with scalar calls. Also returns sqrt(sum_j |f_j w_j x_j|^2), the
+    scale of the rounding noise of the phases x_j t per unit of t."""
+    out = np.zeros(t.size, dtype=complex)
+    spread = 0.0
+    per_chunk = max(1, EXP_BLOCK // (GL_NODES.size * splits))
+    for lo in range(0, edges.size - 1, per_chunk):
+        x, w = _panel_rule(edges[lo : lo + per_chunk + 1], splits)
+        fw = _shifted_integrand(spec, x, c) * w
+        spread += np.sum((np.abs(fw) * x) ** 2)
+        step = max(1, EXP_BLOCK // x.size)
+        for tl in range(0, t.size, step):
+            part = slice(tl, tl + step)
+            out[part] += np.sum(np.exp(-1j * np.multiply.outer(t[part], x)) * fw, axis=1)
+    return out, math.sqrt(spread)
+
+
+def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
+    """Continuum kernel by a Gauss-Legendre rule on a shifted contour,
+    with a per-time error estimate.
+
+    The frequency integrand f(w) = J(w)(1 + nbar(w)), extended to the
+    whole real line, is analytic in the strip |Im w| < s with
+    s = min(omega_c, 2 pi / beta); its singularities lie on the
+    imaginary axis. Moving the contour to w = x - i c turns e^{-iwt}
+    into e^{-ct} e^{-ixt}. Times are grouped by the power of two T
+    above them, and each group takes c = s - d with d = min(s / 10, 1 / T),
+    so the leftover e^{dt} cancellation costs at most about one e-fold.
+    The line [-X, X] with X = max(40 / beta, 30 omega_c) is covered by
+    16-point Gauss-Legendre panels graded geometrically toward x = 0 at
+    the distance d of the nearest singularity and no wider than one
+    period 2 pi / T; the ends beyond X are completed in closed form with
+    scaled exponential integrals. Each pass bisects every panel of the
+    one before, and a time stops when two passes agree to rel_tol
+    relative, or to the rounding floor
+    4 eps (sum |f_j w_j| + |tail| + t sqrt(sum_j |f_j w_j x_j|^2)) that
+    more panels cannot lower, or after QUAD_MAX_PASSES bisections. A
+    group that would need more than QUAD_MAX_PANELS panels raises
+    ValueError. A time whose bound e^{-ct} (sum |f_j w_j| + |tail|)
+    underflows is exactly 0 with an error of 0, so the node count stays
+    bounded for any t. Shares no code with the pole expansion.
+
+    Returns (values, err_est) shaped like t: the last pass and, per
+    time, an absolute error estimate, e^{-ct} times the last
+    pass-to-pass change plus the rounding floor, plus eps c t |C| for
+    the rounding of the exponent.
     """
     omega_c, beta = spec.omega_c, spec.beta
-    c = 0.9 * min(omega_c, 2.0 * np.pi / beta)
+    s = min(omega_c, 2.0 * np.pi / beta)
+    # beyond X, f differs from J (x > X) and from 0 (x < -X) by J nbar,
+    # below e^{-40} J. X >= 30 omega_c keeps the E1 arguments near the
+    # imaginary axis: scipy's complex exp1 loses up to 3e-13 relative
+    # near |z| = 4 close to the positive real axis
     x_cut = max(40.0 / beta, 30.0 * omega_c)
-
-    def f(x):
-        z = x - 1j * c
-        j = z * omega_c**2 / (z * z + omega_c**2)
-        return 0.5 * j * (1.0 / np.tanh(0.5 * beta * z) + 1.0)
-
-    def f_re(x):
-        return f(x).real
-
-    def f_im(x):
-        return f(x).imag
-
-    def osc_tail(p, tt):
-        # int_X^inf e^{-i w tt} / (w - p) dw, |p| << X
-        return np.exp(-1j * p * tt) * exp1(1j * tt * (x_cut - p))
-
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty(t_arr.shape, dtype=complex)
-    quad_opts = dict(limit=2000, epsabs=1e-14, epsrel=rel_tol)
-    for i, tt in enumerate(t_arr):
-        with warnings.catch_warnings():
-            # roundoff warnings near epsabs are expected; accuracy is
-            # cross-checked against the pole expansion instead
-            warnings.simplefilter("ignore", IntegrationWarning)
-            rc, _ = quad(f_re, -x_cut, x_cut, weight="cos", wvar=tt, **quad_opts)
-            rs, _ = quad(f_re, -x_cut, x_cut, weight="sin", wvar=tt, **quad_opts)
-            ic, _ = quad(f_im, -x_cut, x_cut, weight="cos", wvar=tt, **quad_opts)
-            is_, _ = quad(f_im, -x_cut, x_cut, weight="sin", wvar=tt, **quad_opts)
-        body = (rc + is_) + 1j * (ic - rs)
-        tail = 0.5 * omega_c**2 * (
-            osc_tail(1j * (c + omega_c), tt) + osc_tail(-1j * (omega_c - c), tt)
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
+    if not np.all(flat > 0.0):
+        raise ValueError("t must be positive")
+    eps = np.finfo(float).eps
+    values = np.zeros(flat.size, dtype=complex)
+    err = np.zeros(flat.size)
+    powers = np.ceil(np.log2(flat))
+    # longest times first, so a group over the panel budget fails early
+    for power in np.unique(powers)[::-1]:
+        idx = np.flatnonzero(powers == power)
+        tt = flat[idx]
+        t_group = 2.0**power
+        d = min(0.1 * s, 1.0 / t_group)
+        c = s - d
+        # J(w) = (omega_c^2 / 2) sum_p 1 / (w - p) beyond X, integrated exactly
+        z1 = 1j * tt * (x_cut - 1j * (c + omega_c))
+        z2 = 1j * tt * (x_cut + 1j * (omega_c - c))
+        tail = 0.5 * omega_c**2 * np.exp(-1j * x_cut * tt) * (_exp1_scaled(z1) + _exp1_scaled(z2))
+        # sum |f_j w_j| on the panels without the period cap, which
+        # depends on the group only through c
+        x, w = _panel_rule(_panel_edges(d, x_cut, np.inf), 1)
+        size = np.sum(np.abs(_shifted_integrand(spec, x, c) * w)) + np.abs(tail)
+        # times whose bound e^{-ct} size underflows stay exactly 0, so
+        # no period-wide panels are built for them
+        alive = np.flatnonzero(np.exp(np.log(size) - c * tt) > 0.0)
+        if alive.size == 0:
+            continue
+        width = 2.0 * np.pi / t_group
+        if 2.0 * x_cut / width > QUAD_MAX_PANELS:
+            raise ValueError(
+                f"the contour rule for t up to {t_group:g} needs about "
+                f"{2.0 * x_cut / width:.3g} panels, over its limit of {QUAD_MAX_PANELS}"
+            )
+        edges = _panel_edges(d, x_cut, width)
+        total = np.zeros(tt.size, dtype=complex)
+        change = np.zeros(tt.size)
+        floor = np.zeros(tt.size)
+        live = alive
+        for k in range(QUAD_MAX_PASSES + 1):
+            sums, spread = _contour_sums(spec, c, edges, 2**k, tt[live])
+            new = sums + tail[live]
+            change[live] = np.abs(new - total[live])
+            total[live] = new
+            # rounding that no bisection removes: a few eps of each term,
+            # and phases x_j t rounded by up to eps |x_j t| / 2, whose
+            # errors add up like a random walk
+            floor[live] = 4.0 * eps * (size[live] + tt[live] * spread)
+            if k > 0:
+                live = live[change[live] > np.maximum(rel_tol * np.abs(new), floor[live])]
+                if live.size == 0:
+                    break
+        t_alive = tt[alive]
+        value = np.exp(-c * t_alive) * total[alive]
+        values[idx[alive]] = value
+        # pass-to-pass change plus the rounding of the sum and of e^{-ct}
+        err[idx[alive]] = (
+            np.exp(-c * t_alive) * (change[alive] + floor[alive])
+            + eps * c * t_alive * np.abs(value)
         )
-        out[i] = np.exp(-c * tt) * (body + tail)
-    return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
+    values = values.reshape(t_arr.shape)
+    err = err.reshape(t_arr.shape)
+    if t_arr.ndim == 0:
+        return complex(values), float(err)
+    return values, err
 
 
 def correlation(spec, t, method="series"):
@@ -490,48 +634,9 @@ def correlation(spec, t, method="series"):
         if method == "series":
             return fit_exponential_mixture(spec).evaluate(t)
         if method == "quadrature":
-            return correlation_quadrature(spec, t)
+            return correlation_quadrature(spec, t)[0]
         raise ValueError(f"unknown method {method!r}")
     raise TypeError(f"unsupported bath spec {type(spec).__name__}")
-
-
-def half_fourier_quadrature(kernel, omega, t_cut=None, head=1e-10):
-    """int_0^inf e^{i omega t} C(t) dt by direct time-domain quadrature.
-
-    Independent of the closed-form pole sum in half_fourier. The
-    [0, head] sliver contributes O(head log head) and is dropped. The
-    kernel varies over ten decades of t near the origin, which defeats
-    a single adaptive pass, so [head, t_mid] is integrated on geometric
-    Gauss-Legendre panels and only the smooth remainder [t_mid, t_cut]
-    goes to weighted adaptive quadrature. The t > t_cut remainder of
-    the exponential sum is bounded and dropped as well. Good to roughly
-    1e-9 absolute for the kernels used here.
-    """
-    omega = float(omega)
-    if t_cut is None:
-        t_cut = 60.0 * kernel.tau_r_estimate
-    t_mid = min(2.0 * kernel.tau_r_estimate, 0.5 * t_cut)
-
-    edges = np.geomspace(head, t_mid, 320)
-    x_gl, w_gl = np.polynomial.legendre.leggauss(24)
-    body = 0.0 + 0.0j
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * x_gl
-        body += half * np.sum(w_gl * kernel.evaluate(t) * np.exp(1j * omega * t))
-
-    def c_re(tt):
-        return complex(kernel.evaluate(tt)).real
-
-    def c_im(tt):
-        return complex(kernel.evaluate(tt)).imag
-
-    opts = dict(limit=4000, epsabs=1e-12, epsrel=1e-12)
-    rc, _ = quad(c_re, t_mid, t_cut, weight="cos", wvar=omega, **opts)
-    rs, _ = quad(c_re, t_mid, t_cut, weight="sin", wvar=omega, **opts)
-    ic, _ = quad(c_im, t_mid, t_cut, weight="cos", wvar=omega, **opts)
-    is_, _ = quad(c_im, t_mid, t_cut, weight="sin", wvar=omega, **opts)
-    return complex(body) + complex(rc - is_, rs + ic)
 
 
 def discretize_spectral_density(spec: LorentzDrudeBath, n_modes, omega_max, fock_cutoff=5) -> DiscreteModes:

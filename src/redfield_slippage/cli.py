@@ -25,12 +25,11 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bath
 from .bath import (
     KernelNotIntegrableError,
     LorentzDrudeBath,
     PoleCollisionError,
-    correlation,
     fit_exponential_mixture,
 )
 from .config import ConfigError, RunConfig
@@ -99,13 +98,17 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     spec = cfg.bath_spec()
     if not isinstance(spec, LorentzDrudeBath):
         raise ConfigError("bath-correlation needs bath.type=lorentz_drude")
+    times = cfg.quadrature_times()
     kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
-    n = int(cfg["quadrature.n_points"])
-    t_lo = float(cfg["quadrature.t_min"])
-    t_hi = float(cfg["quadrature.t_max"])
-    times = np.geomspace(t_lo, t_hi, n) if n > 1 else np.array([t_lo])
     series = kernel.evaluate(times)
-    quadr = correlation(spec, times, method="quadrature")
+    try:
+        quadr, q_err = bath.correlation_quadrature(spec, times)
+    except ValueError as exc:
+        # the panel budget of the contour rule bounds t_max * X
+        raise ConfigError(
+            f"bath-correlation: {exc}; lower quadrature.t_max, "
+            "or raise bath.beta or lower bath.omega_cutoff"
+        ) from exc
     lines = ["t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"]
     for t, cs, cq in zip(times, np.atleast_1d(series), np.atleast_1d(quadr)):
         resid = abs(cs - cq) / max(abs(cs), abs(cq), 1e-300)
@@ -120,6 +123,11 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     meta = _base_metadata(cfg, "bath-correlation")
     meta["kernel"] = dict(kernel.meta)
     meta["remainder_bound"] = kernel.remainder_bound
+    # largest estimated relative error of the quadrature column; rows
+    # that underflow to an exact 0 carry an error of 0
+    q_rel = np.divide(q_err, np.abs(quadr), out=np.zeros_like(q_err), where=q_err > 0.0)
+    meta["quadrature_err_est"] = float(q_rel.max())
+    meta["quadrature_converged"] = bool(q_rel.max() <= bath.QUAD_REL_TOL)
     _write(os.path.join(out, "bath_correlation_meta.json"), _dump_json(meta))
     return 0
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .bath import (
+    T_MIN_FACTOR,
     DiscreteModes,
     LorentzDrudeBath,
     PoleCollisionError,
@@ -25,6 +26,11 @@ from .master import SystemModel
 
 class ConfigError(Exception):
     pass
+
+
+# largest bath-correlation table, so a mistyped size fails validation
+# instead of allocating
+MAX_QUADRATURE_POINTS = 100_000
 
 
 DEFAULTS = {
@@ -139,8 +145,8 @@ class RunConfig:
             raise ConfigError("lambda must be non-negative")
         if not (0.0 < v["quadrature.t_min"] <= v["quadrature.t_max"]):
             raise ConfigError("need 0 < quadrature.t_min <= quadrature.t_max")
-        if v["quadrature.n_points"] < 1:
-            raise ConfigError("quadrature.n_points must be at least 1")
+        if not 1 <= v["quadrature.n_points"] <= MAX_QUADRATURE_POINTS:
+            raise ConfigError(f"quadrature.n_points must lie in [1, {MAX_QUADRATURE_POINTS}]")
         n = v["scan.grid_n"]
         if n < 3 or n % 2 == 0:
             raise ConfigError("scan.grid_n must be an odd integer >= 3")
@@ -214,6 +220,20 @@ class RunConfig:
         if isinstance(spec, LorentzDrudeBath):
             return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
         return discrete_kernel(spec)
+
+    def quadrature_times(self):
+        """The bath-correlation grid: n_points geometric times from t_min
+        to t_max, all inside C(t)'s domain t >= T_MIN_FACTOR / omega_c."""
+        t_lo = float(self.values["quadrature.t_min"])
+        t_min = T_MIN_FACTOR / float(self.values["bath.omega_cutoff"])
+        if t_lo < t_min:
+            raise ConfigError(
+                f"quadrature.t_min = {t_lo:g} is below {T_MIN_FACTOR:g} / bath.omega_cutoff "
+                f"= {t_min:g}, outside C(t)'s domain (logarithmic divergence at t = 0)"
+            )
+        n = int(self.values["quadrature.n_points"])
+        t_hi = float(self.values["quadrature.t_max"])
+        return np.geomspace(t_lo, t_hi, n) if n > 1 else np.array([t_lo])
 
     def propagation_times(self):
         return np.linspace(

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from redfield_slippage import bath
 from redfield_slippage.bath import (
     DiscreteModes,
     ExponentialSum,
@@ -19,12 +20,13 @@ from redfield_slippage.bath import (
     discretize_spectral_density,
     fit_exponential_mixture,
     golden_rule_rate,
-    half_fourier_quadrature,
     kernel_from_json,
     kernel_to_json,
     recurrence_estimate,
     spectral_density,
 )
+
+from time_quadrature import half_fourier_quadrature
 
 # values frozen from two independent evaluation routes (pole expansion
 # and shifted-contour quadrature agree to ~1e-15 relative)
@@ -95,6 +97,97 @@ def test_series_vs_quadrature(ld_spec, kernel):
     quad_vals = correlation(ld_spec, ts, method="quadrature")
     scale = np.abs(series)
     assert np.all(np.abs(series - quad_vals) <= 1e-8 * np.maximum(scale, 1e-3))
+
+
+def _far_from_pole_collision(omega_c, beta, rel=1e-2):
+    # near 2 pi k / beta = omega_c the two colliding terms of the pole
+    # series cancel: 3e-11 relative error at 1.2e-3 away, 3e-15 at 5e-2
+    k = max(round(omega_c * beta / (2.0 * math.pi)), 1)
+    return abs(2.0 * math.pi * k / beta - omega_c) > rel * omega_c
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.floats(0.2, 5.0),
+    st.floats(0.1, 5.0),
+    st.lists(st.floats(-3.0, math.log10(50.0)), min_size=1, max_size=3),
+)
+# rounding of the sum dominates here: an eps-wide floor fell short by 1.5x
+@example(omega_c=5.0, beta=4.75, log_t=[0.0])
+def test_quadrature_matches_converged_series(omega_c, beta, log_t):
+    # the k_max = 250000 series drops terms below e^{-2 pi 250000 t / beta}
+    # < e^{-300} relative for t >= 1e-3 and beta <= 5
+    assume(_far_from_pole_collision(omega_c, beta))
+    spec = LorentzDrudeBath(omega_c=omega_c, beta=beta)
+    t = 10.0 ** np.array(log_t)
+    try:
+        series = fit_exponential_mixture(spec, 250000).evaluate(t)
+    finally:
+        bath._fit_cached.cache_clear()  # 8 MB per fit; hypothesis draws many
+    values, err = bath.correlation_quadrature(spec, t)
+    assert np.all(np.abs(values - series) <= 1e-11 * np.abs(series))
+    # the estimate bounds the error actually made, measured against the
+    # same series in extended precision
+    exact = _series_extended(omega_c, beta, t, 250000)
+    assert np.all(np.abs(values - exact) <= err + 1e-15 * np.abs(exact))
+
+
+def _series_extended(omega_c, beta, t, k_max):
+    """The pole series of fit_exponential_mixture in long double. In
+    double precision the cutoff and first Matsubara terms cancel near a
+    pole collision and leave errors of a few 1e-15 relative, as large as
+    the quadrature's own."""
+    ld = np.longdouble
+    w, b = ld(omega_c), ld(beta)
+    pi = 4 * np.arctan(ld(1))
+    nu = 2 * pi * np.arange(1, k_max + 1, dtype=ld) / b
+    ck = (2 * pi * w * w / b) * nu / (nu * nu - w * w)
+    c0 = 0.5 * pi * w * w / np.tan(0.5 * b * w)
+    out = []
+    for ti in t.astype(ld):
+        re = c0 * np.exp(-w * ti) + np.sum((ck * np.exp(-nu * ti))[::-1])
+        out.append(complex(float(re), float(-0.5 * pi * w * w * np.exp(-w * ti))))
+    return np.array(out)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(0.2, 5.0),
+    st.floats(0.1, 5.0),
+    st.lists(st.floats(-3.0, math.log10(50.0)), min_size=1, max_size=6),
+)
+def test_quadrature_array_call_matches_scalar_calls(omega_c, beta, log_t):
+    assume(_far_from_pole_collision(omega_c, beta))
+    spec = LorentzDrudeBath(omega_c=omega_c, beta=beta)
+    t = 10.0 ** np.array(log_t)
+    values, err = bath.correlation_quadrature(spec, t)
+    for ti, vi, ei in zip(t, values, err):
+        v, e = bath.correlation_quadrature(spec, float(ti))
+        assert isinstance(v, complex) and isinstance(e, float)
+        assert abs(v - vi) <= 1e-15 * abs(vi)
+        assert e == pytest.approx(ei, rel=1e-15)
+
+
+def test_quadrature_near_underflow(ld_spec, kernel):
+    # e^{-ct} e^{-ipt} E1 in scaled form: C(t) down to 1e-304 stays
+    # exact, and a time whose bound underflows is exactly 0 with error 0
+    t = np.array([300.0, 600.0, 700.0])
+    values, err = bath.correlation_quadrature(ld_spec, t)
+    series = kernel.evaluate(t)
+    assert np.all(np.abs(values - series) <= 1e-11 * np.abs(series))
+    assert np.all(err < 1e-11 * np.abs(series))
+    values, err = bath.correlation_quadrature(ld_spec, np.array([800.0, 1e6]))
+    assert np.all(values == 0.0) and np.all(err == 0.0)
+
+
+def test_quadrature_refuses_a_rule_over_its_panel_budget():
+    # 2 X T / (2 pi) panels with X = 40 / beta: refused before any is built
+    hot = LorentzDrudeBath(omega_c=1.0, beta=1e-4)
+    with pytest.raises(ValueError, match="panels"):
+        bath.correlation_quadrature(hot, np.array([1e-3, 50.0]))
+    # the same bath is fine where the rule stays small
+    value, err = bath.correlation_quadrature(hot, 1e-3)
+    assert np.isfinite(value) and 0.0 < err < 1e-12 * abs(value)
 
 
 def test_correlation_input_guards(ld_spec):

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,8 @@ def test_config_validation_bounds():
         ["scan.grid_n=1"],
         ["lambda=-0.1"],
         ["quadrature.t_min=2.0", "quadrature.t_max=1.0"],
+        ["quadrature.n_points=0"],
+        ["quadrature.n_points=100001"],
         ["scan.z=1.5"],
         ["output.format=json"],
         ["model.epsilon=0"],
@@ -91,6 +94,16 @@ def test_config_validation_bounds():
     ):
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides)
+
+
+def test_config_quadrature_window_inside_the_domain():
+    # C(t) is exposed for t >= T_MIN_FACTOR / omega_c = 1e-6 / omega_c
+    times = RunConfig.load(None, ["quadrature.t_min=1e-6"]).quadrature_times()
+    assert times[0] == 1e-6 and times.size == 200
+    with pytest.raises(ConfigError, match="quadrature.t_min"):
+        RunConfig.load(None, ["quadrature.t_min=9e-7"]).quadrature_times()
+    with pytest.raises(ConfigError, match="quadrature.t_min"):
+        RunConfig.load(None, ["bath.omega_cutoff=0.5", "quadrature.t_min=1e-6"]).quadrature_times()
 
 
 def test_config_discrete_modes():
@@ -134,6 +147,36 @@ def test_cli_bath_correlation_table(tmp_path):
     assert meta["kernel"]["k_max"] == 400
     assert meta["remainder_bound"] > 0.0
     assert meta["config"]["bath.matsubara_k_max"] == 400
+    # the quadrature's own certificate, like tcl2_err_est for propagate
+    assert meta["quadrature_converged"] is True
+    assert 0.0 < meta["quadrature_err_est"] < 1e-12
+
+
+@pytest.mark.parametrize("override", ["bath.beta=0.1", "bath.omega_cutoff=5"])
+def test_cli_bath_correlation_off_default(tmp_path, override):
+    # a fixed contour shift and a cutoff-only panel grading left rows off
+    # by up to 0.5 (beta = 0.1) and 4.4e-6 (omega_c = 5) here
+    assert main(["bath-correlation", "--out", str(tmp_path), "--set", override]) == 0
+    _, rows = _read_csv(tmp_path / "bath_correlation.csv")
+    assert len(rows) == 200
+    assert max(float(r[5]) for r in rows) < 1e-10
+    meta = _read_json(tmp_path / "bath_correlation_meta.json")
+    assert meta["quadrature_converged"] is True
+
+
+def test_cli_bath_correlation_large_times(tmp_path):
+    # e^{-ct} e^{-ipt} E1 overflowed its factors at large t and wrote nan;
+    # times whose value underflows are now an exact 0
+    argv = ["bath-correlation", "--out", str(tmp_path)]
+    argv += ["--set", "quadrature.t_max=1e6", "--set", "quadrature.n_points=5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    _, rows = _read_csv(tmp_path / "bath_correlation.csv")
+    values = np.array([[float(v) for v in r] for r in rows])
+    assert values.shape == (5, 6) and np.all(np.isfinite(values))
+    assert np.all(values[-2:, 3:5] == 0.0)
+    assert _read_json(tmp_path / "bath_correlation_meta.json")["quadrature_converged"] is True
 
 
 def test_cli_bath_correlation_single_point(tmp_path):
@@ -238,6 +281,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["oracle", "--set", "oracle.t_star=100"],
         ["oracle", "--set", "oracle.lambdas=0.08"],
         ["oracle", "--set", "oracle.lambdas=0.04,0.04,0.04"],
+        # below T_MIN_FACTOR / omega_c = 1e-6, where C(t) is not exposed
+        ["bath-correlation", "--set", "quadrature.t_min=1e-9"],
+        ["bath-correlation", "--set", "quadrature.n_points=100001"],
+        # t = 50 at X = 40 / beta = 4e5 needs 8e6 contour panels
+        ["bath-correlation", "--set", "bath.beta=1e-4"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -253,6 +301,9 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "oracle_t_star_recurrence",
         "oracle_single_lambda",
         "oracle_repeated_lambda",
+        "quadrature_t_min_below_domain",
+        "quadrature_n_points_too_many",
+        "quadrature_panel_budget",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -542,6 +593,17 @@ def test_cli_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert os.path.exists(tmp_path / "diagnose.json")
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # no command needs adaptive quadrature, and importing scipy.integrate
+    # costs start-up time and resident memory
+    code = "import sys, redfield_slippage.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(

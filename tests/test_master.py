@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redfield_slippage.bath import fit_exponential_mixture, half_fourier_quadrature
+from redfield_slippage.bath import fit_exponential_mixture
 from redfield_slippage.master import (
     PositivityScanner,
     SystemModel,
@@ -30,6 +30,8 @@ from redfield_slippage.operators import (
     unvec,
     vec,
 )
+
+from time_quadrature import half_fourier_quadrature
 
 Z_STATIONARY = -0.46211715726000974  # -tanh(beta eps / 2) at beta = eps = 1
 
