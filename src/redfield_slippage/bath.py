@@ -140,7 +140,15 @@ def spectral_density(spec: LorentzDrudeBath, w):
 
 
 def bose_occupation(beta, w):
-    return 1.0 / np.expm1(beta * np.asarray(w, dtype=float))
+    """1 / (e^{beta w} - 1), and its limit e^{-beta w} where expm1
+    overflows (beta w > 709.78), without an overflow warning."""
+    x = beta * np.asarray(w, dtype=float)
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(x)
+        over = np.isinf(em1)
+        if np.any(over):
+            return np.where(over, np.exp(-x), 1.0 / em1)
+    return 1.0 / em1
 
 
 def golden_rule_rate(spec: LorentzDrudeBath, w) -> float:
@@ -383,7 +391,13 @@ def _fit_cached(omega_c, beta, k_max):
             "a Matsubara frequency 2 pi k / beta coincides with omega_c; "
             "shift omega_c or beta by a relative 1e-6 or more"
         )
-    c0 = 0.5 * np.pi * omega_c**2 * (1.0 / math.tan(0.5 * beta * omega_c) - 1j)
+    x = 0.5 * beta * omega_c
+    c0 = 0.5 * np.pi * omega_c**2 * ((1.0 / math.tan(x) if x else math.inf) - 1j)
+    if not np.isfinite(c0):
+        # omega_c^2 underflows to 0 where cot x overflows: write
+        # omega_c^2 cot x = (2 omega_c / beta) x cot x instead
+        x_cot_x = x / math.tan(x) if x else 1.0
+        c0 = np.pi * omega_c / beta * x_cot_x - 0.5j * np.pi * omega_c**2
     ck = (2.0 * np.pi * omega_c**2 / beta) * nu / (nu * nu - omega_c**2)
     c = np.concatenate(([c0], ck.astype(complex)))
     g = np.concatenate(([omega_c], nu)).astype(complex)

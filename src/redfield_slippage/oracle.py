@@ -218,10 +218,54 @@ def _natural_q(model, bath, rho_s, lam, kappa, sign) -> np.ndarray:
     return sign * 1j * lam * kappa * w_mat
 
 
+def hamiltonian_blocks(h) -> list:
+    """Index sets of the connected components of h's nonzero pattern,
+    in order of their smallest index.
+
+    Each set is closed under h, so h is block diagonal over them. For
+    the spin-boson Hamiltonian they are the two parity sectors of
+    S^z x (-1)^N at lam != 0, and every basis state alone at lam = 0.
+    Found by a frontier sweep from the smallest unassigned index.
+    """
+    nz = np.asarray(h) != 0
+    link = nz | nz.T
+    free = np.ones(link.shape[0], dtype=bool)
+    blocks = []
+    while free.any():
+        seen = np.zeros_like(free)
+        front = np.zeros_like(free)
+        front[np.argmax(free)] = True
+        while front.any():
+            seen |= front
+            front = link[front].any(axis=0) & ~seen
+        free &= ~seen
+        blocks.append(np.flatnonzero(seen))
+    return blocks
+
+
+def _eigh_blocks(h):
+    """H = V diag(w) V^dag, one eigensolve per block of H.
+
+    Block k fills its own rows `rows` and the run `cols` of columns of
+    V, which is zero elsewhere; w is sorted within each block only.
+    Returns w, V and the (rows, cols) pair of every block."""
+    dim = h.shape[0]
+    w = np.empty(dim)
+    v = np.zeros((dim, dim), dtype=complex)
+    pairs = []
+    start = 0
+    for rows in hamiltonian_blocks(h):
+        cols = slice(start, start + rows.size)
+        w[cols], v[rows, cols] = np.linalg.eigh(h[np.ix_(rows, rows)])
+        pairs.append((rows, cols))
+        start = cols.stop
+    return w, v, pairs
+
+
 def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
     if isinstance(correlation, GibbsTotal):
         h = build_total_hamiltonian(model, bath, lam)
-        w, v = np.linalg.eigh(h)
+        w, v, _ = _eigh_blocks(h)
         p = np.exp(-bath.spec.beta * (w - w.min()))
         return (v * (p / p.sum())) @ v.conj().T
     rho_s = np.asarray(rho_s, dtype=complex)
@@ -247,46 +291,74 @@ def _time_blocks(n_times):
 def evolve_exact(h_total, rho_total0, times):
     """Unitary evolution of the total state, reduced to the system.
 
-    One exact diagonalization H = V diag(w) V^dag. With r0 = V^dag rho V
-    the eigenbasis state and V_a the rows of V whose system index is a,
-    the partial trace pairs r0 with G_ab = V_a^T conj(V_b). Folded into
-    H_ab = G_ab * r0 (elementwise), it gives every output time at once,
+    H = V diag(w) V^dag is diagonalized one block at a time (see
+    `hamiltonian_blocks`): for the spin-boson H at lam != 0 that is two
+    parity sectors of dim / 2, at lam = 0 dim blocks of one state. With
+    r0 = V^dag rho V the eigenbasis state and V_a the rows of V whose
+    system index is a, the partial trace pairs r0 with
+    G_ab = V_a^T conj(V_b). Folded into H_ab = G_ab * r0 (elementwise), it
+    gives every output time at once,
 
         rho_ab(t) = sum_l [(P H_ab) * conj(P)]_{t l},  P_{t k} = e^{-i w_k t}.
 
+    The rows of G_ab in block k's columns are nonzero only in the columns
+    of the blocks that hold the partner states (b, n) of block k's states
+    (a, n), n the bath index, so each block contributes one product over
+    those columns alone. Every step loops once over the blocks, never
+    over pairs of them. Against one dense diagonalization, two sectors
+    cut the eigensolve about fourfold and the products for r0 and G_ab
+    two- and fourfold.
+
     `rho_total0` is one state (dim, dim), giving a Trajectory, or a stack
     (n, dim, dim) of starts that share the diagonalization, giving a list
-    of n Trajectories. One G_ab is held at a time and times run in blocks
-    of TIME_BLOCK, so memory is O(n dim^2 + TIME_BLOCK dim) for any number
-    of times. The purity of the total state, (|P|^2 |r0|^2) . |P|^2, is
-    checked at every time as an integration invariant.
+    of n Trajectories. Times run in blocks of TIME_BLOCK, so memory is
+    O(n dim^2 + TIME_BLOCK dim) for any number of times. The purity of
+    the total state, (|P|^2 |r0|^2) . |P|^2, is checked at every time as
+    an integration invariant.
     """
     h_total = np.asarray(h_total, dtype=complex)
     rho = np.asarray(rho_total0, dtype=complex)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     dim = h_total.shape[0]
     nb = dim // 2
-    w, v = np.linalg.eigh(h_total)
-    r0 = v.conj().T @ rho.reshape(-1, dim, dim) @ v
+    w, v, pairs = _eigh_blocks(h_total)
+    starts = rho.reshape(-1, dim, dim)
+    # V is zero outside the blocks: rho V one run of columns at a time,
+    # then V^dag (rho V) one run of rows at a time
+    rho_v = np.empty_like(starts)
+    for rows, cols in pairs:
+        rho_v[:, :, cols] = starts[:, :, rows] @ v[rows, cols]
+    r0 = np.empty_like(starts)
+    for rows, cols in pairs:
+        r0[:, cols] = v[rows, cols].conj().T @ rho_v[:, rows]
+    del rho_v
     abs_r0 = np.abs(r0) ** 2
     purity0 = np.sum(abs_r0, axis=(1, 2))
-    blocks = _time_blocks(times.size)
-    for blk in blocks:
+    t_blocks = _time_blocks(times.size)
+    for blk in t_blocks:
         p2 = np.abs(np.exp(-1j * np.outer(times[blk], w))) ** 2
         purity = np.sum((p2 @ abs_r0) * p2, axis=2)
         if np.any(np.abs(purity - purity0[:, None]) > 1e-10 * np.maximum(purity0[:, None], 1e-30)):
             raise OracleConsistencyError("total-state purity drifted during evolution")
 
-    v4 = v.reshape(2, nb, dim)
-    red = np.empty((r0.shape[0], times.size, 2, 2), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            g_ab = v4[a].T @ v4[b].conj()
-            for k, r0_k in enumerate(r0):
-                h_ab = g_ab * r0_k
-                for blk in blocks:
-                    ph = np.exp(-1j * np.outer(times[blk], w))
-                    red[k, blk, a, b] = np.sum((ph @ h_ab) * ph.conj(), axis=1)
+    # block label of every eigenvector column and of every basis state
+    col_label = np.repeat(np.arange(len(pairs)), [rows.size for rows, _ in pairs])
+    label = np.empty(dim, dtype=int)
+    label[np.concatenate([rows for rows, _ in pairs])] = col_label
+    red = np.zeros((starts.shape[0], times.size, 2, 2), dtype=complex)
+    for rows, cols in pairs:
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            own = rows[rows // nb == a]
+            partner = own + (b - a) * nb
+            need = np.isin(col_label, label[partner])
+            g_ab = v[own, cols].T @ v[partner][:, need].conj()
+            # start by start, so that one start alone gives the same bits
+            for i, r0_i in enumerate(r0):
+                h_ab = g_ab * r0_i[cols][:, need]
+                for blk in t_blocks:
+                    ph_k = np.exp(-1j * np.outer(times[blk], w[cols]))
+                    ph_l = np.exp(-1j * np.outer(times[blk], w[need]))
+                    red[i, blk, a, b] += np.sum((ph_k @ h_ab) * ph_l.conj(), axis=1)
     trajs = [trajectory_from_states(times, list(states)) for states in red]
     return trajs[0] if rho.ndim == 2 else trajs
 

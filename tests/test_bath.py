@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,18 @@ def test_small_cutoff_is_no_collision():
     assert np.all(np.isfinite(kern.c))
 
 
+@pytest.mark.parametrize("omega_c", [1e-320, 5e-324])
+def test_underflowing_cutoff_keeps_c0_finite(omega_c):
+    # omega_c^2 underflows to 0 where cot(beta omega_c / 2) overflows (or
+    # beta omega_c / 2 itself underflows); c_0 then goes through x cot x
+    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=1.0), k_max=8)
+    assert np.all(np.isfinite(kern.c))
+    assert kern.c[0] == math.pi * omega_c
+    # where the closed form is finite its bits are kept
+    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=1e-6, beta=1.0), k_max=8)
+    assert kern.c[0] == 0.5 * math.pi * 1e-12 * (1.0 / math.tan(5e-7) - 1j)
+
+
 def test_spectral_density_shape():
     spec = LorentzDrudeBath(omega_c=1.0, beta=1.0)
     assert spectral_density(spec, 1.0) == pytest.approx(0.5)
@@ -72,6 +85,16 @@ def test_spectral_density_shape():
 def test_bose_occupation_value():
     assert bose_occupation(1.0, 1.0) == pytest.approx(NBAR_1, rel=1e-15)
     assert bose_occupation(2.0, 3.0) == pytest.approx(1.0 / np.expm1(6.0))
+    # bit for bit 1 / expm1 wherever expm1 is finite, its limit e^{-x}
+    # without an overflow warning beyond x = 709.78
+    x = np.array([-800.0, 1e-3, 700.0, 709.78, 709.79, 745.0, 800.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = bose_occupation(1.0, x)
+    below = x <= 709.78
+    assert np.array_equal(got[below], 1.0 / np.expm1(x[below]))
+    assert np.array_equal(got[~below], np.exp(-x[~below]))
+    assert got[4] > 0.0 and got[-1] == 0.0
 
 
 def test_correlation_frozen_value(ld_spec, kernel):

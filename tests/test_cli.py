@@ -214,13 +214,24 @@ def test_cli_pole_collision_exit3(tmp_path, capsys):
 
 def test_cli_small_cutoff_is_no_pole_collision(tmp_path):
     # beta * omega_c / 2 = 5e-7 sits next to 0 * pi, where no Matsubara
-    # frequency is near omega_c and c_0 tends to pi omega_c / beta
-    rc = main(
-        ["propagate", "--mode", "markov", "--out", str(tmp_path), "--set", "bath.omega_cutoff=1e-6"]
-    )
-    assert rc == 0
-    _, rows = _read_csv(tmp_path / "trajectory.csv")
-    assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
+    # frequency is near omega_c and c_0 tends to pi omega_c / beta; at
+    # 1e-320, omega_c^2 underflows to 0 where cot(beta omega_c / 2)
+    # overflows, and c_0 goes through x cot x
+    for cutoff in ("1e-6", "1e-320"):
+        rc = main(
+            [
+                "propagate",
+                "--mode",
+                "markov",
+                "--out",
+                str(tmp_path),
+                "--set",
+                f"bath.omega_cutoff={cutoff}",
+            ]
+        )
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / "trajectory.csv")
+        assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
 
 
 def test_cli_cutoff_on_first_matsubara_exit3(tmp_path, capsys):
@@ -599,6 +610,17 @@ def test_cli_import_leaves_out_scipy_integrate():
     # no command needs adaptive quadrature, and importing scipy.integrate
     # costs start-up time and resident memory
     code = "import sys, redfield_slippage.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # the oracle finds the blocks of its Hamiltonian with numpy alone;
+    # scipy.sparse would add to every command's start-up time
+    code = "import sys, redfield_slippage.cli; print('scipy.sparse' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )

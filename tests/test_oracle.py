@@ -19,6 +19,7 @@ from redfield_slippage.oracle import (
     delta_rho2_direct,
     evolve_exact,
     gibbs_consistency,
+    hamiltonian_blocks,
     partial_trace_bath,
     phi,
     pin_natural_sign,
@@ -274,13 +275,29 @@ def _evolve_dense(h, rho0, times):
     return np.array(out)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=SEEDS, nb=st.integers(1, 4), n_times=st.integers(1, 6))
-def test_evolve_exact_matches_dense_reference(seed, nb, n_times):
+def _hidden_block_hamiltonian(rng, dim, n_sectors):
+    """Random Hermitian H that couples only states of equal random sector
+    label, under a random permutation of the basis; returns H and its
+    sectors as sets of indices."""
+    labels = rng.integers(0, n_sectors, size=dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = 0.5 * (a + a.conj().T) * (labels[:, None] == labels[None, :])
+    perm = rng.permutation(dim)
+    h = h[np.ix_(perm, perm)]
+    labels = labels[perm]
+    return h, {frozenset(np.flatnonzero(labels == s)) for s in set(labels)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=SEEDS, nb=st.integers(1, 6), n_sectors=st.integers(1, 5), n_times=st.integers(1, 6)
+)
+def test_evolve_exact_matches_dense_reference(seed, nb, n_sectors, n_times):
+    # one sector is a dense H; more give a hidden block pattern
     rng = np.random.default_rng(seed)
     dim = 2 * nb
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = 0.5 * (a + a.conj().T)
+    h, sectors = _hidden_block_hamiltonian(rng, dim, n_sectors)
+    assert {frozenset(b) for b in hamiltonian_blocks(h)} == sectors
     starts = np.stack([_random_density(rng, dim) for _ in range(2)])
     times = rng.uniform(0.0, 5.0, size=n_times)
     trajs = evolve_exact(h, starts, times)
@@ -291,6 +308,20 @@ def test_evolve_exact_matches_dense_reference(seed, nb, n_times):
         # one start alone gives the same trajectory as in the stack
         single = evolve_exact(h, rho0, times)
         assert np.array_equal(np.array(single.states), np.array(traj.states))
+
+
+def test_spin_boson_parity_blocks(model, oracle_bath):
+    # H commutes with S^z x (-1)^N: two sectors of dim / 2 at lam != 0,
+    # and at lam = 0 every basis state is its own block
+    dim = 2 * oracle_bath.dim_bath
+    n_total = sum(np.diag(b.conj().T @ b).real for b in oracle_bath.lowering)
+    parity = np.kron([1, -1], (-1) ** np.round(n_total).astype(int))
+    blocks = hamiltonian_blocks(build_total_hamiltonian(model, oracle_bath, 0.16))
+    assert [b.size for b in blocks] == [dim // 2, dim // 2]
+    for b in blocks:
+        assert np.unique(parity[b]).size == 1
+    blocks = hamiltonian_blocks(build_total_hamiltonian(model, oracle_bath, 0.0))
+    assert [b.tolist() for b in blocks] == [[i] for i in range(dim)]
 
 
 def test_evolve_exact_time_blocks(model, monkeypatch):
@@ -442,4 +473,5 @@ def test_short_time_markovianity_diagonalizes_once(model, monkeypatch):
         model, bath, bloch_to_density((1.0, 0.0, 0.0)), 0.2, np.linspace(0.05, 1.5, 4)
     )
     assert len(out["dist_product"]) == len(out["dist_natural"]) == 4
-    assert calls == [(2 * bath.dim_bath, 2 * bath.dim_bath)]
+    # one eigensolve per parity sector, shared by both starts
+    assert calls == [(bath.dim_bath, bath.dim_bath)] * 2
