@@ -36,7 +36,6 @@ t >= 1e-6 / Omega.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -149,17 +148,6 @@ def bose_occupation(beta, w):
         if np.any(over):
             return np.where(over, np.exp(-x), 1.0 / em1)
     return 1.0 / em1
-
-
-def golden_rule_rate(spec: LorentzDrudeBath, w) -> float:
-    """Re Gamma(w) = pi J(|w|) (nbar + 1) for w > 0, pi J(|w|) nbar for
-    w < 0 and the w -> 0 limit pi / beta."""
-    w = float(w)
-    if w == 0.0:
-        return math.pi / spec.beta
-    j = float(spectral_density(spec, abs(w)))
-    n = float(bose_occupation(spec.beta, abs(w)))
-    return math.pi * j * (n + 1.0) if w > 0 else math.pi * j * n
 
 
 def term_groups(re_g, t):
@@ -676,69 +664,3 @@ def recurrence_estimate(spec: DiscreteModes) -> float:
     w = np.sort(spec.frequencies)
     gap = float(np.min(np.diff(w))) if len(w) > 1 else float(w[0])
     return 2.0 * np.pi / gap
-
-
-def kernel_to_json(kernel: ExponentialSum) -> str:
-    if not kernel.integrable:
-        raise TypeError("only integrable kernels serialize to JSON")
-    obj = {
-        "type": "exp_mixture",
-        "terms": [
-            {
-                "c_re": term_c.real,
-                "c_im": term_c.imag,
-                "g_re": term_g.real,
-                "g_im": term_g.imag,
-            }
-            for term_c, term_g in zip(kernel.c, kernel.g)
-        ],
-        "beta": kernel.meta.get("beta"),
-        "omega": kernel.meta.get("omega"),
-        "k_max": kernel.meta.get("k_max"),
-    }
-    return json.dumps(obj, sort_keys=True)
-
-
-def _json_numbers(values):
-    """values as finite floats; ValueError for anything else."""
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise ValueError("kernel JSON values must be numbers")
-    try:
-        out = np.array(values, dtype=float)
-    except OverflowError as exc:
-        raise ValueError("kernel JSON value out of range") from exc
-    if not np.all(np.isfinite(out)):
-        raise ValueError("kernel JSON values must be finite")
-    return out
-
-
-def kernel_from_json(text: str) -> ExponentialSum:
-    """Inverse of kernel_to_json. A malformed or non-finite document
-    raises ValueError, a decay rate at or below INTEGRABILITY_FLOOR
-    raises KernelNotIntegrableError."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or obj.get("type") != "exp_mixture":
-        raise ValueError("unsupported kernel JSON type")
-    terms = obj.get("terms")
-    if not isinstance(terms, list) or not terms:
-        raise ValueError("kernel JSON needs a non-empty list of terms")
-    keys = ("c_re", "c_im", "g_re", "g_im")
-    if not all(isinstance(t, dict) and all(k in t for k in keys) for t in terms):
-        raise ValueError(f"every kernel JSON term needs the keys {', '.join(keys)}")
-    vals = _json_numbers([t[k] for t in terms for k in keys]).reshape(-1, 4)
-    meta = {k: obj.get(k) for k in ("beta", "omega", "k_max")}
-    rb = 0.0
-    if all(v is not None for v in meta.values()):
-        beta, omega, k_max = _json_numbers(list(meta.values()))
-        if min(beta, omega, k_max) <= 0.0 or not isinstance(meta["k_max"], int):
-            raise ValueError("kernel JSON needs positive beta and omega and a positive integer k_max")
-        rb = _matsubara_remainder(omega, beta, meta["k_max"])
-    c = vals[:, 0] + 1j * vals[:, 1]
-    g = vals[:, 2] + 1j * vals[:, 3]
-    kernel = ExponentialSum(c, g, remainder_bound=rb, meta=meta)
-    if not kernel.integrable:
-        raise KernelNotIntegrableError(
-            "kernel has no t -> infinity limit: a decay rate has "
-            "non-positive real part"
-        )
-    return kernel

@@ -66,7 +66,14 @@ def _base_metadata(cfg: RunConfig, command: str) -> dict:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Strict JSON of a report: a non-finite number is a ConfigError
+    naming the report's command, never NaN or Infinity in the file."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ConfigError(
+            f"{obj.get('command')}: the result is not finite at this configuration ({exc})"
+        ) from exc
 
 
 def _write(path, text):
@@ -138,16 +145,21 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
         raise ConfigError("region-scan needs lambda > 0")
     model = cfg.model()
     kernel = cfg.kernel()
-    result = region_scan(
-        model,
-        kernel,
-        lam,
-        grid_n=int(cfg["scan.grid_n"]),
-        z=float(cfg["scan.z"]),
-        t_window=float(cfg["scan.t_window"]),
-        refine_iters=int(cfg["scan.refine_iters"]),
-        jobs=int(args.jobs),
-    )
+    try:
+        result = region_scan(
+            model,
+            kernel,
+            lam,
+            grid_n=int(cfg["scan.grid_n"]),
+            z=float(cfg["scan.z"]),
+            t_window=float(cfg["scan.t_window"]),
+            refine_iters=int(cfg["scan.refine_iters"]),
+            jobs=int(args.jobs),
+        )
+    except ValueError as exc:
+        # the N scan needs a unique stationary state and a finite
+        # relaxation horizon, which an extreme lambda breaks
+        raise ConfigError(f"region-scan: {exc}") from exc
     out = _out_dir(cfg, args)
     _write(os.path.join(out, "region_scan.csv"), result.to_csv())
     meta = _base_metadata(cfg, "region-scan")
@@ -188,15 +200,18 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     lam = float(cfg["lambda"])
     bloch = _parse_bloch(args.initial)
     rho = bloch_to_density(bloch)
-    res = u_prime_membership(
-        model,
-        kernel,
-        lam,
-        rho,
-        t_window=float(cfg["scan.t_window"]),
-        refine_iters=int(cfg["scan.refine_iters"]),
-    )
-    report = slipped_initial_condition(model, kernel, lam, rho, Product())
+    # an overflowing lam^2 makes the report non-finite, which _dump_json
+    # turns into a config error; numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = u_prime_membership(
+            model,
+            kernel,
+            lam,
+            rho,
+            t_window=float(cfg["scan.t_window"]),
+            refine_iters=int(cfg["scan.refine_iters"]),
+        )
+        report = slipped_initial_condition(model, kernel, lam, rho, Product())
     obj = _base_metadata(cfg, "diagnose")
     obj.update(
         {

@@ -28,9 +28,10 @@ class ConfigError(Exception):
     pass
 
 
-# largest bath-correlation table, so a mistyped size fails validation
-# instead of allocating
-MAX_QUADRATURE_POINTS = 100_000
+# most points of any output time grid (quadrature.n_points,
+# propagation.n_points, oracle.n_times), so a mistyped size fails
+# validation instead of allocating
+MAX_POINTS = 100_000
 
 
 DEFAULTS = {
@@ -145,8 +146,8 @@ class RunConfig:
             raise ConfigError("lambda must be non-negative")
         if not (0.0 < v["quadrature.t_min"] <= v["quadrature.t_max"]):
             raise ConfigError("need 0 < quadrature.t_min <= quadrature.t_max")
-        if not 1 <= v["quadrature.n_points"] <= MAX_QUADRATURE_POINTS:
-            raise ConfigError(f"quadrature.n_points must lie in [1, {MAX_QUADRATURE_POINTS}]")
+        if not 1 <= v["quadrature.n_points"] <= MAX_POINTS:
+            raise ConfigError(f"quadrature.n_points must lie in [1, {MAX_POINTS}]")
         n = v["scan.grid_n"]
         if n < 3 or n % 2 == 0:
             raise ConfigError("scan.grid_n must be an odd integer >= 3")
@@ -154,8 +155,10 @@ class RunConfig:
             raise ConfigError("scan.z must lie in [-1, 1]")
         if v["scan.t_window"] <= 0.0 or v["scan.refine_iters"] < 1:
             raise ConfigError("scan.t_window and scan.refine_iters must be positive")
-        if v["propagation.t_end"] <= 0.0 or v["propagation.n_points"] < 2:
-            raise ConfigError("propagation needs t_end > 0 and n_points >= 2")
+        if v["propagation.t_end"] <= 0.0:
+            raise ConfigError("propagation.t_end must be positive")
+        if not 2 <= v["propagation.n_points"] <= MAX_POINTS:
+            raise ConfigError(f"propagation.n_points must lie in [2, {MAX_POINTS}]")
         if v["oracle.n_modes"] < 1 or v["oracle.fock_cutoff"] < 1:
             raise ConfigError("oracle.n_modes and oracle.fock_cutoff must be >= 1")
         if v["oracle.beta"] <= 0.0 or v["oracle.omega_max"] <= 0.0:
@@ -170,8 +173,8 @@ class RunConfig:
             raise ConfigError("oracle.lambdas needs at least two distinct couplings")
         if v["oracle.cancellation_lambda"] <= 0.0:
             raise ConfigError("oracle.cancellation_lambda must be positive")
-        if v["oracle.n_times"] < 1:
-            raise ConfigError("oracle.n_times must be at least 1")
+        if not 1 <= v["oracle.n_times"] <= MAX_POINTS:
+            raise ConfigError(f"oracle.n_times must lie in [1, {MAX_POINTS}]")
 
     def oracle_lambdas(self):
         try:

@@ -21,7 +21,6 @@ NATURAL_SIGN.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +126,6 @@ class CorrectionReport:
             "kappa": float(self.kappa),
             "err_est": float(self.err_est),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def slipped_initial_condition(model, kernel, lam, rho_s, correlation) -> CorrectionReport:

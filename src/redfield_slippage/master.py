@@ -9,7 +9,7 @@ The memoryless generator is
 
 with Gamma the half-range Fourier transform of the reservoir kernel.
 The finite-memory variant replaces Gamma by the partial integrals
-F_sigma(t) (Lambda_t below, evaluated by bath.TailKernel), and
+F_sigma(t) (Lambda_t, evaluated by bath.TailKernel), and
 propagate_tcl2 solves the resulting time-local equation with an
 optional initial-correlation counterterm parameterized by kappa. In the
 interaction picture of G its right-hand side does not depend on the
@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .bath import KernelNotIntegrableError
 from .operators import (
     I2,
     SM,
@@ -107,8 +108,8 @@ class SystemModel:
         return SX
 
 
-def _dissipator(theta, lam) -> Superoperator:
-    """lam^2 ( [X, theta rho] - [X, rho theta^dag] ) as a superoperator."""
+def _dissipator(theta, lam) -> np.ndarray:
+    """lam^2 ( [X, theta rho] - [X, rho theta^dag] ) as a matrix on vec(rho)."""
     x = SX
     td = theta.conj().T
     s = (
@@ -117,7 +118,7 @@ def _dissipator(theta, lam) -> Superoperator:
         - vectorize_superoperator(x, td)
         + vectorize_superoperator(I2, td @ x)
     )
-    return (lam * lam) * s
+    return s * (lam * lam)
 
 
 class RedfieldGenerator:
@@ -136,9 +137,7 @@ class RedfieldGenerator:
         self.theta = 0.5 * (SP * self.gamma_minus + SM * self.gamma_plus)
         self.lambda0 = _dissipator(self.theta, self.lam)
         self.liouvillian = Superoperator(
-            (-1j * commutator_superoperator(model.hamiltonian)).matrix
-            - self.lambda0.matrix,
-            dim=2,
+            -1j * commutator_superoperator(model.hamiltonian) - self.lambda0, dim=2
         )
 
     @cached_property
@@ -155,14 +154,6 @@ class RedfieldGenerator:
 
 def build_redfield_generator(model: SystemModel, kernel, lam: float) -> RedfieldGenerator:
     return RedfieldGenerator(model, kernel, lam)
-
-
-def build_lambda_t(generator: RedfieldGenerator, t: float) -> Superoperator:
-    """Finite-memory dissipator Lambda_t; equals lambda0 at t = 0 and
-    decays to zero on the kernel memory scale."""
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    return _dissipator(generator.theta_tail(t), generator.lam)
 
 
 @dataclass
@@ -361,8 +352,14 @@ def relaxation_horizon(generator: RedfieldGenerator) -> float:
     """Time after which any state is exponentially indistinguishable
     from the stationary one: 50 half-lives of the slowest decay."""
     rate = max(generator.gamma_plus.real, generator.gamma_minus.real)
-    if generator.lam <= 0.0 or rate <= 0.0:
-        raise ValueError("relaxation horizon needs lam > 0 and a decaying kernel")
+    if rate <= 0.0:
+        raise KernelNotIntegrableError(
+            "the positivity scan needs a relaxing reservoir; discrete mode sets never relax"
+        )
+    if not generator.lam**2 * rate > 0.0:
+        raise ValueError(
+            f"relaxation horizon needs lam^2 Re Gamma > 0, got lam = {generator.lam:g}"
+        )
     return 50.0 / (generator.lam**2 * rate)
 
 

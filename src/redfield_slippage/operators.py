@@ -8,6 +8,13 @@ column stacking, fixed project wide:
 
 Spin operators use the spin-1/2 convention (S^z eigenvalues +-1/2), so
 S^+- = S^x +- i S^y have unit matrix elements.
+
+Superoperators are plain d^2 x d^2 matrices on vec(rho). Superoperator
+wraps only a generator that is exponentiated: it caches the
+eigendecomposition of the Liouvillian for exp(t G). Eigenvectors of
+states come straight from numpy.linalg.eigh, with no phase convention:
+everything built from them (the variational moments of the regions
+module) is invariant under their phase.
 """
 
 from __future__ import annotations
@@ -24,46 +31,8 @@ SP = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SM = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 
-HERMITICITY_TOL = 1e-10
 # eigenvalue gap below which the bottom of a spectrum counts as degenerate
 DEGENERACY_TOL = 1e-10
-
-
-def commutator(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
-def hermitian_eigendecomposition(m, tol=HERMITICITY_TOL):
-    """Eigenvalues in ascending order with deterministically phased vectors.
-
-    Each eigenvector is rotated so that its largest-magnitude component
-    is real and positive. Away from degeneracies this makes the output
-    reproducible across runs and LAPACK builds, which the region scans
-    rely on for bit-identical reruns.
-    """
-    m = np.asarray(m, dtype=complex)
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    if np.linalg.norm(m - m.conj().T) > tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    for k in range(v.shape[1]):
-        idx = int(np.argmax(np.abs(v[:, k])))
-        pivot = v[idx, k]
-        if abs(pivot) > 0.0:
-            v[:, k] *= np.conj(pivot) / abs(pivot)
-    return w, v
-
-
-def ground_eigenpair(rho, degeneracy_tol=DEGENERACY_TOL):
-    """Smallest eigenvalue of a Hermitian matrix, its eigenvector and a
-    flag marking near-degeneracy of the bottom of the spectrum."""
-    w, v = hermitian_eigendecomposition(rho)
-    degenerate = bool(len(w) > 1 and w[1] - w[0] < degeneracy_tol)
-    return float(w[0]), v[:, 0].copy(), degenerate
 
 
 @dataclass(frozen=True)
@@ -74,10 +43,6 @@ class BlochVector:
 
     def norm(self) -> float:
         return float(np.sqrt(self.x * self.x + self.y * self.y + self.z * self.z))
-
-    def p0(self) -> float:
-        """Smallest eigenvalue (1 - |r|)/2 of the corresponding state."""
-        return 0.5 * (1.0 - self.norm())
 
     def is_physical(self, tol=1e-12) -> bool:
         return self.norm() <= 1.0 + tol
@@ -155,23 +120,6 @@ class Superoperator:
         self.dim = d
         self._eig = None
 
-    def apply(self, rho):
-        return unvec(self.matrix @ vec(rho), self.dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
-
-    def __add__(self, other):
-        return Superoperator(self.matrix + other.matrix, self.dim)
-
-    def __sub__(self, other):
-        return Superoperator(self.matrix - other.matrix, self.dim)
-
-    def __mul__(self, scalar):
-        return Superoperator(self.matrix * scalar, self.dim)
-
-    __rmul__ = __mul__
-
     def eigensystem(self):
         """(eigenvalues, V, V^-1, diagonalizable) with a one-time residual check."""
         if self._eig is None:
@@ -210,21 +158,20 @@ class Superoperator:
         return np.stack(cols, axis=1)
 
 
-def vectorize_superoperator(left, right) -> Superoperator:
-    """Superoperator for rho -> left @ rho @ right."""
+def vectorize_superoperator(left, right) -> np.ndarray:
+    """Matrix of rho -> left @ rho @ right on vec(rho)."""
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
     if left.shape != right.shape or left.shape[0] != left.shape[1]:
         raise ValueError("left and right factors must be square and same size")
-    return Superoperator(np.kron(right.T, left), dim=left.shape[0])
+    return np.kron(right.T, left)
 
 
-def commutator_superoperator(h) -> Superoperator:
-    """Superoperator for rho -> [h, rho]."""
+def commutator_superoperator(h) -> np.ndarray:
+    """Matrix of rho -> [h, rho] on vec(rho)."""
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    eye = np.eye(d)
-    return Superoperator(np.kron(eye, h) - np.kron(h.T, eye), dim=d)
+    eye = np.eye(h.shape[0])
+    return np.kron(eye, h) - np.kron(h.T, eye)
 
 
 def matrix_exponential_action(superop: Superoperator, t, rho):

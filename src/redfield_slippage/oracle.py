@@ -157,23 +157,14 @@ def default_oracle_bath(
 
 
 def build_total_hamiltonian(model: SystemModel, bath: TruncatedBath, lam: float) -> np.ndarray:
+    """H = H_S x 1 + 1 x H_R + lam X x Y as a real symmetric matrix:
+    H_S = eps S^z, X = S^x and Y have real entries in the number basis,
+    so each eigensolve of the oracle is a real one."""
     nb = bath.dim_bath
-    h = np.kron(model.hamiltonian, np.eye(nb))
-    h += np.kron(np.eye(2), np.diag(bath.bath_energies).astype(complex))
-    h += lam * np.kron(SX, bath.coupling_operator)
+    h = np.kron(model.hamiltonian.real, np.eye(nb))
+    h += np.kron(np.eye(2), np.diag(bath.bath_energies))
+    h += lam * np.kron(model.coupling.real, bath.coupling_operator.real)
     return h
-
-
-def correlated_part(bath: TruncatedBath, rho_total) -> np.ndarray:
-    """Q = rho_total - (Tr_R rho_total) x rho_R."""
-    rho_total = np.asarray(rho_total, dtype=complex)
-    reduced = partial_trace_bath(rho_total, bath.dim_bath)
-    return rho_total - np.kron(reduced, bath.rho_r)
-
-
-def partial_trace_bath(rho_total, nb) -> np.ndarray:
-    m = np.asarray(rho_total, dtype=complex).reshape(2, nb, 2, nb)
-    return np.einsum("anbn->ab", m)
 
 
 def _natural_q(model, bath, rho_s, lam, kappa, sign) -> np.ndarray:
@@ -248,10 +239,11 @@ def _eigh_blocks(h):
 
     Block k fills its own rows `rows` and the run `cols` of columns of
     V, which is zero elsewhere; w is sorted within each block only.
-    Returns w, V and the (rows, cols) pair of every block."""
+    V is real for a real symmetric H and complex for a complex Hermitian
+    one. Returns w, V and the (rows, cols) pair of every block."""
     dim = h.shape[0]
     w = np.empty(dim)
-    v = np.zeros((dim, dim), dtype=complex)
+    v = np.zeros((dim, dim), dtype=np.result_type(h.dtype, float))
     pairs = []
     start = 0
     for rows in hamiltonian_blocks(h):
@@ -316,7 +308,7 @@ def evolve_exact(h_total, rho_total0, times):
     the total state, (|P|^2 |r0|^2) . |P|^2, is checked at every time as
     an integration invariant.
     """
-    h_total = np.asarray(h_total, dtype=complex)
+    h_total = np.asarray(h_total)
     rho = np.asarray(rho_total0, dtype=complex)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     dim = h_total.shape[0]
@@ -572,21 +564,3 @@ def short_time_markovianity(model, bath, rho_s, lam, times):
             float(trace_distance(e, m)) for e, m in zip(traj.states, markov)
         ]
     return out
-
-
-def gibbs_consistency(model, bath, lam, times):
-    """Largest cancellation residual when the correlated part is taken
-    from the exact Gibbs state of the coupled Hamiltonian.
-
-    The first-order family only reproduces the Gibbs correlation to
-    O(lam), so the residual shrinks linearly with the coupling instead
-    of vanishing; the caller checks that trend."""
-    times = np.asarray(times, dtype=float)
-    rho_g = thermal_total_state(model, bath, None, GibbsTotal(), lam)
-    rho_s = partial_trace_bath(rho_g, bath.dim_bath)
-    q = correlated_part(bath, rho_g)
-    kern = truncated_kernel(bath)
-    residuals = _relative_residuals(
-        delta_rho1(model, kern, lam, rho_s, times), delta_rho2_direct(model, bath, q, lam, times)
-    )
-    return float(np.max(residuals, initial=0.0))

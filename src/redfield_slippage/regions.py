@@ -50,9 +50,7 @@ from .operators import (
     SX,
     SY,
     SZ,
-    bloch_to_density,
     check_density,
-    ground_eigenpair,
 )
 
 _SOP = {1: SP, -1: SM}
@@ -154,47 +152,6 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
     return lin
 
 
-def _b_a_of_state(model, kernel, rho_s, t, tables):
-    rho_s = check_density(rho_s)
-    tables = tables if tables is not None else VariationalTables(model, kernel)
-    _, phi0, _ = ground_eigenpair(rho_s)
-    return tables.b_a(float(t), *state_moments(rho_s, phi0))
-
-
-def a_of_t(model, kernel, rho_s, t, tables=None):
-    """Quadratic-response coefficient A(t); non-negative, zero at t = 0."""
-    return float(_b_a_of_state(model, kernel, rho_s, t, tables)[1])
-
-
-def b_of_t(model, kernel, rho_s, t, tables=None):
-    """Linear-response coefficient B(t); independent of the coupling."""
-    return float(_b_a_of_state(model, kernel, rho_s, t, tables)[0])
-
-
-@dataclass(frozen=True)
-class VariationalProbe:
-    xi: float
-    t: float
-    phi0: object = None
-
-
-def variational_form(model, kernel, lam, rho_s, probe: VariationalProbe):
-    """p0 + lam^2 (xi^2 A(t) - xi B(t)) for one probe point.
-
-    Minimizing over xi at fixed t gives p0 - lam^2 B^2 / (4A), and the
-    sup over t of that vertex value drives the membership bound.
-    """
-    rho_s = check_density(rho_s)
-    p0, phi0, _ = ground_eigenpair(rho_s)
-    if probe.phi0 is not None:
-        phi0 = np.asarray(probe.phi0, dtype=complex)
-    tables = VariationalTables(model, kernel)
-    m_vec, n_vec = state_moments(rho_s, phi0)
-    b, a = tables.b_a(float(probe.t), m_vec, n_vec)
-    xi = float(probe.xi)
-    return p0 + lam * lam * (xi * xi * a - xi * b)
-
-
 @dataclass
 class VariationalResult:
     p0: float
@@ -265,9 +222,6 @@ def u_prime_membership(
     rho_s,
     t_window=50.0,
     refine_iters=48,
-    tables=None,
-    grid=None,
-    grid_tables=None,
 ) -> VariationalResult:
     """Does the correlated construction on rho_S survive the bound?
 
@@ -275,12 +229,9 @@ def u_prime_membership(
     the variational parameter keeps the correlated state positive.
     """
     rho_s = check_density(rho_s)
-    tables = tables if tables is not None else VariationalTables(model, kernel)
-    if grid is None:
-        grid = default_time_grid(model, kernel, t_window)
-    if grid_tables is None:
-        grid_tables = tables.tables(grid)
-    return _u_prime_many(tables, grid, grid_tables, lam, rho_s[None], refine_iters)[0]
+    tables = VariationalTables(model, kernel)
+    grid = default_time_grid(model, kernel, t_window)
+    return _u_prime_many(tables, grid, tables.tables(grid), lam, rho_s[None], refine_iters)[0]
 
 
 @dataclass
@@ -422,61 +373,52 @@ def max_radial_depth(
 ):
     """Deepest inward reach of the membership region from the unit circle.
 
-    For each direction the membership boundary is bisected along the
-    ray; the returned depth is max over directions of 1 - r_boundary.
-    Pure states on the circle are members whenever the bound can be
-    beaten at all, so the bracket starts at r = 1.
+    Each direction whose pure state (r = 1) is a member is walked inward
+    on the ladder r = 1 - 0.02, r - 0.02, ... to its first non-member,
+    and the membership boundary is then bisected to r_tol between that
+    rung and the one above it; the returned depth is max over directions
+    of 1 - r_boundary, with the angle of the first deepest direction. A
+    direction that is a member down to the axis has depth 1. The ladders
+    of all directions are one batch of _u_prime_many, and so is each
+    bisection step of all directions still bracketing.
     """
     tables = VariationalTables(model, kernel)
     grid = default_time_grid(model, kernel, t_window)
     grid_tables = tables.tables(grid)
+    n_dir = int(n_directions)
+    theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
+    cth, sth = np.cos(theta), np.sin(theta)
 
-    def member(r, cth, sth):
-        rho = bloch_to_density((r * cth, r * sth, z))
-        res = u_prime_membership(
-            model,
-            kernel,
-            lam,
-            rho,
-            t_window=t_window,
-            refine_iters=refine_iters,
-            tables=tables,
-            grid=grid,
-            grid_tables=grid_tables,
-        )
-        return res.in_u_prime
+    def member(r, k):
+        """in_u_prime of the states at radii r along directions k."""
+        x, y = r * cth[k], r * sth[k]
+        rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY + z * SZ
+        res = _u_prime_many(tables, grid, grid_tables, lam, rhos, refine_iters)
+        return np.array([u.in_u_prime for u in res])
 
-    depth = 0.0
-    theta_star = 0.0
-    for k in range(int(n_directions)):
-        theta = 2.0 * np.pi * k / int(n_directions)
-        cth, sth = float(np.cos(theta)), float(np.sin(theta))
-        if not member(1.0, cth, sth):
-            continue
-        r_in = 1.0
-        r_out = None
-        step = 0.02
-        r = 1.0 - step
-        while r > 0.0:
-            if member(r, cth, sth):
-                r_in = r
-            else:
-                r_out = r
-                break
-            r -= step
-        if r_out is None:
-            # member all the way to the axis
-            d = 1.0
-        else:
-            lo, hi = r_out, r_in
-            while hi - lo > r_tol:
-                mid = 0.5 * (lo + hi)
-                if member(mid, cth, sth):
-                    hi = mid
-                else:
-                    lo = mid
-            d = 1.0 - 0.5 * (lo + hi)
-        if d > depth:
-            depth = d
-            theta_star = theta
-    return depth, theta_star
+    step = 0.02
+    ladder = [1.0]
+    r = 1.0 - step
+    while r > 0.0:
+        ladder.append(r)
+        r -= step
+    ladder = np.array(ladder)
+    inside = member(np.tile(ladder, n_dir), np.repeat(np.arange(n_dir), ladder.size))
+    inside = inside.reshape(n_dir, ladder.size)
+    # the first non-member rung of each direction (ladder.size if none)
+    first_out = np.where(inside.all(axis=1), ladder.size, np.argmin(inside, axis=1))
+    depth = np.zeros(n_dir)
+    depth[inside[:, 0] & (first_out == ladder.size)] = 1.0
+    live = np.flatnonzero(inside[:, 0] & (first_out < ladder.size))
+    lo = ladder[first_out[live]]
+    hi = ladder[first_out[live] - 1]
+    todo = hi - lo > r_tol
+    while todo.any():
+        mid = 0.5 * (lo[todo] + hi[todo])
+        now_in = member(mid, live[todo])
+        hi[todo] = np.where(now_in, mid, hi[todo])
+        lo[todo] = np.where(now_in, lo[todo], mid)
+        todo = hi - lo > r_tol
+    depth[live] = 1.0 - 0.5 * (lo + hi)
+    k = int(np.argmax(depth))
+    return float(depth[k]), float(theta[k])

@@ -30,10 +30,10 @@ from redfield_slippage.oracle import (
 )
 from redfield_slippage.regions import (
     VariationalTables,
-    a_of_t,
     default_time_grid,
     max_radial_depth,
     region_scan,
+    state_moments,
     u_prime_membership,
 )
 
@@ -214,7 +214,8 @@ def test_criterion_9_invariants(model, ld_spec, kernel, kernel_fine, generator, 
     grid = default_time_grid(model, kernel)
     for bloch in ((1.0, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.0)):
         rho = bloch_to_density(bloch)
-        vals = [a_of_t(model, kernel, rho, t, tables=tables) for t in grid]
+        phi0 = np.linalg.eigh(rho)[1][:, 0]
+        _, vals = tables.b_a(grid, *state_moments(rho, phi0))
         if min(vals) < -1e-10:
             failures.append("negative variational coefficient")
             break

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import redfield_slippage
 from redfield_slippage import __version__
 from redfield_slippage.bath import DiscreteModes, LorentzDrudeBath
-from redfield_slippage.cli import main
+from redfield_slippage.cli import _dump_json, main
 from redfield_slippage.config import DEFAULTS, ConfigError, RunConfig
 from redfield_slippage.corrections import NaturalFamily, perturbative_solution
 from redfield_slippage.operators import bloch_to_density
@@ -91,6 +91,11 @@ def test_config_validation_bounds():
         ["output.format=json"],
         ["model.epsilon=0"],
         ["oracle.lambdas=0.1,-0.2"],
+        # one shared size bound for every output time grid
+        ["propagation.n_points=1"],
+        ["propagation.n_points=100001"],
+        ["oracle.n_times=0"],
+        ["oracle.n_times=100001"],
     ):
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides)
@@ -297,6 +302,12 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["bath-correlation", "--set", "quadrature.n_points=100001"],
         # t = 50 at X = 40 / beta = 4e5 needs 8e6 contour panels
         ["bath-correlation", "--set", "bath.beta=1e-4"],
+        # lam^2 underflows: the relaxation horizon is infinite
+        ["region-scan", "--set", "lambda=1e-200", "--set", "scan.grid_n=5"],
+        # the generator's zero eigenspace is degenerate
+        ["region-scan", "--set", "lambda=1e6", "--set", "scan.grid_n=5"],
+        # lam^2 overflows: the bound is -inf and the slippage NaN
+        ["diagnose", "--set", "lambda=1e200"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -315,12 +326,37 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "quadrature_t_min_below_domain",
         "quadrature_n_points_too_many",
         "quadrature_panel_budget",
+        "region_scan_lambda_underflow",
+        "region_scan_degenerate_stationary_state",
+        "diagnose_non_finite_report",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # discrete modes never relax: the N scan has no horizon
+        ["region-scan", "--set", "bath.type=discrete", "--set", "bath.modes=0.3:0.1,0.9:0.1",
+         "--set", "scan.grid_n=5"],
+    ],
+    ids=["region_scan_discrete_bath"],
+)
+def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "kernel diagnostic:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_dump_json_refuses_non_finite_values():
+    assert _dump_json({"command": "diagnose", "bound": -1.5}).startswith("{")
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError, match="^diagnose: "):
+            _dump_json({"command": "diagnose", "bound": bad})
 
 
 def test_cli_propagate_markov(tmp_path):

@@ -253,7 +253,7 @@ def test_slipped_initial_condition(model, kernel):
 def test_correction_report_json(model, kernel):
     rho = bloch_to_density((0.2, 0.1, -0.5))
     rep = slipped_initial_condition(model, kernel, 0.4, rho, NaturalFamily(kappa=0.3))
-    obj = json.loads(rep.to_json())
+    obj = json.loads(json.dumps(rep.to_dict()))
     assert sorted(obj.keys()) == ["delta1", "delta2", "err_est", "kappa", "rho_s", "slipped"]
     assert obj["kappa"] == 0.3
     m = np.array([[complex(re, im) for re, im in row] for row in obj["slipped"]])

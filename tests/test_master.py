@@ -5,11 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redfield_slippage.bath import fit_exponential_mixture
+from redfield_slippage.bath import (
+    DiscreteModes,
+    KernelNotIntegrableError,
+    LorentzDrudeBath,
+    discrete_kernel,
+    fit_exponential_mixture,
+)
 from redfield_slippage.master import (
     PositivityScanner,
+    _dissipator,
     SystemModel,
-    build_lambda_t,
     build_redfield_generator,
     csv_float,
     golden_min,
@@ -23,7 +29,6 @@ from redfield_slippage.master import (
 from redfield_slippage.operators import (
     SM,
     SP,
-    Superoperator,
     bloch_to_density,
     density_to_bloch,
     trace_distance,
@@ -47,7 +52,7 @@ def test_system_model(model):
 
 def test_zero_coupling_generator(model, kernel):
     gen = build_redfield_generator(model, kernel, lam=0.0)
-    assert gen.lambda0.norm() == pytest.approx(0.0, abs=1e-15)
+    assert np.linalg.norm(gen.lambda0, 2) == pytest.approx(0.0, abs=1e-15)
     rho0 = bloch_to_density((1.0, 0.0, 0.0))
     traj = propagate_markovian(gen, rho0, np.array([0.0, math.pi]))
     b = traj.blochs()[-1]
@@ -60,7 +65,7 @@ def test_zero_coupling_generator(model, kernel):
 def test_dissipator_is_traceless(generator, rng):
     for _ in range(5):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        out = unvec(generator.lambda0.apply(vec(a)))
+        out = unvec(generator.lambda0 @ vec(a))
         assert abs(np.trace(out)) < 1e-14
 
 
@@ -74,16 +79,16 @@ def test_theta_against_quadrature(model, kernel):
     assert np.max(np.abs(gen.theta - theta_ref)) < 1e-8
 
 
-def _superop_from_map(fn, dim=2) -> Superoperator:
+def _superop_from_map(fn, dim=2) -> np.ndarray:
     cols = []
     for j in range(dim * dim):
         e = np.zeros((dim, dim), dtype=complex)
         e[j % dim, j // dim] = 1.0
         cols.append(vec(fn(e)))
-    return Superoperator(np.stack(cols, axis=1), dim=dim)
+    return np.stack(cols, axis=1)
 
 
-def redfield_generator_bruteforce(model, theta, lam) -> Superoperator:
+def redfield_generator_bruteforce(model, theta, lam) -> np.ndarray:
     """Generator assembled column by column from dense matrix products.
 
     Takes theta directly (so tests can feed a quadrature-built one) and
@@ -104,23 +109,23 @@ def redfield_generator_bruteforce(model, theta, lam) -> Superoperator:
 
 def test_generator_matches_bruteforce(model, kernel, generator):
     ref = redfield_generator_bruteforce(model, generator.theta, 0.5)
-    assert np.max(np.abs(ref.matrix - generator.liouvillian.matrix)) < 1e-10
+    assert np.max(np.abs(ref - generator.liouvillian.matrix)) < 1e-10
 
 
 def test_lambda_scaling_is_quadratic(model, kernel):
     g1 = build_redfield_generator(model, kernel, lam=0.1)
     g2 = build_redfield_generator(model, kernel, lam=0.2)
-    assert np.allclose(4.0 * g1.lambda0.matrix, g2.lambda0.matrix, atol=1e-15)
+    assert np.allclose(4.0 * g1.lambda0, g2.lambda0, atol=1e-15)
 
 
 def test_lambda_t_limits(generator):
-    lam0 = build_lambda_t(generator, 0.0)
-    assert np.max(np.abs(lam0.matrix - generator.lambda0.matrix)) < 1e-12
+    # Lambda_t is the dissipator built on Theta_t: it starts at Lambda_0
+    # and dies out on the kernel memory scale
+    lam0 = _dissipator(generator.theta_tail(0.0), generator.lam)
+    assert np.max(np.abs(lam0 - generator.lambda0)) < 1e-12
     tau = generator.kernel.tau_r_estimate
-    late = build_lambda_t(generator, 40.0 * tau)
-    assert late.norm() < 1e-8 * generator.lambda0.norm()
-    with pytest.raises(ValueError):
-        build_lambda_t(generator, -0.1)
+    late = _dissipator(generator.theta_tail(40.0 * tau), generator.lam)
+    assert np.linalg.norm(late, 2) < 1e-8 * np.linalg.norm(generator.lambda0, 2)
 
 
 def test_lambda_t_against_quadrature(model, kernel, generator):
@@ -174,7 +179,7 @@ def test_long_time_state(generator):
 
 def test_stationary_state(generator):
     rho_ss = stationary_state(generator)
-    resid = generator.liouvillian.apply(vec(rho_ss))
+    resid = generator.liouvillian.matrix @ vec(rho_ss)
     assert np.linalg.norm(resid) < 1e-12
     assert abs(np.trace(rho_ss) - 1.0) < 1e-12
     b = density_to_bloch(rho_ss)
@@ -202,6 +207,18 @@ def test_relaxation_horizon(generator):
     t = relaxation_horizon(generator)
     expect = 50.0 / (0.25 * generator.gamma_plus.real)
     assert t == pytest.approx(expect, rel=1e-12)
+
+
+def test_relaxation_horizon_diagnostics(model):
+    # discrete modes never relax: a kernel diagnostic, not a bad value;
+    # a coupling whose square underflows has no finite horizon
+    modes = discrete_kernel(DiscreteModes(((0.3, 0.1), (0.9, 0.1)), beta=1.0))
+    with pytest.raises(KernelNotIntegrableError):
+        relaxation_horizon(build_redfield_generator(model, modes, 0.5))
+    ld = fit_exponential_mixture(LorentzDrudeBath(omega_c=1.0, beta=1.0), k_max=8)
+    for lam in (0.0, 1e-200):
+        with pytest.raises(ValueError):
+            relaxation_horizon(build_redfield_generator(model, ld, lam))
 
 
 def test_tcl2_kappa_one_equals_markovian(model, kernel, generator):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage.bath import DiscreteModes, KernelNotIntegrableError
-from redfield_slippage.corrections import ExplicitOracleState, NaturalFamily, Product
+from redfield_slippage.corrections import ExplicitOracleState, NaturalFamily, Product, delta_rho1
 from redfield_slippage.master import SystemModel
 from redfield_slippage.operators import SM, SP, SX, bloch_to_density, trace_distance
 from redfield_slippage.oracle import (
@@ -13,14 +13,12 @@ from redfield_slippage.oracle import (
     TruncatedBath,
     _natural_q,
     build_total_hamiltonian,
+    _relative_residuals,
     cancellation_test,
-    correlated_part,
     default_oracle_bath,
     delta_rho2_direct,
     evolve_exact,
-    gibbs_consistency,
     hamiltonian_blocks,
-    partial_trace_bath,
     phi,
     pin_natural_sign,
     short_time_markovianity,
@@ -30,6 +28,10 @@ from redfield_slippage.oracle import (
 )
 
 CANCEL_TIMES = np.linspace(0.2, 2.0, 7)
+
+
+def partial_trace_bath(rho_total, nb):
+    return np.einsum("anbn->ab", np.asarray(rho_total).reshape(2, nb, 2, nb))
 
 
 def test_default_bath_layout(oracle_bath):
@@ -99,7 +101,7 @@ def test_natural_state_correlated_part(model, oracle_bath):
     # the correlation carries no reduced weight on either side
     red = partial_trace_bath(st, oracle_bath.dim_bath)
     assert np.allclose(red, rho_s, atol=1e-13)
-    q = correlated_part(oracle_bath, st)
+    q = st - np.kron(red, oracle_bath.rho_r)
     assert np.allclose(q, q.conj().T, atol=1e-14)
     assert np.linalg.norm(partial_trace_bath(q, oracle_bath.dim_bath)) < 1e-13
     assert np.linalg.norm(q) > 1e-3
@@ -144,8 +146,20 @@ def test_gibbs_consistency_shrinks_with_coupling(model, oracle_bath):
     # the constructed family matches the exact Gibbs correlation only to
     # first order, so the cancellation residual must shrink with lambda;
     # measured 4.27e-3 at 0.1 and 1.06e-3 at 0.05
-    res1 = gibbs_consistency(model, oracle_bath, 0.1, CANCEL_TIMES)
-    res2 = gibbs_consistency(model, oracle_bath, 0.05, CANCEL_TIMES)
+    kern = truncated_kernel(oracle_bath)
+
+    def gibbs_residual(lam):
+        # largest cancellation residual with the correlated part Q taken
+        # from the exact Gibbs state of the coupled Hamiltonian
+        rho_g = thermal_total_state(model, oracle_bath, None, GibbsTotal(), lam)
+        rho_s = partial_trace_bath(rho_g, oracle_bath.dim_bath)
+        q = rho_g - np.kron(rho_s, oracle_bath.rho_r)
+        d1 = delta_rho1(model, kern, lam, rho_s, CANCEL_TIMES)
+        d2 = delta_rho2_direct(model, oracle_bath, q, lam, CANCEL_TIMES)
+        return float(np.max(_relative_residuals(d1, d2)))
+
+    res1 = gibbs_residual(0.1)
+    res2 = gibbs_residual(0.05)
     assert res1 < 0.01
     assert res2 < 0.35 * res1
 
@@ -322,6 +336,20 @@ def test_spin_boson_parity_blocks(model, oracle_bath):
         assert np.unique(parity[b]).size == 1
     blocks = hamiltonian_blocks(build_total_hamiltonian(model, oracle_bath, 0.0))
     assert [b.tolist() for b in blocks] == [[i] for i in range(dim)]
+
+
+def test_real_total_hamiltonian(model, oracle_bath):
+    # H is real symmetric, so the oracle's eigensolves are real ones; the
+    # same H as a complex Hermitian matrix evolves to the same states
+    bath = _small_bath((0.7, 1.9), (0.4, 0.3), 2)
+    h = build_total_hamiltonian(model, bath, 0.3)
+    assert h.dtype == np.float64 and np.array_equal(h, h.T)
+    assert build_total_hamiltonian(model, oracle_bath, 0.16).dtype == np.float64
+    rho0 = thermal_total_state(model, bath, bloch_to_density((0.5, 0.2, 0.1)), Product(), 0.3)
+    times = np.linspace(0.0, 4.0, 5)
+    real = np.array(evolve_exact(h, rho0, times).states)
+    cplx = np.array(evolve_exact(h.astype(complex), rho0, times).states)
+    assert np.max(np.abs(real - cplx)) < 1e-13
 
 
 def test_evolve_exact_time_blocks(model, monkeypatch):

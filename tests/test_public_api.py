@@ -9,8 +9,10 @@ imported them and looks up `regions.default_time_grid`. A rename then
 fails here instead of first showing up as a failed benchmark run.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,42 @@ def test_bench_time_argument_positions(module, func, pos, name):
     params = list(inspect.signature(fn).parameters.values())
     assert params[pos].name == name
     assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, node) of every function, class and method below
+    node, dunders excepted."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield name, child
+            yield from _definitions(child, name + ".")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_has_a_production_caller():
+    # a function, class or method of the package that no package code
+    # reaches is surface kept alive only by tests; it must be part of
+    # the public or the benchmark surface, or go. A method counts as
+    # reached when any attribute of its name is read.
+    src = Path(redfield_slippage.__file__).parent
+    trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
+    refs = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    allowed = set(redfield_slippage.__all__) | {n for names in BENCH_NAMES.values() for n in names}
+    unreached = []
+    for tree in trees:
+        for qualname, definition in _definitions(tree):
+            if qualname in allowed:
+                continue
+            inside = {id(n) for n in ast.walk(definition)}
+            name = qualname.rsplit(".", 1)[-1]
+            if not any(r == name and id(n) not in inside for r, n in refs):
+                unreached.append(qualname)
+    assert not unreached

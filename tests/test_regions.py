@@ -8,31 +8,40 @@ from hypothesis import strategies as st
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
 from redfield_slippage.master import n_membership
-from redfield_slippage.operators import bloch_to_density, ground_eigenpair
+from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.regions import (
     PAIRS,
     RegionScanResult,
-    VariationalProbe,
     VariationalTables,
     _RowScan,
-    a_of_t,
-    b_of_t,
+    _u_prime_many,
     default_time_grid,
     max_radial_depth,
     region_scan,
     state_moments,
     u_prime_membership,
-    variational_form,
 )
 
 # row tuple layout mirrors the CSV header
 COL_P0, COL_BOUND, COL_IN_U, COL_IN_N = 3, 4, 5, 6
 
 
+def ground_pair(rho):
+    """p0 and phi0 of one state, from eigh as _u_prime_many takes them."""
+    w, v = np.linalg.eigh(rho)
+    return float(w[0]), v[:, 0]
+
+
+def b_a_of_state(tables, rho, t):
+    """B and A of one state at times t, through VariationalTables.b_a."""
+    return tables.b_a(t, *state_moments(rho, ground_pair(rho)[1]))
+
+
 def test_a_and_b_vanish_at_zero(model, kernel):
     rho = bloch_to_density((0.5, -0.2, 0.1))
-    assert a_of_t(model, kernel, rho, 0.0) == pytest.approx(0.0, abs=1e-13)
-    assert b_of_t(model, kernel, rho, 0.0) == pytest.approx(0.0, abs=1e-13)
+    b, a = b_a_of_state(VariationalTables(model, kernel), rho, 0.0)
+    assert a == pytest.approx(0.0, abs=1e-13)
+    assert b == pytest.approx(0.0, abs=1e-13)
 
 
 def test_a_is_nonnegative(model, kernel, rng):
@@ -42,8 +51,7 @@ def test_a_is_nonnegative(model, kernel, rng):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
         rho = bloch_to_density(tuple(v))
-        _, phi0, _ = ground_eigenpair(rho)
-        m_vec, n_vec = state_moments(rho, phi0)
+        m_vec, n_vec = state_moments(rho, ground_pair(rho)[1])
         i_tab, d_tab = tables.tables(grid)
         a_arr = 0.25 * np.real(d_tab @ m_vec)
         assert np.min(a_arr) > -1e-10
@@ -53,13 +61,13 @@ def test_a_asymptote_is_golden_rule(model, kernel):
     # A(t)/t approaches the Fermi golden-rule combination
     # (Re Gamma(-eps) M_{+-} + Re Gamma(eps) M_{-+}) / 2
     rho = bloch_to_density((0.6, 0.1, 0.2))
-    _, phi0, _ = ground_eigenpair(rho)
-    m_vec, _ = state_moments(rho, phi0)
+    m_vec, _ = state_moments(rho, ground_pair(rho)[1])
     gp = kernel.half_fourier(model.epsilon).real
     gm = kernel.half_fourier(-model.epsilon).real
     expect = 0.5 * np.real(m_vec[1] * gm + m_vec[2] * gp)
     t_late = 400.0
-    assert a_of_t(model, kernel, rho, t_late) / t_late == pytest.approx(expect, rel=0.02)
+    _, a = b_a_of_state(VariationalTables(model, kernel), rho, t_late)
+    assert a / t_late == pytest.approx(expect, rel=0.02)
 
 
 def test_d_integrals_against_quadrature(model):
@@ -96,31 +104,37 @@ def test_d_integrals_against_quadrature(model):
 def test_b_equals_projected_correction(model, kernel):
     # B(t) is the phi0 expectation of delta_rho1 stripped of lam^2
     lam = 0.37
+    tables = VariationalTables(model, kernel)
     for bloch in ((0.6, 0.1, 0.2), (0.0, 0.0, -0.5), (0.9, 0.0, 0.0)):
         rho = bloch_to_density(bloch)
-        _, phi0, _ = ground_eigenpair(rho)
+        _, phi0 = ground_pair(rho)
         for t in (0.3, 2.0, 15.0):
-            b = b_of_t(model, kernel, rho, t)
+            b, _ = b_a_of_state(tables, rho, t)
             d1 = delta_rho1(model, kernel, lam, rho, t)
             proj = float(np.real(phi0.conj() @ d1 @ phi0)) / lam**2
             assert b == pytest.approx(proj, abs=1e-12)
 
 
 def test_variational_form_vertex(model, kernel):
+    # the bound is the vertex over xi of the variational form
+    # p0 + lam^2 (xi^2 A - xi B) at the sup time t_star
     rho = bloch_to_density((0.7, 0.0, 0.1))
-    lam, t = 0.5, 1.1
+    lam = 0.5
     tables = VariationalTables(model, kernel)
-    _, phi0, _ = ground_eigenpair(rho)
-    m_vec, n_vec = state_moments(rho, phi0)
-    b, a = tables.b_a(t, m_vec, n_vec)
+    grid = default_time_grid(model, kernel, 50.0)
+    res = _u_prime_many(tables, grid, tables.tables(grid), lam, rho[None], 48)[0]
+    b, a = b_a_of_state(tables, rho, res.t_star)
     assert a > 0.0
+    p0 = ground_pair(rho)[0]
+
+    def form(xi):
+        return p0 + lam**2 * (xi * xi * a - xi * b)
+
     xi_star = b / (2.0 * a)
-    p0 = ground_eigenpair(rho)[0]
-    vertex = variational_form(model, kernel, lam, rho, VariationalProbe(xi=xi_star, t=t))
-    assert vertex == pytest.approx(p0 - lam**2 * b * b / (4.0 * a), abs=1e-14)
+    assert form(xi_star) == pytest.approx(res.bound, abs=1e-14)
     # any other xi does worse
     for xi in (0.0, xi_star - 0.4, xi_star + 1.0):
-        assert variational_form(model, kernel, lam, rho, VariationalProbe(xi=xi, t=t)) >= vertex - 1e-14
+        assert form(xi) >= form(xi_star) - 1e-14
 
 
 def test_u_prime_pure_states_in(model, kernel):
@@ -151,8 +165,9 @@ def test_u_prime_degenerate_flag(model, kernel):
 def test_u_prime_sup_stable_under_grid_refinement(model, kernel):
     rho = bloch_to_density((0.95, 0.0, 0.1))
     base = u_prime_membership(model, kernel, 0.5, rho)
+    tables = VariationalTables(model, kernel)
     dense_grid = default_time_grid(model, kernel, 50.0, density=2.0)
-    dense = u_prime_membership(model, kernel, 0.5, rho, grid=dense_grid)
+    dense = _u_prime_many(tables, dense_grid, tables.tables(dense_grid), 0.5, rho[None], 48)[0]
     assert dense.sup_value == pytest.approx(base.sup_value, rel=1e-6)
 
 
@@ -171,16 +186,9 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     truncated = 0
     for x, _, _, p0, bound, in_u, in_n, min_eig, witness in rows:
         rho = bloch_to_density((x, y, z))
-        u = u_prime_membership(
-            model,
-            kernel,
-            0.5,
-            rho,
-            refine_iters=32,
-            tables=row_scan.tables,
-            grid=row_scan.grid,
-            grid_tables=row_scan.grid_tables,
-        )
+        u = _u_prime_many(
+            row_scan.tables, row_scan.grid, row_scan.grid_tables, 0.5, rho[None], 32
+        )[0]
         nm = n_membership(generator, rho)
         assert p0 == pytest.approx(u.p0, abs=1e-15)
         assert in_u == u.in_u_prime
@@ -236,8 +244,7 @@ def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
     v = np.array([x, y, z])
     v *= r / max(math.hypot(*v), 1e-300)  # hypot does not underflow
     rho = bloch_to_density(tuple(v))
-    _, phi0, _ = ground_eigenpair(rho)
-    m_vec, n_vec = state_moments(rho, phi0)
+    m_vec, n_vec = state_moments(rho, ground_pair(rho)[1])
     b, a = tables.b_a(np.array([t]), m_vec[None], n_vec[None])
     i_full, d_full = _full_sum_tables(kernel, model.epsilon, t)
     b_full = 0.5 * np.real(np.dot(i_full, n_vec))
@@ -332,3 +339,14 @@ def test_max_radial_depth_scaling(model, kernel):
     assert d_half > 0.0 and d_quarter > 0.0
     assert 0.0 <= th_half < 2.0 * np.pi
     assert 3.0 < d_half / d_quarter < 5.0
+
+
+def test_max_radial_depth_brackets_the_boundary(model, kernel):
+    # the deepest direction's boundary r_b = 1 - depth separates members
+    # just outside it from non-members just inside, to within r_tol
+    r_tol = 1e-4
+    depth, theta = max_radial_depth(model, kernel, 0.5, n_directions=8, r_tol=r_tol)
+    r_b = 1.0 - depth
+    for r, inside in ((r_b + r_tol, True), (r_b - r_tol, False)):
+        rho = bloch_to_density((r * np.cos(theta), r * np.sin(theta), 0.0))
+        assert u_prime_membership(model, kernel, 0.5, rho).in_u_prime == inside
