@@ -81,8 +81,9 @@ class LorentzDrudeBath:
     beta: float
 
     def __post_init__(self):
-        if not (self.omega_c > 0.0 and np.isfinite(self.omega_c)):
-            raise ValueError("omega_c must be positive and finite")
+        # Im C(t) = -(pi/2) omega_c^2 exp(-omega_c t) must be a double
+        if not (self.omega_c > 0.0 and math.isfinite(0.5 * math.pi * self.omega_c * self.omega_c)):
+            raise ValueError(f"omega_c must be positive, with (pi/2) omega_c^2 finite: {self.omega_c:g}")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
         # cot(beta*omega_c/2) pole: beta*omega_c/2 near k pi (k >= 1) also
@@ -297,10 +298,10 @@ class TailKernel:
         return out[..., 0] if np.ndim(self.sigma) == 0 else out
 
 
-def sign_phases(eps, t, signs):
-    """exp(i s eps t) for times t, on a trailing axis over signs s = +-1,
-    from one complex exponential per time."""
-    z = np.exp(1j * float(eps) * np.asarray(t, dtype=float))[..., None]
+def sign_phases(phase, signs):
+    """exp(i s eps t) on a trailing axis over signs s = +-1, from the
+    one complex exponential per time phase = exp(i eps t)."""
+    z = np.asarray(phase)[..., None]
     return np.where(np.asarray(signs) > 0, z, np.conj(z))
 
 
@@ -342,12 +343,12 @@ class SlippageIntegrals:
         out[t == 0.0] = 0.0
         live = np.isfinite(t) & (t > 0.0)
         if np.any(live):
-            out[live] = self.from_sums(t[live], self.sums(t[live]))
+            out[live] = self.from_sums(np.exp(1j * self.eps * t[live]), self.sums(t[live]))
         return out
 
-    def from_sums(self, t, sums):
-        """I at finite times t from the sums S(t) = self.sums(t)."""
-        return sign_phases(self.eps, t, PAIR_SP) * sums - self.s0
+    def from_sums(self, phase, sums):
+        """I at finite times t from phase = exp(i eps t) and S(t) = self.sums(t)."""
+        return sign_phases(phase, PAIR_SP) * sums - self.s0
 
 
 def _matsubara_remainder(omega_c, beta, k_max, t_ref=None, chunk=20000):

@@ -19,6 +19,7 @@ byte-identical files. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,7 +38,7 @@ from .corrections import NATURAL_SIGN, NaturalFamily, Product, slipped_initial_c
 from .master import (
     TCL2_TOL,
     build_redfield_generator,
-    csv_float,
+    csv_table,
     propagate_markovian,
     propagate_tcl2,
 )
@@ -116,17 +117,12 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
             f"bath-correlation: {exc}; lower quadrature.t_max, "
             "or raise bath.beta or lower bath.omega_cutoff"
         ) from exc
-    lines = ["t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"]
-    for t, cs, cq in zip(times, np.atleast_1d(series), np.atleast_1d(quadr)):
-        resid = abs(cs - cq) / max(abs(cs), abs(cq), 1e-300)
-        lines.append(
-            ",".join(
-                csv_float(v)
-                for v in (t, cs.real, cs.imag, cq.real, cq.imag, resid)
-            )
-        )
+    # abs of each numpy complex scalar: the array abs differs in last digits
+    resid = [abs(cs - cq) / max(abs(cs), abs(cq), 1e-300) for cs, cq in zip(series, quadr)]
+    cols = (times, series.real, series.imag, quadr.real, quadr.imag, resid)
+    header = "t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"
     out = _out_dir(cfg, args)
-    _write(os.path.join(out, "bath_correlation.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(out, "bath_correlation.csv"), csv_table(header, cols))
     meta = _base_metadata(cfg, "bath-correlation")
     meta["kernel"] = dict(kernel.meta)
     meta["remainder_bound"] = kernel.remainder_bound
@@ -158,7 +154,8 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
         )
     except ValueError as exc:
         # the N scan needs a unique stationary state and a finite
-        # relaxation horizon, which an extreme lambda breaks
+        # relaxation horizon, which an extreme lambda breaks; the sup
+        # search grid is bounded in size
         raise ConfigError(f"region-scan: {exc}") from exc
     out = _out_dir(cfg, args)
     _write(os.path.join(out, "region_scan.csv"), result.to_csv())
@@ -177,12 +174,18 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     rho0 = bloch_to_density(_parse_bloch(args.initial))
     times = cfg.propagation_times()
     gen = build_redfield_generator(model, kernel, lam)
-    if args.mode == "markov":
-        traj = propagate_markovian(gen, rho0, times)
-    else:
-        traj = propagate_tcl2(gen, rho0, times, kappa=float(args.kappa))
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "trajectory.csv"), traj.to_csv())
+    # the TCL2 panel budget raises ValueError; overflow is refused below
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.mode == "markov":
+                traj = propagate_markovian(gen, rho0, times)
+            else:
+                traj = propagate_tcl2(gen, rho0, times, kappa=float(args.kappa))
+    except ValueError as exc:
+        raise ConfigError(f"propagate: {exc}") from exc
+    # min_eig is finite only where x, y and z are; the times are validated
+    if not np.all(np.isfinite((traj.min_eigenvalues, traj.trace_errors))):
+        raise ConfigError("propagate: the trajectory is not finite at this configuration")
     meta = _base_metadata(cfg, "propagate")
     meta["initial"] = [float(p) for p in args.initial.split(",")]
     meta["mode"] = args.mode
@@ -190,7 +193,10 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     if args.mode == "tcl2":
         meta["tcl2_err_est"] = traj.err_est
         meta["tcl2_converged"] = traj.err_est < TCL2_TOL
-    _write(os.path.join(out, "trajectory_meta.json"), _dump_json(meta))
+    meta_text = _dump_json(meta)  # checked before either file is written
+    out = _out_dir(cfg, args)
+    _write(os.path.join(out, "trajectory.csv"), traj.to_csv())
+    _write(os.path.join(out, "trajectory_meta.json"), meta_text)
     return 0
 
 
@@ -203,14 +209,14 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     # an overflowing lam^2 makes the report non-finite, which _dump_json
     # turns into a config error; numpy need not warn on the way there
     with np.errstate(over="ignore", invalid="ignore"):
-        res = u_prime_membership(
-            model,
-            kernel,
-            lam,
-            rho,
-            t_window=float(cfg["scan.t_window"]),
-            refine_iters=int(cfg["scan.refine_iters"]),
-        )
+        try:
+            res = u_prime_membership(
+                model, kernel, lam, rho,
+                t_window=float(cfg["scan.t_window"]),
+                refine_iters=int(cfg["scan.refine_iters"]),
+            )
+        except ValueError as exc:  # the sup search grid is bounded
+            raise ConfigError(f"diagnose: {exc}") from exc
         report = slipped_initial_condition(model, kernel, lam, rho, Product())
     obj = _base_metadata(cfg, "diagnose")
     obj.update(
@@ -279,6 +285,8 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     return 0
 
 
+# built once per process: argparse copies the --set list before appending
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="redfield-slippage",

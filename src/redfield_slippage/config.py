@@ -21,17 +21,11 @@ from .bath import (
     discrete_kernel,
     fit_exponential_mixture,
 )
-from .master import SystemModel
+from .master import MAX_POINTS, SystemModel
 
 
 class ConfigError(Exception):
     pass
-
-
-# most points of any output time grid (quadrature.n_points,
-# propagation.n_points, oracle.n_times), so a mistyped size fails
-# validation instead of allocating
-MAX_POINTS = 100_000
 
 
 DEFAULTS = {

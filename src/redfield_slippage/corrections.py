@@ -27,7 +27,7 @@ import numpy as np
 
 from .bath import PAIRS, KernelNotIntegrableError, SlippageIntegrals
 from .master import build_redfield_generator, trajectory_from_states
-from .operators import SM, SP, matrix_exponential_action
+from .operators import SM, SP, unvec, vec
 
 NATURAL_SIGN = -1
 
@@ -165,5 +165,5 @@ def perturbative_solution(model, kernel, lam, rho_s, correlation, times):
         + delta_rho1(model, kernel, lam, rho_s, times)
         + delta_rho2(model, kernel, lam, rho_s, correlation, times)
     )
-    states = [matrix_exponential_action(gen.liouvillian, t, s) for t, s in zip(times, starts)]
-    return trajectory_from_states(times, states)
+    cols = gen.liouvillian.expm_action_many(times, vec(starts))
+    return trajectory_from_states(times, unvec(cols.T))

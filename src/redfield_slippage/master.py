@@ -32,16 +32,20 @@ from .operators import (
     SP,
     SX,
     SZ,
+    BlochVector,
     Superoperator,
+    bloch_xyz,
     check_density,
     commutator_superoperator,
-    density_to_bloch,
     unvec,
     vec,
     vectorize_superoperator,
 )
 
 POSITIVITY_TOL = 1e-12
+# most points of any time grid (the output grids, the linear part of the
+# sup search grid, the TCL2 base panels): a huge size fails, not allocates
+MAX_POINTS = 100_000
 # default pass-to-pass tolerance of propagate_tcl2
 TCL2_TOL = 1e-9
 # Gauss-Legendre nodes per propagate_tcl2 panel
@@ -59,6 +63,12 @@ TCL2_PANEL_BLOCK = 4096
 def csv_float(x) -> str:
     """Shortest decimal string that round-trips the double exactly."""
     return repr(float(x))
+
+
+def csv_table(header, cols) -> str:
+    """CSV text of float columns; repr of a Python float is csv_float."""
+    rows = [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
+    return "\n".join([header] + rows) + "\n"
 
 
 def golden_min(f, lo, hi, iters=48):
@@ -137,7 +147,7 @@ class RedfieldGenerator:
         self.theta = 0.5 * (SP * self.gamma_minus + SM * self.gamma_plus)
         self.lambda0 = _dissipator(self.theta, self.lam)
         self.liouvillian = Superoperator(
-            -1j * commutator_superoperator(model.hamiltonian) - self.lambda0, dim=2
+            -1j * commutator_superoperator(model.hamiltonian) - self.lambda0
         )
 
     @cached_property
@@ -159,35 +169,29 @@ def build_redfield_generator(model: SystemModel, kernel, lam: float) -> Redfield
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list
+    states: np.ndarray  # (n, 2, 2), one state per time
     min_eigenvalues: np.ndarray
     trace_errors: np.ndarray
     # largest change between the last two quadrature passes (TCL2 only)
     err_est: float = 0.0
 
     def blochs(self):
-        return [density_to_bloch(s) for s in self.states]
+        return [BlochVector(*v) for v in np.column_stack(bloch_xyz(self.states)).tolist()]
 
     def to_csv(self) -> str:
-        lines = ["t,x,y,z,min_eig,trace_err"]
-        for t, s, m, e in zip(self.times, self.states, self.min_eigenvalues, self.trace_errors):
-            b = density_to_bloch(s)
-            lines.append(
-                ",".join(
-                    csv_float(v) for v in (t, b.x, b.y, b.z, m, e)
-                )
-            )
-        return "\n".join(lines) + "\n"
+        cols = (self.times, *bloch_xyz(self.states), self.min_eigenvalues, self.trace_errors)
+        return csv_table("t,x,y,z,min_eig,trace_err", cols)
 
 
 def trajectory_from_states(times, states, err_est=0.0) -> Trajectory:
-    mins = np.empty(len(states))
-    terr = np.empty(len(states))
-    for i, s in enumerate(states):
-        b = density_to_bloch(s)
-        mins[i] = 0.5 * (1.0 - b.norm())
-        terr[i] = abs(complex(np.trace(s)) - 1.0)
-    return Trajectory(np.asarray(times, dtype=float), list(states), mins, terr, float(err_est))
+    """Trajectory of states (n, 2, 2); trace_err is the abs of a Python
+    complex, whose last digit numpy's abs does not always reproduce."""
+    states = np.asarray(states, dtype=complex).reshape(len(states), 2, 2)
+    x, y, z = bloch_xyz(states)
+    mins = 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
+    trace = (states[:, 0, 0] + states[:, 1, 1]).tolist()
+    terr = np.array([abs(c - 1.0) for c in trace], dtype=float)
+    return Trajectory(np.asarray(times, dtype=float), states, mins, terr, float(err_est))
 
 
 def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory:
@@ -197,8 +201,7 @@ def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory
     if np.any(times < 0.0):
         raise ValueError("times must be non-negative")
     cols = generator.liouvillian.expm_action_many(times, vec(rho0))
-    states = [unvec(cols[:, k]) for k in range(cols.shape[1])]
-    return trajectory_from_states(times, states)
+    return trajectory_from_states(times, unvec(cols.T))
 
 
 def _tcl2_drive(generator, rho0, tau):
@@ -220,8 +223,7 @@ def _tcl2_drive(generator, rho0, tau):
     m = (SX @ a - a @ SX) - (SX @ b - b @ SX)
     m[:, 0, 1] *= np.conj(ph)
     m[:, 1, 0] *= ph
-    # vec() stacks columns: (m00, m10, m01, m11)
-    return generator.lam**2 * np.swapaxes(m, 1, 2).reshape(n, 4)
+    return generator.lam**2 * vec(m)
 
 
 def _split_panels(edges, parts):
@@ -285,6 +287,8 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
             float(np.max(np.abs(g.imag))),
         )
         h0 = 1.0 / rate
+        if not t_end / h0 <= MAX_POINTS:
+            raise ValueError(f"t_end / h0 = {t_end / h0:.3g} base panels, over {MAX_POINTS}")
         base = np.unique(
             np.concatenate(
                 (
@@ -320,11 +324,8 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
             if err < tol:
                 break
 
-    states = [
-        unvec(generator.liouvillian.expm_action(t, y))
-        for t, y in zip(times, ys)
-    ]
-    return trajectory_from_states(times, states, err_est=err)
+    cols = generator.liouvillian.expm_action_many(times, ys)
+    return trajectory_from_states(times, unvec(cols.T), err_est=err)
 
 
 def stationary_state(generator: RedfieldGenerator) -> np.ndarray:
@@ -397,31 +398,22 @@ class PositivityScanner:
         # worst sub-grid undershoot of (1 - |r|)/2 between nodes,
         # from |d2 r / dt2| <= (eps^2 + relaxation) |r|
         self.refine_margin = 2.0 * (eps * self.dt) ** 2
-        rho_ss = stationary_state(generator)
-        b = density_to_bloch(rho_ss)
-        self._r_ss = np.array([b.x, b.y, b.z])
-        self.rho_ss = rho_ss
-
-    @staticmethod
-    def _bloch(s):
-        """Bloch components of vectorized states s (..., 4)."""
-        return 2.0 * s[..., 1].real, 2.0 * s[..., 1].imag, (s[..., 0] - s[..., 3]).real
+        self._r_ss = np.array(bloch_xyz(stationary_state(generator)))
 
     def _min_eig_at(self, t, y0):
         """(1 - |r(t)|)/2 at times t (n,) of the states with generator
         eigen-coordinates y0 (n, 4)."""
         s = (np.exp(np.multiply.outer(t, self._w)) * y0) @ self._v.T
-        x, y, z = self._bloch(s)
+        x, y, z = bloch_xyz(unvec(s))
         return 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
 
     def evaluate_many(self, rhos, refine_iters=32) -> list:
         """NMembership of each initial state in rhos (n, 2, 2)."""
         rhos = np.asarray(rhos, dtype=complex)
         n = rhos.shape[0]
-        # vec() stacks columns: (rho00, rho10, rho01, rho11)
-        y0 = rhos.transpose(0, 2, 1).reshape(n, 4) @ self._vinv.T
+        y0 = vec(rhos) @ self._vinv.T
         s = np.moveaxis(self._v @ (self._phases * y0[:, :, None]), 1, 2)
-        path = np.stack(self._bloch(s), axis=1)
+        path = np.stack(bloch_xyz(unvec(s)), axis=1)
         dist = np.linalg.norm(path - self._r_ss[None, :, None], axis=1)
         conv = dist < 4e-9
         truncated = ~conv.any(axis=1)

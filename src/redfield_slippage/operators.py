@@ -54,13 +54,14 @@ def bloch_to_density(v) -> np.ndarray:
     return 0.5 * I2 + v.x * SX + v.y * SY + v.z * SZ
 
 
+def bloch_xyz(rho):
+    """Bloch components x, y, z of states rho (..., 2, 2), as arrays."""
+    rho10 = rho[..., 1, 0]
+    return 2.0 * rho10.real, 2.0 * rho10.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real
+
+
 def density_to_bloch(rho) -> BlochVector:
-    rho = np.asarray(rho, dtype=complex)
-    return BlochVector(
-        x=float(2.0 * rho[1, 0].real),
-        y=float(2.0 * rho[1, 0].imag),
-        z=float((rho[0, 0] - rho[1, 1]).real),
-    )
+    return BlochVector(*(float(c) for c in bloch_xyz(np.asarray(rho, dtype=complex))))
 
 
 def check_density(rho, tol=1e-12):
@@ -86,15 +87,18 @@ def trace_distance(a, b) -> float:
 
 
 def vec(rho) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).flatten(order="F")
+    """Column-stacked rho (d, d) -> (d^2,), also over a stack (..., d, d)."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
 
 
-def unvec(v, dim=None) -> np.ndarray:
+def unvec(v) -> np.ndarray:
+    """Inverse of vec, also over a stack (..., d^2) -> (..., d, d)."""
     v = np.asarray(v, dtype=complex)
-    d = int(dim) if dim else int(round(np.sqrt(v.size)))
-    if d * d != v.size:
+    d = int(round(np.sqrt(v.shape[-1])))
+    if d * d != v.shape[-1]:
         raise ValueError("vector length is not a perfect square")
-    return v.reshape((d, d), order="F")
+    return np.swapaxes(v.reshape(v.shape[:-1] + (d, d)), -1, -2)
 
 
 class Superoperator:
@@ -109,15 +113,11 @@ class Superoperator:
     # diagonalization is trusted only below this eigenvector condition number
     _COND_CAP = 1e8
 
-    def __init__(self, matrix, dim=None):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("superoperator matrix must be square")
-        d = int(dim) if dim else int(round(np.sqrt(matrix.shape[0])))
-        if d * d != matrix.shape[0]:
-            raise ValueError("superoperator size is not a perfect square")
         self.matrix = matrix
-        self.dim = d
         self._eig = None
 
     def eigensystem(self):
@@ -148,14 +148,18 @@ class Superoperator:
         return expm(self.matrix * t) @ v_in
 
     def expm_action_many(self, times, v_in):
-        """Column k of the result is exp(times[k] * self) applied to v_in."""
+        """Column k of the result is exp(times[k] * self) applied to v_in,
+        or to v_in[k] for one start per time (n, d^2). Those take stacked
+        mat-vecs, bit for bit expm_action's; one matrix product would not."""
         times = np.asarray(times, dtype=float)
         w, v, vinv, ok = self.eigensystem()
-        if ok:
-            y0 = vinv @ v_in
-            return v @ (np.exp(np.outer(w, times)) * y0[:, None])
-        cols = [self.expm_action(t, v_in) for t in times]
-        return np.stack(cols, axis=1)
+        if not ok:
+            starts = np.broadcast_to(v_in, times.shape + v_in.shape[-1:])
+            return np.stack([expm(self.matrix * t) @ y for t, y in zip(times, starts)], axis=1)
+        if v_in.ndim == 1:
+            return v @ (np.exp(np.outer(w, times)) * (vinv @ v_in)[:, None])
+        y0 = np.matmul(vinv, v_in[:, :, None])[:, :, 0]
+        return np.matmul(v, (np.exp(np.outer(times, w)) * y0)[:, :, None])[:, :, 0].T
 
 
 def vectorize_superoperator(left, right) -> np.ndarray:
@@ -173,7 +177,3 @@ def commutator_superoperator(h) -> np.ndarray:
     eye = np.eye(h.shape[0])
     return np.kron(eye, h) - np.kron(h.T, eye)
 
-
-def matrix_exponential_action(superop: Superoperator, t, rho):
-    """exp(t S) applied to a density matrix, returned as a matrix."""
-    return unvec(superop.expm_action(t, vec(rho)), superop.dim)

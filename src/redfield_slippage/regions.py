@@ -37,6 +37,7 @@ import numpy as np
 from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, sign_phases
 from .corrections import NATURAL_SIGN
 from .master import (
+    MAX_POINTS,
     PositivityScanner,
     build_redfield_generator,
     csv_float,
@@ -92,9 +93,10 @@ class VariationalTables:
 
     def _i_d(self, times):
         sums = self.integrals.sums(times)
-        i_vals = self.integrals.from_sums(times, sums)
-        esp = sign_phases(self.eps, times, PAIR_SP)
-        esq = sign_phases(self.eps, times, PAIR_SQ)
+        phase = np.exp(1j * self.eps * times)
+        esp = sign_phases(phase, PAIR_SP)
+        esq = sign_phases(phase, PAIR_SQ)
+        i_vals = self.integrals.from_sums(phase, sums)
         e_s = esp * esq
         phi2 = np.where(self._phi_is_t, times[..., None], (e_s - 1.0) / self._phi_den)
         sb = -sums[..., ::-1]
@@ -145,6 +147,9 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
     t_mid = 12.0 * scale
     t_max = float(t_window) * scale
     step = np.pi / (8.0 * eps * density)
+    if not (t_mid - t_lo) / step <= MAX_POINTS:
+        n = (t_mid - t_lo) / step
+        raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
     lin = np.arange(t_lo, t_mid, step)
     if t_max > t_mid:
         tail = np.geomspace(t_mid, t_max, max(int(48 * density), 2))

@@ -308,6 +308,20 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["region-scan", "--set", "lambda=1e6", "--set", "scan.grid_n=5"],
         # lam^2 overflows: the bound is -inf and the slippage NaN
         ["diagnose", "--set", "lambda=1e200"],
+        # the sup search grid would need ~3e301 nodes
+        ["diagnose", "--set", "model.epsilon=1e300"],
+        # the memory time is infinite (the kernel fit warns on the way)
+        pytest.param(
+            ["diagnose", "--set", "bath.beta=1e300"],
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+        # t_end / h0 = 1e300 base panels of the TCL2 quadrature
+        ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=1e300"],
+        # Im C(t) = -(pi/2) omega_c^2 e^{-omega_c t} overflows
+        ["diagnose", "--set", "bath.omega_cutoff=1e300"],
+        # exp(t G) overflows: NaN and inf rows, refused before either file
+        ["propagate", "--set", "propagation.t_end=1e300"],
+        ["propagate", "--mode", "tcl2", "--kappa", "1e308"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -329,6 +343,12 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "region_scan_lambda_underflow",
         "region_scan_degenerate_stationary_state",
         "diagnose_non_finite_report",
+        "diagnose_sup_grid_epsilon",
+        "diagnose_sup_grid_beta",
+        "tcl2_panel_budget",
+        "omega_cutoff_overflow",
+        "markov_non_finite_trajectory",
+        "tcl2_non_finite_trajectory",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -529,6 +549,19 @@ def test_cli_diagnose_report(tmp_path, capsys):
         "rho_s",
         "slipped",
     ]
+
+
+def test_cli_parser_keeps_no_state_between_calls(tmp_path):
+    """The parser is built once per process; an override of one call
+    must not leak into the next."""
+    first, second = tmp_path / "a", tmp_path / "b"
+    argv = ["propagate", "--set", "propagation.n_points=3"]
+    assert main(argv + ["--set", "lambda=0.3", "--out", str(first)]) == 0
+    assert main(argv + ["--out", str(second)]) == 0
+    assert _read_json(first / "trajectory_meta.json")["config"]["lambda"] == 0.3
+    meta = _read_json(second / "trajectory_meta.json")
+    assert meta["config"]["lambda"] == DEFAULTS["lambda"]
+    assert meta["config"]["propagation.n_points"] == 3
 
 
 def test_cli_seed_env_recorded(tmp_path, monkeypatch):

@@ -336,6 +336,35 @@ def test_trajectory_csv():
     assert csv_float(1.0) == "1.0"
 
 
+_finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*(_finite,) * 9), min_size=0, max_size=12))
+def test_trajectory_from_states_matches_per_state_formulas(rows):
+    """The array expressions give, bit for bit, the per-state
+    density_to_bloch and |tr rho - 1| of a Python complex, and the CSV
+    is the per-row csv_float format."""
+    times = np.array([r[0] for r in rows])
+    states = np.array(
+        [[[r[1] + 1j * r[2], r[3] + 1j * r[4]], [r[5] + 1j * r[6], r[7] + 1j * r[8]]]
+         for r in rows],
+        dtype=complex,
+    ).reshape(len(rows), 2, 2)
+    traj = trajectory_from_states(times, states)
+    assert traj.states.shape == (len(rows), 2, 2)
+    lines = ["t,x,y,z,min_eig,trace_err"]
+    for k, s in enumerate(states):
+        b = density_to_bloch(s)
+        m = 0.5 * (1.0 - b.norm())
+        e = abs(complex(np.trace(s)) - 1.0)
+        assert traj.blochs()[k] == b
+        assert traj.min_eigenvalues[k] == m
+        assert traj.trace_errors[k] == e
+        lines.append(",".join(csv_float(v) for v in (times[k], b.x, b.y, b.z, m, e)))
+    assert traj.to_csv() == "\n".join(lines) + "\n"
+
+
 def test_golden_min():
     x, f = golden_min(lambda u: (u - 1.3) ** 2 + 0.25, 0.0, 3.0)
     assert x == pytest.approx(1.3, abs=1e-8)

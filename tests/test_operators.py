@@ -15,7 +15,6 @@ from redfield_slippage.operators import (
     check_density,
     commutator_superoperator,
     density_to_bloch,
-    matrix_exponential_action,
     trace_distance,
     unvec,
     vec,
@@ -119,11 +118,40 @@ def test_expm_action_many_matches_single(rng):
         assert np.allclose(cols[:, i], sop.expm_action(float(t), v0), atol=1e-11)
 
 
-def test_matrix_exponential_action_on_states():
+@pytest.mark.parametrize("defective", [False, True])
+def test_expm_action_many_per_time_starts_are_bitwise_single(rng, defective):
+    if defective:
+        # a Jordan block: the eigendecomposition is refused, expm runs
+        m = np.diag(np.ones(3), k=1).astype(complex) - 0.3 * np.eye(4)
+    else:
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) - 3.0 * np.eye(4)
+    sop = Superoperator(m)
+    assert bool(sop.eigensystem()[3]) == (not defective)
+    times = rng.uniform(0.0, 5.0, 37)
+    starts = rng.normal(size=(37, 4)) + 1j * rng.normal(size=(37, 4))
+    cols = sop.expm_action_many(times, starts)
+    assert cols.shape == (4, 37)
+    single = np.stack([sop.expm_action(t, y) for t, y in zip(times, starts)], axis=1)
+    assert np.array_equal(cols, single)
+    # one start for every time broadcasts
+    one = sop.expm_action_many(times, starts[0])
+    assert np.allclose(one, sop.expm_action_many(times, np.tile(starts[0], (37, 1))), atol=1e-13)
+
+
+def test_vec_of_a_stack_is_the_stack_of_vecs(rng):
+    rhos = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    stacked = vec(rhos)
+    assert stacked.shape == (5, 9)
+    assert all(np.array_equal(stacked[k], vec(r)) for k, r in enumerate(rhos))
+    assert np.array_equal(unvec(stacked), rhos)
+    assert vec(np.zeros((0, 2, 2))).shape == (0, 4)
+
+
+def test_expm_action_on_states():
     liou = commutator_superoperator(np.asarray(SZ))
     sop = Superoperator(-1j * liou)
     rho0 = bloch_to_density((1.0, 0.0, 0.0))
-    rho_t = matrix_exponential_action(sop, np.pi, rho0)
+    rho_t = unvec(sop.expm_action(np.pi, vec(rho0)))
     b = density_to_bloch(rho_t)
     assert b.x == pytest.approx(-1.0, abs=1e-12)
     assert b.y == pytest.approx(0.0, abs=1e-12)
