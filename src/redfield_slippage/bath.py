@@ -197,7 +197,8 @@ class ExponentialSum:
         """Memory time: the slowest decay, or the slowest oscillation of
         a kernel that does not decay."""
         rates = self.g.real if self.integrable else np.abs(self.g.imag)
-        return float(1.0 / np.min(rates))
+        slowest = float(np.min(rates))
+        return 1.0 / slowest if slowest > 0.0 else math.inf
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -368,6 +369,8 @@ def _matsubara_remainder(omega_c, beta, k_max, t_ref=None, chunk=20000):
     coeff = (2.0 * np.pi * omega_c**2 / beta) * nu / np.abs(nu * nu - omega_c**2)
     terms = coeff * np.exp(-nu * t_ref)
     ratio = math.exp(-2.0 * math.pi * t_ref / beta)
+    if ratio == 1.0:  # the geometric tail does not contract: no bound
+        return math.inf
     return float(terms.sum() + terms[-1] * ratio / (1.0 - ratio))
 
 

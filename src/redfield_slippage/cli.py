@@ -121,8 +121,6 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     resid = [abs(cs - cq) / max(abs(cs), abs(cq), 1e-300) for cs, cq in zip(series, quadr)]
     cols = (times, series.real, series.imag, quadr.real, quadr.imag, resid)
     header = "t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "bath_correlation.csv"), csv_table(header, cols))
     meta = _base_metadata(cfg, "bath-correlation")
     meta["kernel"] = dict(kernel.meta)
     meta["remainder_bound"] = kernel.remainder_bound
@@ -131,7 +129,10 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     q_rel = np.divide(q_err, np.abs(quadr), out=np.zeros_like(q_err), where=q_err > 0.0)
     meta["quadrature_err_est"] = float(q_rel.max())
     meta["quadrature_converged"] = bool(q_rel.max() <= bath.QUAD_REL_TOL)
-    _write(os.path.join(out, "bath_correlation_meta.json"), _dump_json(meta))
+    meta_text = _dump_json(meta)  # checked before either file is written
+    out = _out_dir(cfg, args)
+    _write(os.path.join(out, "bath_correlation.csv"), csv_table(header, cols))
+    _write(os.path.join(out, "bath_correlation_meta.json"), meta_text)
     return 0
 
 
@@ -141,17 +142,20 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
         raise ConfigError("region-scan needs lambda > 0")
     model = cfg.model()
     kernel = cfg.kernel()
+    # an overflowing lam^2 breaks the generator, which is refused as a
+    # ValueError below; numpy need not warn on the way there
     try:
-        result = region_scan(
-            model,
-            kernel,
-            lam,
-            grid_n=int(cfg["scan.grid_n"]),
-            z=float(cfg["scan.z"]),
-            t_window=float(cfg["scan.t_window"]),
-            refine_iters=int(cfg["scan.refine_iters"]),
-            jobs=int(args.jobs),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = region_scan(
+                model,
+                kernel,
+                lam,
+                grid_n=int(cfg["scan.grid_n"]),
+                z=float(cfg["scan.z"]),
+                t_window=float(cfg["scan.t_window"]),
+                refine_iters=int(cfg["scan.refine_iters"]),
+                jobs=int(args.jobs),
+            )
     except ValueError as exc:
         # the N scan needs a unique stationary state and a finite
         # relaxation horizon, which an extreme lambda breaks; the sup

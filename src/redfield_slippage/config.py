@@ -61,12 +61,6 @@ def _coerce(key, text):
     default = DEFAULTS[key]
     text = text.strip()
     try:
-        if isinstance(default, bool):
-            if text.lower() in ("1", "true", "yes"):
-                return True
-            if text.lower() in ("0", "false", "no"):
-                return False
-            raise ValueError(text)
         if isinstance(default, int):
             return int(text)
         if isinstance(default, float):

@@ -20,7 +20,8 @@ t = 0, refined until two passes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,15 +61,20 @@ TCL2_GRADES = 26
 TCL2_PANEL_BLOCK = 4096
 
 
-def csv_float(x) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
-    return repr(float(x))
-
-
 def csv_table(header, cols) -> str:
-    """CSV text of float columns; repr of a Python float is csv_float."""
+    """CSV text of float columns, each value the shortest decimal that
+    round-trips the double (the repr of a Python float)."""
     rows = [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
     return "\n".join([header] + rows) + "\n"
+
+
+def first_entry(batch, optional):
+    """Entry 0 of a batch result whose fields are arrays, as Python
+    scalars; the NaN that marks an absent `optional` value is None."""
+    values = {f.name: getattr(batch, f.name)[0].item() for f in fields(batch)}
+    if math.isnan(values[optional]):
+        values[optional] = None
+    return replace(batch, **values)
 
 
 def golden_min(f, lo, hi, iters=48):
@@ -366,10 +372,15 @@ def relaxation_horizon(generator: RedfieldGenerator) -> float:
 
 @dataclass
 class NMembership:
-    in_n: bool
-    witness_time: float | None
-    min_eigenvalue_attained: float
-    truncated: bool = False
+    """Fields are arrays over a batch of states, or Python scalars for
+    one state; witness_time is NaN (None for one state) outside N.
+    truncated marks a scan that reached its horizon without converging
+    and without finding a violation."""
+
+    in_n: np.ndarray
+    witness_time: np.ndarray
+    min_eigenvalue_attained: np.ndarray
+    truncated: np.ndarray
 
 
 class PositivityScanner:
@@ -407,8 +418,8 @@ class PositivityScanner:
         x, y, z = bloch_xyz(unvec(s))
         return 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
 
-    def evaluate_many(self, rhos, refine_iters=32) -> list:
-        """NMembership of each initial state in rhos (n, 2, 2)."""
+    def evaluate_many(self, rhos) -> NMembership:
+        """NMembership of the initial states rhos (n, 2, 2), all at once."""
         rhos = np.asarray(rhos, dtype=complex)
         n = rhos.shape[0]
         y0 = vec(rhos) @ self._vinv.T
@@ -440,9 +451,7 @@ class PositivityScanner:
         lo = self.times[np.maximum(i - 1, 0)]
         hi = self.times[np.minimum(i + 1, last[cell])]
         y0_c = y0[cell]
-        t_ref, v_ref = golden_min(
-            lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=refine_iters
-        )
+        t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=32)
         # lowest refined dip per cell; lexsort is stable, so ties keep
         # the earliest dip
         order = np.lexsort((v_ref, cell))
@@ -455,19 +464,11 @@ class PositivityScanner:
         in_n = best_v < -self.pos_tol
         # without a violation inside the scanned horizon, an unconverged
         # scan is reported as truncated rather than as a certificate
-        return [
-            NMembership(
-                bool(in_n[k]),
-                float(best_t[k]) if in_n[k] else None,
-                float(best_v[k]),
-                truncated=bool(truncated[k] and not in_n[k]),
-            )
-            for k in range(n)
-        ]
+        return NMembership(in_n, np.where(in_n, best_t, np.nan), best_v, truncated & ~in_n)
 
-    def evaluate(self, rho0, refine_iters=32) -> NMembership:
+    def evaluate(self, rho0) -> NMembership:
         """NMembership of one initial state, as a batch of one."""
-        return self.evaluate_many(np.asarray(rho0)[None], refine_iters)[0]
+        return first_entry(self.evaluate_many(np.asarray(rho0)[None]), "witness_time")
 
 
 def n_membership(generator: RedfieldGenerator, rho0, pos_tol=POSITIVITY_TOL) -> NMembership:

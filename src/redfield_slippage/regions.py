@@ -19,9 +19,9 @@ I of the slippage correction), evaluated over arrays of times by
 bath.TermSums with the terms negligible at each time left out. Scans
 evaluate one grid row of states as a batch: one matrix product for the
 sup on the time grid, then one golden-section pass that refines every
-state's sup, and likewise for the positivity dips. The default 201 x 201 disk
-scan takes about 10 s on one core (9.6 s measured on a 2-core Intel
-Xeon VM, against 251 s for the former point-by-point scan).
+state's sup, and likewise for the positivity dips. Batch results are
+arrays over the states, and a scan is one float table in the column
+order of its CSV, NaN where a field is empty.
 Failing the bound (a negative value of the expression above) defines
 membership in the region where the correlated construction breaks
 down, which the scans pair with the positivity-violation region of the
@@ -40,7 +40,7 @@ from .master import (
     MAX_POINTS,
     PositivityScanner,
     build_redfield_generator,
-    csv_float,
+    first_entry,
     golden_min,
 )
 from .operators import (
@@ -73,11 +73,14 @@ class VariationalTables:
 
     where K_{s' s''} = Gamma(s'' eps) + conj Gamma(-s' eps) and Phi_s(t) is
     int_0^t e^{i s eps u} du.
+
+    The sup search grid of default_time_grid and (I, D) on it are built
+    once, grid first: its size check refuses an epsilon whose amplitudes
+    would overflow.
     """
 
-    def __init__(self, model, kernel):
-        self.model = model
-        self.kernel = kernel
+    def __init__(self, model, kernel, t_window=50.0):
+        self.grid = default_time_grid(model, kernel, t_window)
         self.eps = eps = float(model.epsilon)
         self.integrals = SlippageIntegrals(kernel, eps)
         gamma = {s: kernel.half_fourier(s * eps) for s in (1, -1)}
@@ -86,6 +89,7 @@ class VariationalTables:
         s_sum = PAIR_SP + PAIR_SQ
         self._phi_is_t = s_sum == 0.0
         self._phi_den = np.where(self._phi_is_t, 1.0, 1j * s_sum * eps)
+        self.grid_tables = self.tables(self.grid)
 
     def tables(self, times):
         """(I, D), each of shape times.shape + (4,)."""
@@ -159,20 +163,27 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
 
 @dataclass
 class VariationalResult:
-    p0: float
-    sup_value: float
-    t_star: float | None
-    bound: float
-    in_u_prime: bool
-    degenerate_p0: bool
+    """Fields are arrays over a batch of states, or Python scalars for
+    one state; t_star is NaN (None for one state) where the sup is zero."""
+
+    p0: np.ndarray
+    sup_value: np.ndarray
+    t_star: np.ndarray
+    bound: np.ndarray
+    in_u_prime: np.ndarray
+    degenerate_p0: np.ndarray
 
 
-def _sup_search(tables, grid, grid_tables, m, n, refine_iters):
-    """sup_t B^2 / (4A) and its t (NaN where the sup is zero) for states
-    with moments m, n (k, 4): the argmax on the grid, then one batched
-    golden-section refinement of every state's bracket around it."""
-    grid = np.asarray(grid, dtype=float)
-    i_tab, d_tab = grid_tables
+def _u_prime_many(tables, lam, rhos, refine_iters) -> VariationalResult:
+    """VariationalResult of the states rhos (k, 2, 2), all at once.
+
+    sup_t B^2 / (4A) is the argmax on the grid of tables, then one
+    batched golden-section refinement of every state's bracket around it.
+    """
+    w, v = np.linalg.eigh(rhos)
+    m, n = state_moments(rhos, v[:, :, 0])
+    grid = tables.grid
+    i_tab, d_tab = tables.grid_tables
     b_arr = 0.5 * np.real(i_tab @ n.T)
     a_arr = 0.25 * np.real(d_tab @ m.T)
     vals = np.zeros_like(b_arr)
@@ -197,27 +208,15 @@ def _sup_search(tables, grid, grid_tables, m, n, refine_iters):
     kept = -neg < coarse
     sup[go] = np.where(kept, coarse, -neg)
     t_star[go] = np.where(kept, grid[idx], t_ref)
-    return sup, t_star
-
-
-def _u_prime_many(tables, grid, grid_tables, lam, rhos, refine_iters) -> list:
-    """VariationalResult for each state in rhos (k, 2, 2), all at once."""
-    w, v = np.linalg.eigh(rhos)
-    p0 = w[:, 0]
-    m, n = state_moments(rhos, v[:, :, 0])
-    sup, t_star = _sup_search(tables, grid, grid_tables, m, n, refine_iters)
-    bound = p0 - lam * lam * sup
-    return [
-        VariationalResult(
-            p0=float(p0[k]),
-            sup_value=float(sup[k]),
-            t_star=None if np.isnan(t_star[k]) else float(t_star[k]),
-            bound=float(bound[k]),
-            in_u_prime=bool(bound[k] < 0.0),
-            degenerate_p0=bool(w[k, 1] - w[k, 0] < DEGENERACY_TOL),
-        )
-        for k in range(len(p0))
-    ]
+    bound = w[:, 0] - lam * lam * sup
+    return VariationalResult(
+        p0=w[:, 0],
+        sup_value=sup,
+        t_star=t_star,
+        bound=bound,
+        in_u_prime=bound < 0.0,
+        degenerate_p0=w[:, 1] - w[:, 0] < DEGENERACY_TOL,
+    )
 
 
 def u_prime_membership(
@@ -234,9 +233,13 @@ def u_prime_membership(
     the variational parameter keeps the correlated state positive.
     """
     rho_s = check_density(rho_s)
-    tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel, t_window)
-    return _u_prime_many(tables, grid, tables.tables(grid), lam, rho_s[None], refine_iters)[0]
+    tables = VariationalTables(model, kernel, t_window)
+    return first_entry(_u_prime_many(tables, lam, rho_s[None], refine_iters), "t_star")
+
+
+# the columns of a scan table and of its CSV; flags are 1.0 / 0.0
+SCAN_HEADER = "x,y,z,p0,bound,in_U_prime,in_N,min_eig,witness_t"
+_FLAG_TEXT = {"nan": "", "1.0": "1", "0.0": "0"}
 
 
 @dataclass
@@ -244,20 +247,17 @@ class RegionScanResult:
     xs: np.ndarray
     ys: np.ndarray
     z: float
-    rows: list
+    table: np.ndarray  # (grid_n^2, 9), columns of SCAN_HEADER, NaN where empty
     metadata: dict
 
     def to_csv(self) -> str:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, (bool, np.bool_)):
-                return "1" if v else "0"
-            return csv_float(v)
-
-        lines = ["x,y,z,p0,bound,in_U_prime,in_N,min_eig,witness_t"]
-        for row in self.rows:
-            lines.append(",".join(cell(v) for v in row))
+        """Row by row: the strings of all cells at once would double the memory."""
+        lines = [SCAN_HEADER]
+        for row in self.table:
+            fields = list(map(repr, row.tolist()))
+            fields[5], fields[6] = _FLAG_TEXT[fields[5]], _FLAG_TEXT[fields[6]]
+            # repr gives "nan" only for NaN, which is an empty field
+            lines.append(",".join(fields).replace("nan", ""))
         return "\n".join(lines) + "\n"
 
 
@@ -266,9 +266,7 @@ class _RowScan:
     evaluated as one batch. Built once per scan and shared by the rows."""
 
     def __init__(self, model, kernel, lam, xs, z, t_window, refine_iters, pos_tol):
-        self.tables = VariationalTables(model, kernel)
-        self.grid = default_time_grid(model, kernel, t_window)
-        self.grid_tables = self.tables.tables(self.grid)
+        self.tables = VariationalTables(model, kernel, t_window)
         generator = build_redfield_generator(model, kernel, lam)
         self.scanner = PositivityScanner(generator, pos_tol=pos_tol)
         self.lam = float(lam)
@@ -277,35 +275,18 @@ class _RowScan:
         self.refine_iters = int(refine_iters)
 
     def __call__(self, y):
-        """(row tuples in x order, number of truncated N scans)."""
+        """(the row's (len(xs), 6) block of the scan table columns p0 to
+        witness_t in x order, number of truncated N scans)."""
         y, z, xs = float(y), self.z, self.xs
         physical = xs * xs + y * y + z * z <= 1.0 + 1e-12
         rhos = 0.5 * I2 + xs[physical][:, None, None] * SX + y * SY + z * SZ
-        u_res = _u_prime_many(
-            self.tables, self.grid, self.grid_tables, self.lam, rhos, self.refine_iters
+        u = _u_prime_many(self.tables, self.lam, rhos, self.refine_iters)
+        nm = self.scanner.evaluate_many(rhos)
+        block = np.full((xs.size, 6), np.nan)
+        block[physical] = np.column_stack(
+            (u.p0, u.bound, u.in_u_prime, nm.in_n, nm.min_eigenvalue_attained, nm.witness_time)
         )
-        n_res = self.scanner.evaluate_many(rhos)
-        evaluated = iter(zip(u_res, n_res))
-        rows = []
-        for x, inside in zip(xs, physical):
-            if not inside:
-                rows.append((float(x), y, z, None, None, None, None, None, None))
-                continue
-            u, nm = next(evaluated)
-            rows.append(
-                (
-                    float(x),
-                    y,
-                    z,
-                    u.p0,
-                    u.bound,
-                    u.in_u_prime,
-                    nm.in_n,
-                    nm.min_eigenvalue_attained,
-                    nm.witness_time,
-                )
-            )
-        return rows, sum(1 for nm in n_res if nm.truncated)
+        return block, int(nm.truncated.sum())
 
 
 def region_scan(
@@ -345,7 +326,10 @@ def region_scan(
             results = pool.map(scan, ys)
     else:
         results = [scan(y) for y in ys]
-    rows = [row for chunk, _ in results for row in chunk]
+    x, y = np.meshgrid(xs, ys)
+    table = np.column_stack(
+        (x.ravel(), y.ravel(), np.full(x.size, float(z)), np.concatenate([b for b, _ in results]))
+    )
     meta = {
         "grid_n": grid_n,
         "z": float(z),
@@ -358,12 +342,12 @@ def region_scan(
         "pos_tol": float(pos_tol),
         "a_floor": A_FLOOR,
         "natural_sign": NATURAL_SIGN,
-        "n_in_u_prime": sum(1 for r in rows if r[5]),
-        "n_in_n": sum(1 for r in rows if r[6]),
-        "n_unphysical": sum(1 for r in rows if r[3] is None),
+        "n_in_u_prime": int(np.sum(table[:, 5] == 1.0)),
+        "n_in_n": int(np.sum(table[:, 6] == 1.0)),
+        "n_unphysical": int(np.sum(np.isnan(table[:, 3]))),
         "n_truncated": sum(n for _, n in results),
     }
-    return RegionScanResult(xs=xs, ys=ys, z=float(z), rows=rows, metadata=meta)
+    return RegionScanResult(xs=xs, ys=ys, z=float(z), table=table, metadata=meta)
 
 
 def max_radial_depth(
@@ -387,9 +371,7 @@ def max_radial_depth(
     of all directions are one batch of _u_prime_many, and so is each
     bisection step of all directions still bracketing.
     """
-    tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel, t_window)
-    grid_tables = tables.tables(grid)
+    tables = VariationalTables(model, kernel, t_window)
     n_dir = int(n_directions)
     theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
     cth, sth = np.cos(theta), np.sin(theta)
@@ -398,8 +380,7 @@ def max_radial_depth(
         """in_u_prime of the states at radii r along directions k."""
         x, y = r * cth[k], r * sth[k]
         rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY + z * SZ
-        res = _u_prime_many(tables, grid, grid_tables, lam, rhos, refine_iters)
-        return np.array([u.in_u_prime for u in res])
+        return _u_prime_many(tables, lam, rhos, refine_iters).in_u_prime
 
     step = 0.02
     ladder = [1.0]

@@ -30,7 +30,6 @@ from redfield_slippage.oracle import (
 )
 from redfield_slippage.regions import (
     VariationalTables,
-    default_time_grid,
     max_radial_depth,
     region_scan,
     state_moments,
@@ -64,8 +63,7 @@ def _membership_masks(result):
     n = int(result.metadata["grid_n"])
 
     def col(i):
-        vals = [bool(r[i]) if r[i] is not None else False for r in result.rows]
-        return np.array(vals).reshape(n, n)
+        return (result.table[:, i] == 1.0).reshape(n, n)
 
     return col(5), col(6)
 
@@ -75,8 +73,8 @@ def test_criterion_1_region_geometry(full_scan, announce):
     # and the full scan fits the wall-clock budget
     result, wall = full_scan
     in_u, in_n = _membership_masks(result)
-    xs = np.array([r[0] for r in result.rows]).reshape(in_u.shape)
-    ys = np.array([r[1] for r in result.rows]).reshape(in_u.shape)
+    xs = result.table[:, 0].reshape(in_u.shape)
+    ys = result.table[:, 1].reshape(in_u.shape)
     radius = np.hypot(xs, ys)
     ok = (
         wall < SCAN_BUDGET_S
@@ -211,11 +209,10 @@ def test_criterion_9_invariants(model, ld_spec, kernel, kernel_fine, generator, 
 
     # the variational coefficient is non-negative at every probe time
     tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel)
     for bloch in ((1.0, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.0)):
         rho = bloch_to_density(bloch)
         phi0 = np.linalg.eigh(rho)[1][:, 0]
-        _, vals = tables.b_a(grid, *state_moments(rho, phi0))
+        _, vals = tables.b_a(tables.grid, *state_moments(rho, phi0))
         if min(vals) < -1e-10:
             failures.append("negative variational coefficient")
             break

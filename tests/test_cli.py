@@ -239,6 +239,17 @@ def test_cli_small_cutoff_is_no_pole_collision(tmp_path):
         assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
 
 
+def test_cli_propagate_at_a_non_contracting_matsubara_tail(tmp_path):
+    # at beta = 1e300 the Matsubara remainder bound is infinite, which
+    # the markov propagation does not read; the run warns about nothing
+    argv = ["propagate", "--out", str(tmp_path), "--set", "bath.beta=1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    _, rows = _read_csv(tmp_path / "trajectory.csv")
+    assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
+
+
 def test_cli_cutoff_on_first_matsubara_exit3(tmp_path, capsys):
     # beta * omega_c / 2 = pi: the cutoff pole meets 2 pi / beta
     rc = main(
@@ -310,11 +321,16 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["diagnose", "--set", "lambda=1e200"],
         # the sup search grid would need ~3e301 nodes
         ["diagnose", "--set", "model.epsilon=1e300"],
-        # the memory time is infinite (the kernel fit warns on the way)
-        pytest.param(
-            ["diagnose", "--set", "bath.beta=1e300"],
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-        ),
+        # the memory time is infinite
+        ["diagnose", "--set", "bath.beta=1e300"],
+        ["diagnose", "--set", "bath.beta=1e13"],
+        # the Matsubara remainder bound is infinite
+        ["bath-correlation", "--set", "bath.beta=1e300"],
+        # the sup search grid is refused before the kernel amplitudes overflow
+        ["region-scan", "--set", "model.epsilon=1e300"],
+        # lam^2 is huge or overflows: the generator has no usable eigensystem
+        ["region-scan", "--set", "lambda=1e100"],
+        ["region-scan", "--set", "lambda=1e160"],
         # t_end / h0 = 1e300 base panels of the TCL2 quadrature
         ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=1e300"],
         # Im C(t) = -(pi/2) omega_c^2 e^{-omega_c t} overflows
@@ -345,6 +361,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "diagnose_non_finite_report",
         "diagnose_sup_grid_epsilon",
         "diagnose_sup_grid_beta",
+        "diagnose_memory_time_infinite",
+        "bath_correlation_remainder_infinite",
+        "region_scan_sup_grid_epsilon",
+        "region_scan_lambda_huge",
+        "region_scan_lambda_overflow",
         "tcl2_panel_budget",
         "omega_cutoff_overflow",
         "markov_non_finite_trajectory",

@@ -22,7 +22,7 @@ from redfield_slippage.regions import (
     u_prime_membership,
 )
 
-# row tuple layout mirrors the CSV header
+# scan table columns mirror the CSV header
 COL_P0, COL_BOUND, COL_IN_U, COL_IN_N = 3, 4, 5, 6
 
 
@@ -46,13 +46,12 @@ def test_a_and_b_vanish_at_zero(model, kernel):
 
 def test_a_is_nonnegative(model, kernel, rng):
     tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel, 50.0)
     for _ in range(5):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
         rho = bloch_to_density(tuple(v))
         m_vec, n_vec = state_moments(rho, ground_pair(rho)[1])
-        i_tab, d_tab = tables.tables(grid)
+        i_tab, d_tab = tables.grid_tables
         a_arr = 0.25 * np.real(d_tab @ m_vec)
         assert np.min(a_arr) > -1e-10
 
@@ -121,8 +120,7 @@ def test_variational_form_vertex(model, kernel):
     rho = bloch_to_density((0.7, 0.0, 0.1))
     lam = 0.5
     tables = VariationalTables(model, kernel)
-    grid = default_time_grid(model, kernel, 50.0)
-    res = _u_prime_many(tables, grid, tables.tables(grid), lam, rho[None], 48)[0]
+    res = u_prime_membership(model, kernel, lam, rho)
     b, a = b_a_of_state(tables, rho, res.t_star)
     assert a > 0.0
     p0 = ground_pair(rho)[0]
@@ -166,9 +164,10 @@ def test_u_prime_sup_stable_under_grid_refinement(model, kernel):
     rho = bloch_to_density((0.95, 0.0, 0.1))
     base = u_prime_membership(model, kernel, 0.5, rho)
     tables = VariationalTables(model, kernel)
-    dense_grid = default_time_grid(model, kernel, 50.0, density=2.0)
-    dense = _u_prime_many(tables, dense_grid, tables.tables(dense_grid), 0.5, rho[None], 48)[0]
-    assert dense.sup_value == pytest.approx(base.sup_value, rel=1e-6)
+    tables.grid = default_time_grid(model, kernel, 50.0, density=2.0)
+    tables.grid_tables = tables.tables(tables.grid)
+    dense = _u_prime_many(tables, 0.5, rho[None], 48)
+    assert dense.sup_value[0] == pytest.approx(base.sup_value, rel=1e-6)
 
 
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
@@ -181,21 +180,21 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     # public calls on the same state
     y, z = rho_yz * np.cos(phi), rho_yz * np.sin(phi)
     reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
-    row_scan = _RowScan(model, kernel, 0.5, reach * np.array(fracs), z, 50.0, 32, 1e-12)
-    rows, n_truncated = row_scan(y)
+    xs = reach * np.array(fracs)
+    row_scan = _RowScan(model, kernel, 0.5, xs, z, 50.0, 32, 1e-12)
+    block, n_truncated = row_scan(y)
+    assert block.shape == (len(xs), 6)
     truncated = 0
-    for x, _, _, p0, bound, in_u, in_n, min_eig, witness in rows:
+    for x, (p0, bound, in_u, in_n, min_eig, witness) in zip(xs, block.tolist()):
         rho = bloch_to_density((x, y, z))
-        u = _u_prime_many(
-            row_scan.tables, row_scan.grid, row_scan.grid_tables, 0.5, rho[None], 32
-        )[0]
+        u = _u_prime_many(row_scan.tables, 0.5, rho[None], 32)
         nm = n_membership(generator, rho)
-        assert p0 == pytest.approx(u.p0, abs=1e-15)
-        assert in_u == u.in_u_prime
-        assert bound == pytest.approx(u.bound, abs=1e-12)
-        assert in_n == nm.in_n
+        assert p0 == pytest.approx(u.p0[0], abs=1e-15)
+        assert in_u == (1.0 if u.in_u_prime[0] else 0.0)
+        assert bound == pytest.approx(u.bound[0], abs=1e-12)
+        assert in_n == (1.0 if nm.in_n else 0.0)
         assert min_eig == pytest.approx(nm.min_eigenvalue_attained, abs=1e-12)
-        assert (witness is None) == (nm.witness_time is None)
+        assert math.isnan(witness) == (nm.witness_time is None)
         truncated += nm.truncated
     assert n_truncated == truncated
 
@@ -269,23 +268,33 @@ def test_region_scan_smoke(model, kernel):
     n = 21
     res = region_scan(model, kernel, 0.5, grid_n=n, z=0.0)
     assert isinstance(res, RegionScanResult)
-    assert len(res.rows) == n * n
+    assert res.table.shape == (n * n, 9)
     meta = res.metadata
     assert meta["n_in_u_prime"] > 0
     assert meta["n_in_n"] > 0
     assert meta["natural_sign"] == NATURAL_SIGN
     assert meta["kernel"]["k_max"] == 4000
     # row-major ordering, y slowest
-    assert res.rows[0][:2] == (-1.0, -1.0)
-    assert res.rows[1][0] == pytest.approx(-0.9)
-    assert res.rows[n][1] == pytest.approx(-0.9)
-    # out-of-disk points are flagged, not evaluated
-    assert res.rows[0][COL_P0] is None
+    assert res.table[0, :3].tolist() == [-1.0, -1.0, 0.0]
+    assert res.table[1, 0] == pytest.approx(-0.9)
+    assert res.table[n, 1] == pytest.approx(-0.9)
+    # out-of-disk points are flagged, not evaluated: every field past z
+    # is empty, and only there
+    x, y = res.table[:, 0], res.table[:, 1]
+    unphysical = x * x + y * y > 1.0 + 1e-12
+    assert np.isnan(res.table[0, COL_P0:]).all()
+    assert np.array_equal(np.isnan(res.table[:, COL_P0]), unphysical)
+    assert meta["n_unphysical"] == int(unphysical.sum())
+    # flags are 1 or 0 on the disk
+    flags = res.table[~unphysical][:, [COL_IN_U, COL_IN_N]]
+    assert np.isin(flags, (0.0, 1.0)).all()
     # the positivity region is contained in the variational region up
     # to one grid cell: every in_N point has an in_U_prime point within
     # a Chebyshev distance of one cell
-    in_u = np.array([bool(r[COL_IN_U]) for r in res.rows]).reshape(n, n)
-    in_n = np.array([bool(r[COL_IN_N]) for r in res.rows]).reshape(n, n)
+    in_u = (res.table[:, COL_IN_U] == 1.0).reshape(n, n)
+    in_n = (res.table[:, COL_IN_N] == 1.0).reshape(n, n)
+    assert meta["n_in_u_prime"] == int(in_u.sum())
+    assert meta["n_in_n"] == int(in_n.sum())
     for iy, ix in zip(*np.nonzero(in_n)):
         y0, y1 = max(iy - 1, 0), min(iy + 2, n)
         x0, x1 = max(ix - 1, 0), min(ix + 2, n)
@@ -305,6 +314,44 @@ def test_region_scan_csv_and_determinism(model, kernel):
     parsed = lines[1 + 5 * 11 + 5].split(",")
     assert parsed[0] == "0.0" and parsed[1] == "0.0"
     assert parsed[5] in ("0", "1")
+
+
+def _reference_csv(table):
+    """The scan CSV formatted one cell at a time: NaN is an empty field,
+    the two flag columns are 1 or 0, every other value the repr of
+    the double."""
+    lines = ["x,y,z,p0,bound,in_U_prime,in_N,min_eig,witness_t"]
+    for row in table:
+        cells = []
+        for j, v in enumerate(row):
+            if math.isnan(v):
+                cells.append("")
+            elif j in (COL_IN_U, COL_IN_N):
+                cells.append("1" if v else "0")
+            else:
+                cells.append(repr(float(v)))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_scan_cell = st.one_of(
+    # unphysical: empty past z
+    st.tuples(_finite, _finite, _finite).map(lambda xyz: xyz + (math.nan,) * 6),
+    # physical, with or without a witness time
+    st.tuples(
+        _finite, _finite, _finite, _finite, _finite, st.booleans(), st.booleans(), _finite,
+        st.one_of(st.none(), _finite),
+    ).map(lambda r: r[:5] + (float(r[5]), float(r[6]), r[7], math.nan if r[8] is None else r[8])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_scan_cell, max_size=24))
+def test_scan_csv_matches_per_cell_formatter(cells):
+    table = np.array(cells, dtype=float).reshape(-1, 9)
+    res = RegionScanResult(xs=np.empty(0), ys=np.empty(0), z=0.0, table=table, metadata={})
+    assert res.to_csv() == _reference_csv(table)
 
 
 def test_region_scan_jobs_identical(model, kernel):
