@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import exp1
 
 DEFAULT_K_MAX = 4000
 T_MIN_FACTOR = 1e-6
@@ -91,6 +90,8 @@ class LorentzDrudeBath:
         # Near k = 0 no Matsubara frequency is close and c_0 tends to the
         # finite pi omega_c / beta.
         half = 0.5 * self.beta * self.omega_c
+        if not math.isfinite(half):
+            raise ValueError(f"beta * omega_c overflows: {self.beta:g} * {self.omega_c:g}")
         if round(half / math.pi) >= 1 and abs(math.remainder(half, math.pi)) < 1e-6:
             raise PoleCollisionError(
                 "beta * omega_c / 2 is within 1e-6 of a nonzero multiple of pi; "
@@ -374,7 +375,10 @@ def _matsubara_remainder(omega_c, beta, k_max, t_ref=None, chunk=20000):
     return float(terms.sum() + terms[-1] * ratio / (1.0 - ratio))
 
 
+# extreme omega_c or beta overflow the poles or the amplitudes: such a fit
+# is refused as not finite, and numpy need not warn on the way there
 @lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore")
 def _fit_cached(omega_c, beta, k_max):
     k = np.arange(1, k_max + 1, dtype=float)
     nu = 2.0 * np.pi * k / beta
@@ -393,6 +397,10 @@ def _fit_cached(omega_c, beta, k_max):
     ck = (2.0 * np.pi * omega_c**2 / beta) * nu / (nu * nu - omega_c**2)
     c = np.concatenate(([c0], ck.astype(complex)))
     g = np.concatenate(([omega_c], nu)).astype(complex)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(g))):
+        raise ValueError(
+            f"the pole expansion is not finite at omega_c = {omega_c:g}, beta = {beta:g}"
+        )
     rb = _matsubara_remainder(omega_c, beta, k_max)
     meta = {"beta": beta, "omega": omega_c, "k_max": int(k_max)}
     return ExponentialSum(c, g, remainder_bound=rb, meta=meta)
@@ -437,6 +445,8 @@ def _exp1_scaled(z):
     """e^z E1(z) without overflow: the product of the two factors where
     |Re z| < 500, the asymptotic series (1/z) sum_n (-1)^n n! / z^n
     elsewhere, where |z| >= 500 makes 16 terms exact to double precision."""
+    from scipy.special import exp1
+
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
     near = np.abs(z.real) < 500.0

@@ -107,7 +107,10 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     if not isinstance(spec, LorentzDrudeBath):
         raise ConfigError("bath-correlation needs bath.type=lorentz_drude")
     times = cfg.quadrature_times()
-    kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
+    try:
+        kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
+    except ValueError as exc:
+        raise ConfigError(f"bath: {exc}") from exc
     series = kernel.evaluate(times)
     try:
         quadr, q_err = bath.correlation_quadrature(spec, times)
@@ -177,10 +180,11 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     lam = float(cfg["lambda"])
     rho0 = bloch_to_density(_parse_bloch(args.initial))
     times = cfg.propagation_times()
-    gen = build_redfield_generator(model, kernel, lam)
-    # the TCL2 panel budget raises ValueError; overflow is refused below
+    # the TCL2 panel budget raises ValueError; overflow, also of lam^2 in
+    # the generator, is refused below
     try:
         with np.errstate(over="ignore", invalid="ignore"):
+            gen = build_redfield_generator(model, kernel, lam)
             if args.mode == "markov":
                 traj = propagate_markovian(gen, rho0, times)
             else:

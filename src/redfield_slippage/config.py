@@ -28,6 +28,10 @@ class ConfigError(Exception):
     pass
 
 
+# 2001^2 cells: a 290 MB result table and about 100 times the default scan
+MAX_GRID_N = 2001
+
+
 DEFAULTS = {
     "model.epsilon": 1.0,
     "bath.type": "lorentz_drude",
@@ -137,8 +141,8 @@ class RunConfig:
         if not 1 <= v["quadrature.n_points"] <= MAX_POINTS:
             raise ConfigError(f"quadrature.n_points must lie in [1, {MAX_POINTS}]")
         n = v["scan.grid_n"]
-        if n < 3 or n % 2 == 0:
-            raise ConfigError("scan.grid_n must be an odd integer >= 3")
+        if not 3 <= n <= MAX_GRID_N or n % 2 == 0:
+            raise ConfigError(f"scan.grid_n must be an odd integer in [3, {MAX_GRID_N}]")
         if abs(v["scan.z"]) > 1.0:
             raise ConfigError("scan.z must lie in [-1, 1]")
         if v["scan.t_window"] <= 0.0 or v["scan.refine_iters"] < 1:
@@ -209,7 +213,10 @@ class RunConfig:
     def kernel(self):
         spec = self.bath_spec()
         if isinstance(spec, LorentzDrudeBath):
-            return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
+            try:
+                return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
+            except ValueError as exc:
+                raise ConfigError(f"bath: {exc}") from exc
         return discrete_kernel(spec)
 
     def quadrature_times(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
@@ -107,7 +106,9 @@ class Superoperator:
     Wraps a d^2 x d^2 complex matrix and caches its eigendecomposition
     so that exp(t S) can be applied repeatedly at different times for
     the cost of a couple of small matrix products. Defective or badly
-    conditioned generators fall back to scipy's expm on each call.
+    conditioned generators fall back to scipy's expm on each call;
+    scipy.linalg is imported on the first such fallback, so the
+    diagonalizable path never loads it.
     """
 
     # diagonalization is trusted only below this eigenvector condition number
@@ -145,6 +146,8 @@ class Superoperator:
         w, v, vinv, ok = self.eigensystem()
         if ok:
             return v @ (np.exp(w * t) * (vinv @ v_in))
+        from scipy.linalg import expm
+
         return expm(self.matrix * t) @ v_in
 
     def expm_action_many(self, times, v_in):
@@ -154,6 +157,8 @@ class Superoperator:
         times = np.asarray(times, dtype=float)
         w, v, vinv, ok = self.eigensystem()
         if not ok:
+            from scipy.linalg import expm
+
             starts = np.broadcast_to(v_in, times.shape + v_in.shape[-1:])
             return np.stack([expm(self.matrix * t) @ y for t, y in zip(times, starts)], axis=1)
         if v_in.ndim == 1:

@@ -22,10 +22,13 @@ sup on the time grid, then one golden-section pass that refines every
 state's sup, and likewise for the positivity dips. Batch results are
 arrays over the states, and a scan is one float table in the column
 order of its CSV, NaN where a field is empty.
-Failing the bound (a negative value of the expression above) defines
-membership in the region where the correlated construction breaks
-down, which the scans pair with the positivity-violation region of the
-memoryless propagation.
+A negative value of the expression above puts rho_S in U': no member
+of the variational family of correlated total states built on rho_S is
+positive, so rho_S has no naturally correlated partner of that family.
+The scans pair U' with N, the states whose memoryless trajectory loses
+positivity. In the slippage picture (Suarez, Silbey & Oppenheim,
+J. Chem. Phys. 97, 5101 (1992)) a state of N has no natural partner,
+so N should lie inside U'.
 """
 
 from __future__ import annotations
@@ -151,8 +154,9 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
     t_mid = 12.0 * scale
     t_max = float(t_window) * scale
     step = np.pi / (8.0 * eps * density)
-    if not (t_mid - t_lo) / step <= MAX_POINTS:
-        n = (t_mid - t_lo) / step
+    # step is 0 where 8 eps overflows
+    n = (t_mid - t_lo) / step if step > 0.0 else np.inf
+    if not n <= MAX_POINTS:
         raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
     lin = np.arange(t_lo, t_mid, step)
     if t_max > t_mid:

@@ -1,8 +1,13 @@
-"""Shared fixtures: one kernel fit per session, one oracle bath, seeded RNG."""
+"""Shared fixtures: one kernel fit per session, one oracle bath, seeded RNG,
+and the environment of a child interpreter."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import redfield_slippage
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.master import SystemModel, build_redfield_generator
 from redfield_slippage.oracle import default_oracle_bath
@@ -43,3 +48,13 @@ def oracle_bath():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    # the child must import the package this session imported, whatever its
+    # working directory: an inherited relative PYTHONPATH would not resolve
+    src = str(Path(redfield_slippage.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -69,7 +69,7 @@ def _membership_masks(result):
 
 
 def test_criterion_1_region_geometry(full_scan, announce):
-    # both regions populate, the correctable set hugs the unit circle,
+    # both regions populate, U' (no natural partner) hugs the unit circle,
     # and the full scan fits the wall-clock budget
     result, wall = full_scan
     in_u, in_n = _membership_masks(result)
@@ -92,8 +92,8 @@ def test_criterion_1_region_geometry(full_scan, announce):
 
 
 def test_criterion_2_inclusion(full_scan, announce):
-    # every correlated-membership cell lies in the correctable region up
-    # to one grid cell of boundary discretization
+    # every N cell (the memoryless trajectory loses positivity) lies in U'
+    # (no natural partner) up to one grid cell of boundary discretization
     result, _ = full_scan
     in_u, in_n = _membership_masks(result)
     n = in_u.shape[0]
@@ -114,7 +114,8 @@ def test_criterion_2_inclusion(full_scan, announce):
 
 
 def test_criterion_3_pure_states(model, kernel, announce):
-    # every pure state on the equator is correctable at lambda = 0.5
+    # every pure state on the equator is in U' at lambda = 0.5: with p0 = 0
+    # no correlated partner of the variational family is positive
     angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
     verdicts = []
     for th in angles:

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import redfield_slippage
 from redfield_slippage import __version__
 from redfield_slippage.bath import DiscreteModes, LorentzDrudeBath
 from redfield_slippage.cli import _dump_json, main
-from redfield_slippage.config import DEFAULTS, ConfigError, RunConfig
+from redfield_slippage.config import DEFAULTS, MAX_GRID_N, ConfigError, RunConfig
 from redfield_slippage.corrections import NaturalFamily, perturbative_solution
+from redfield_slippage.master import MAX_POINTS
 from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.oracle import OracleConsistencyError
 
@@ -99,6 +99,36 @@ def test_config_validation_bounds():
     ):
         with pytest.raises(ConfigError):
             RunConfig.load(None, overrides)
+
+
+# (smallest, largest) accepted value of every key that sizes an array
+SIZE_BOUNDS = {
+    "quadrature.n_points": (1, MAX_POINTS),
+    "propagation.n_points": (2, MAX_POINTS),
+    "oracle.n_times": (1, MAX_POINTS),
+    "scan.grid_n": (3, MAX_GRID_N),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(sorted(SIZE_BOUNDS)),
+    text=st.one_of(
+        st.integers().map(str),
+        st.sampled_from([10**300, -(10**300), MAX_POINTS + 1, MAX_GRID_N + 2]).map(str),
+        st.floats().map(repr),
+    ),
+)
+def test_config_refuses_out_of_bounds_sizes(key, text):
+    # validation alone decides: nothing is ever run at a drawn size
+    lo, hi = SIZE_BOUNDS[key]
+    value = int(text) if text.lstrip("-").isdigit() else None
+    valid = value is not None and lo <= value <= hi and (key != "scan.grid_n" or value % 2 == 1)
+    if valid:
+        assert RunConfig.load(None, [f"{key}={text}"])[key] == value
+    else:
+        with pytest.raises(ConfigError):
+            RunConfig.load(None, [f"{key}={text}"])
 
 
 def test_config_quadrature_window_inside_the_domain():
@@ -338,6 +368,15 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         # exp(t G) overflows: NaN and inf rows, refused before either file
         ["propagate", "--set", "propagation.t_end=1e300"],
         ["propagate", "--mode", "tcl2", "--kappa", "1e308"],
+        # 8 epsilon overflows: the sup search step is 0
+        ["diagnose", "--set", "model.epsilon=1.7976931348623157e308"],
+        # the Matsubara poles 2 pi k / beta and their amplitudes overflow
+        ["bath-correlation", "--set", "bath.beta=1e-300"],
+        ["diagnose", "--set", "bath.beta=5e-324"],
+        # beta omega_c / 2 overflows before the pole-collision check
+        ["propagate", "--set", "bath.beta=1e300", "--set", "bath.omega_cutoff=1e10"],
+        # lam^2 overflows inside the generator
+        ["propagate", "--set", "lambda=1e300"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -370,6 +409,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "omega_cutoff_overflow",
         "markov_non_finite_trajectory",
         "tcl2_non_finite_trajectory",
+        "diagnose_sup_grid_step_underflow",
+        "bath_correlation_poles_overflow",
+        "diagnose_poles_overflow",
+        "beta_omega_cutoff_overflow",
+        "markov_lambda_squared_overflow",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -391,6 +435,43 @@ def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 3
     assert "kernel diagnostic:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+FUZZ_KEYS = ("lambda", "model.epsilon", "bath.beta", "bath.omega_cutoff", "propagation.t_end", "scan.z")
+EXTREME_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-309,
+     sys.float_info.max, math.inf, -math.inf, math.nan, 0.5, 1.0]
+) | st.floats()
+
+
+def _assert_finite_outputs(out):
+    for name in os.listdir(out):
+        text = (Path(out) / name).read_text(encoding="utf-8")
+        if name.endswith(".csv"):
+            fields = [f for line in text.splitlines()[1:] for f in line.split(",") if f]
+            assert all(math.isfinite(float(f)) for f in fields), name
+        else:
+            json.loads(text, parse_constant=lambda c: pytest.fail(f"{name} holds {c}"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]),
+    values=st.dictionaries(st.sampled_from(FUZZ_KEYS), EXTREME_FLOATS, min_size=1),
+)
+def test_cli_exit_codes_at_extreme_values(command, values):
+    # the exit-code contract holds for any value: an exception, which would
+    # end the command line in a traceback, or a warning fails this test
+    argv = list(command)
+    for key, value in values.items():
+        argv += ["--set", f"{key}={value!r}"]
+    with tempfile.TemporaryDirectory() as out:
+        rc = main(argv + ["--out", out])
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            _assert_finite_outputs(out)
+        else:
+            assert not os.listdir(out)
 
 
 def test_dump_json_refuses_non_finite_values():
@@ -671,16 +752,7 @@ def _declared_entry_point():
         return tomllib.load(fh)["project"]["scripts"]["redfield-slippage"]
 
 
-def _child_env():
-    # the child must import the package this session imported, whatever its
-    # working directory: an inherited relative PYTHONPATH would not resolve
-    src = str(Path(redfield_slippage.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def test_cli_entry_point(tmp_path):
+def test_cli_entry_point(tmp_path, child_env):
     # the console script is generated from pyproject.toml at install time;
     # check that its declared target is cli.main, then drive that target in a
     # child interpreter the way the generated wrapper does (sys.exit(main()))
@@ -690,32 +762,70 @@ def test_cli_entry_point(tmp_path):
         [sys.executable, "-m", "redfield_slippage", "diagnose", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env,
     )
     assert proc.returncode == 0
     assert os.path.exists(tmp_path / "diagnose.json")
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+def test_cli_import_leaves_out_scipy_integrate(child_env):
     # no command needs adaptive quadrature, and importing scipy.integrate
     # costs start-up time and resident memory
     code = "import sys, redfield_slippage.cli; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-def test_cli_import_leaves_out_scipy_sparse():
+def test_cli_import_leaves_out_scipy_sparse(child_env):
     # the oracle finds the blocks of its Hamiltonian with numpy alone;
     # scipy.sparse would add to every command's start-up time
     code = "import sys, redfield_slippage.cli; print('scipy.sparse' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_SCIPY_PARTS_PROBE = """
+import json, sys
+from redfield_slippage.cli import main
+
+PARTS = ("scipy.integrate", "scipy.sparse", "scipy.linalg", "scipy.special")
+RUNS = [
+    ["diagnose"],
+    ["propagate", "--mode", "markov"],
+    ["propagate", "--mode", "tcl2"],
+    ["region-scan", "--set", "scan.grid_n=11"],
+    ["oracle"],
+    ["bath-correlation"],
+]
+loaded = {"import": [p for p in PARTS if p in sys.modules]}
+for argv in RUNS:
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+    loaded[" ".join(argv)] = [p for p in PARTS if p in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_commands_load_scipy_only_where_used(tmp_path, child_env):
+    # start-up is most of a single-state command's wall time: importing the
+    # CLI and running every command but bath-correlation loads no scipy
+    # subpackage; bath-correlation loads scipy.special for exp1, and
+    # scipy.linalg (expm) only comes with a defective generator
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PARTS_PROBE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=child_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(loaded) == 7
+    assert {k: v for k, v in loaded.items() if v} == {"bath-correlation": ["scipy.special"]}
 
 
 @pytest.mark.skipif(

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,34 @@ def test_expm_action_defective_matrix_falls_back():
     out = sop.expm_action(2.0, v0)
     # exp(tN) v = (t^3/6, t^2/2, t, 1) for the nilpotent shift
     assert np.allclose(out, [8.0 / 6.0, 2.0, 2.0, 1.0], atol=1e-12)
+
+
+_COLD_FALLBACK_PROBE = """
+import sys
+import numpy as np
+from redfield_slippage.operators import Superoperator
+
+sop = Superoperator(np.diag(np.ones(3), k=1).astype(complex))
+v0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+assert not sop.eigensystem()[3]
+assert "scipy.linalg" not in sys.modules
+times = np.array([0.0, 0.5, 2.0, 3.0])
+singles = [sop.expm_action(float(t), v0) for t in times]
+assert "scipy.linalg" in sys.modules
+cols = sop.expm_action_many(times, v0)
+for k, t in enumerate(times):
+    assert np.allclose(singles[k], [t**3 / 6, t**2 / 2, t, 1.0], atol=1e-12), t
+    assert np.array_equal(cols[:, k], singles[k]), t
+"""
+
+
+def test_expm_fallback_imports_scipy_linalg_on_first_use(child_env):
+    # pytest has already imported scipy.linalg (through scipy.integrate), so
+    # only a fresh interpreter shows that the fallback loads it by itself
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_FALLBACK_PROBE], capture_output=True, text=True, env=child_env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_expm_action_many_matches_single(rng):
