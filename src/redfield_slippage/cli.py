@@ -160,9 +160,9 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
                 jobs=int(args.jobs),
             )
     except ValueError as exc:
-        # the N scan needs a unique stationary state and a finite
-        # relaxation horizon, which an extreme lambda breaks; the sup
-        # search grid is bounded in size
+        # the N scan needs a unique stationary state and a nonzero
+        # lam^2 Re Gamma, which an extreme lambda breaks; the sup search
+        # grid is bounded in size
         raise ConfigError(f"region-scan: {exc}") from exc
     out = _out_dir(cfg, args)
     _write(os.path.join(out, "region_scan.csv"), result.to_csv())

@@ -16,6 +16,11 @@ interaction picture of G its right-hand side does not depend on the
 state, so the solution is a quadrature: composite Gauss-Legendre
 panels aligned with the output times and graded geometrically toward
 t = 0, refined until two passes agree.
+
+PositivityScanner finds the lowest eigenvalue of the memoryless
+trajectory over all t >= 0 (the N region). Because the coupling is
+through S^x, one period of the x-y rotation and the stationary limit
+bound it, so the scan's cost does not depend on lam.
 """
 
 from __future__ import annotations
@@ -355,61 +360,67 @@ def stationary_state(generator: RedfieldGenerator) -> np.ndarray:
     return rho
 
 
-def relaxation_horizon(generator: RedfieldGenerator) -> float:
-    """Time after which any state is exponentially indistinguishable
-    from the stationary one: 50 half-lives of the slowest decay."""
-    rate = max(generator.gamma_plus.real, generator.gamma_minus.real)
-    if rate <= 0.0:
-        raise KernelNotIntegrableError(
-            "the positivity scan needs a relaxing reservoir; discrete mode sets never relax"
-        )
-    if not generator.lam**2 * rate > 0.0:
-        raise ValueError(
-            f"relaxation horizon needs lam^2 Re Gamma > 0, got lam = {generator.lam:g}"
-        )
-    return 50.0 / (generator.lam**2 * rate)
-
-
 @dataclass
 class NMembership:
     """Fields are arrays over a batch of states, or Python scalars for
-    one state; witness_time is NaN (None for one state) outside N.
-    truncated marks a scan that reached its horizon without converging
-    and without finding a violation."""
+    one state; witness_time is NaN (None for one state) outside N."""
 
     in_n: np.ndarray
     witness_time: np.ndarray
     min_eigenvalue_attained: np.ndarray
-    truncated: np.ndarray
 
 
 class PositivityScanner:
     """Reusable minimum-eigenvalue scanner for one generator.
 
-    Precomputes the eigendecomposition of the generator, a coarse time
-    grid dense enough that no positivity dip can hide between nodes, and
-    the stationary state used to cut the scan early. evaluate_many()
-    then costs one (n x 4) x (4 x T) product for n initial states, plus
-    one batched golden-section refinement of every dip, over all states,
-    that approaches zero.
+    The coupling through S^x separates the Bloch z component, which
+    relaxes at rate g1, from the x-y pair, which relaxes at g1 / 2 and
+    turns at Omega. With u = e^{-g1 t},
+
+        |r(t)|^2 = (z_ss + dz u)^2 + u (P + Qc cos 2 Omega t + Qs sin 2 Omega t),
+
+    which the envelope (z_ss + dz u)^2 + u (P + |Q|), convex in u,
+    bounds and touches at every peak of the cosine. After the first
+    peak, at t0 < pi / Omega, |r(t)| therefore never exceeds
+    max(|r(t0)|, |z_ss|), so the lowest eigenvalue over t >= 0 is the
+    lower of its minimum on [0, pi / Omega] and the stationary limit
+    (1 - |r_ss|) / 2. The scanner samples that window every
+    (2 pi / eps) / 24. Where the damping is strong (2 Omega < g1) it
+    samples instead 24 nodes uniform in s = e^{-k t}, k the slowest
+    decay rate, down to s = 1/24 and 24 more geometric in s down to
+    1e-9. evaluate_many() then costs one (n x 4) x (4 x T) product for
+    n initial states, plus one batched golden-section refinement of
+    every sampled local minimum and of both ends, over all states.
     """
 
     def __init__(self, generator: RedfieldGenerator, pos_tol=POSITIVITY_TOL):
-        self.generator = generator
         self.pos_tol = float(pos_tol)
         w, v, vinv, ok = generator.liouvillian.eigensystem()
         if not ok:
             raise ValueError("generator eigendecomposition is unreliable")
         self._w, self._v, self._vinv = w, v, vinv
-        eps = generator.model.epsilon
-        self.t_cap = relaxation_horizon(generator)
-        self.dt = (2.0 * np.pi / eps) / 24.0
-        self.times = np.arange(0.0, self.t_cap + self.dt, self.dt)
+        rate = max(generator.gamma_plus.real, generator.gamma_minus.real)
+        if rate <= 0.0:
+            raise KernelNotIntegrableError(
+                "the positivity scan needs a relaxing reservoir; discrete mode sets never relax"
+            )
+        if not generator.lam**2 * rate > 0.0:
+            raise ValueError(
+                f"the positivity scan needs lam^2 Re Gamma > 0, got lam = {generator.lam:g}"
+            )
+        self._v_ss = 0.5 * (1.0 - float(np.linalg.norm(bloch_xyz(stationary_state(generator)))))
+        # the three decaying modes: the z relaxation and the x-y pair
+        decay = np.delete(w, np.argmin(np.abs(w)))
+        omega = float(np.max(np.abs(decay.imag)))
+        k = float(np.min(-decay.real))
+        # while the x-y pair is complex, k = g1 / 2: this is 2 Omega >= g1
+        if omega >= k:
+            dt = (2.0 * np.pi / generator.model.epsilon) / 24.0
+            self.times = np.arange(0.0, np.pi / omega + dt, dt)
+        else:
+            s = np.concatenate((1.0 - np.arange(24) / 24.0, np.geomspace(1.0 / 24.0, 1e-9, 25)[1:]))
+            self.times = np.abs(np.log(s)) / k
         self._phases = np.exp(np.outer(w, self.times))
-        # worst sub-grid undershoot of (1 - |r|)/2 between nodes,
-        # from |d2 r / dt2| <= (eps^2 + relaxation) |r|
-        self.refine_margin = 2.0 * (eps * self.dt) ** 2
-        self._r_ss = np.array(bloch_xyz(stationary_state(generator)))
 
     def _min_eig_at(self, t, y0):
         """(1 - |r(t)|)/2 at times t (n,) of the states with generator
@@ -421,35 +432,20 @@ class PositivityScanner:
     def evaluate_many(self, rhos) -> NMembership:
         """NMembership of the initial states rhos (n, 2, 2), all at once."""
         rhos = np.asarray(rhos, dtype=complex)
-        n = rhos.shape[0]
         y0 = vec(rhos) @ self._vinv.T
         s = np.moveaxis(self._v @ (self._phases * y0[:, :, None]), 1, 2)
-        path = np.stack(bloch_xyz(unvec(s)), axis=1)
-        dist = np.linalg.norm(path - self._r_ss[None, :, None], axis=1)
-        conv = dist < 4e-9
-        truncated = ~conv.any(axis=1)
-        n_t = len(self.times)
-        cut = np.where(truncated, n_t, np.argmax(conv, axis=1) + 1)
-        last = cut - 1
-        idx = np.arange(n_t)
-        mins = np.where(
-            idx < cut[:, None], 0.5 * (1.0 - np.linalg.norm(path, axis=1)), np.inf
-        )
+        mins = 0.5 * (1.0 - np.linalg.norm(np.stack(bloch_xyz(unvec(s)), axis=1), axis=1))
 
-        cells = np.arange(n)
+        cells = np.arange(rhos.shape[0])
         coarse = np.argmin(mins, axis=1)
         best_v = mins[cells, coarse]
         best_t = self.times[coarse]
-        # refine every local dip that could undershoot below the best
-        # coarse value once sub-grid wiggle is accounted for
-        thresh = best_v + self.refine_margin
-        dip = np.zeros(mins.shape, dtype=bool)
+        # refine every sampled local minimum and both ends
+        dip = np.ones(mins.shape, dtype=bool)
         dip[:, 1:-1] = (mins[:, 1:-1] <= mins[:, :-2]) & (mins[:, 1:-1] <= mins[:, 2:])
-        dip &= idx < last[:, None]
-        ends = ((idx == 0) | (idx == last[:, None])) & (last[:, None] >= 1)
-        cell, i = np.nonzero((dip | ends) & (mins < thresh[:, None]))
+        cell, i = np.nonzero(dip)
         lo = self.times[np.maximum(i - 1, 0)]
-        hi = self.times[np.minimum(i + 1, last[cell])]
+        hi = self.times[np.minimum(i + 1, self.times.size - 1)]
         y0_c = y0[cell]
         t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=32)
         # lowest refined dip per cell; lexsort is stable, so ties keep
@@ -461,10 +457,9 @@ class PositivityScanner:
         best_v[hit[lower]] = v_ref[pick[lower]]
         best_t[hit[lower]] = t_ref[pick[lower]]
 
+        best_v = np.minimum(best_v, self._v_ss)
         in_n = best_v < -self.pos_tol
-        # without a violation inside the scanned horizon, an unconverged
-        # scan is reported as truncated rather than as a certificate
-        return NMembership(in_n, np.where(in_n, best_t, np.nan), best_v, truncated & ~in_n)
+        return NMembership(in_n, np.where(in_n, best_t, np.nan), best_v)
 
     def evaluate(self, rho0) -> NMembership:
         """NMembership of one initial state, as a batch of one."""
@@ -474,9 +469,9 @@ class PositivityScanner:
 def n_membership(generator: RedfieldGenerator, rho0, pos_tol=POSITIVITY_TOL) -> NMembership:
     """Does the memoryless trajectory from rho0 ever lose positivity?
 
-    Scans min-eig of the evolving state over a horizon long enough that
-    the state is stationary afterwards, refining every dip that could
-    cross zero. in_n is true when the minimum goes below -pos_tol.
+    The lowest eigenvalue over all t >= 0 comes from PositivityScanner's
+    one-period window and the stationary limit. in_n is true when it
+    goes below -pos_tol.
     """
     rho0 = check_density(rho0)
     return PositivityScanner(generator, pos_tol=pos_tol).evaluate(rho0)

@@ -279,8 +279,8 @@ class _RowScan:
         self.refine_iters = int(refine_iters)
 
     def __call__(self, y):
-        """(the row's (len(xs), 6) block of the scan table columns p0 to
-        witness_t in x order, number of truncated N scans)."""
+        """The row's (len(xs), 6) block of the scan table columns p0 to
+        witness_t, in x order."""
         y, z, xs = float(y), self.z, self.xs
         physical = xs * xs + y * y + z * z <= 1.0 + 1e-12
         rhos = 0.5 * I2 + xs[physical][:, None, None] * SX + y * SY + z * SZ
@@ -290,7 +290,7 @@ class _RowScan:
         block[physical] = np.column_stack(
             (u.p0, u.bound, u.in_u_prime, nm.in_n, nm.min_eigenvalue_attained, nm.witness_time)
         )
-        return block, int(nm.truncated.sum())
+        return block
 
 
 def region_scan(
@@ -311,9 +311,9 @@ def region_scan(
     ball are flagged unphysical (empty fields), not evaluated. A grid
     row is the unit of batched evaluation and of the work handed to
     each of the jobs worker processes, so the output is deterministic
-    and independent of jobs. metadata["n_truncated"] counts the cells
-    whose positivity scan reached its horizon without converging and
-    without finding a violation.
+    and independent of jobs. N membership samples one period of the
+    memoryless trajectory and compares it with the stationary limit
+    (master.PositivityScanner), so its cost does not depend on lam.
     """
     grid_n = int(grid_n)
     if grid_n < 3 or grid_n % 2 == 0:
@@ -332,7 +332,7 @@ def region_scan(
         results = [scan(y) for y in ys]
     x, y = np.meshgrid(xs, ys)
     table = np.column_stack(
-        (x.ravel(), y.ravel(), np.full(x.size, float(z)), np.concatenate([b for b, _ in results]))
+        (x.ravel(), y.ravel(), np.full(x.size, float(z)), np.concatenate(results))
     )
     meta = {
         "grid_n": grid_n,
@@ -349,7 +349,6 @@ def region_scan(
         "n_in_u_prime": int(np.sum(table[:, 5] == 1.0)),
         "n_in_n": int(np.sum(table[:, 6] == 1.0)),
         "n_unphysical": int(np.sum(np.isnan(table[:, 3]))),
-        "n_truncated": sum(n for _, n in results),
     }
     return RegionScanResult(xs=xs, ys=ys, z=float(z), table=table, metadata=meta)
 

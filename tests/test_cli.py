@@ -343,7 +343,7 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["bath-correlation", "--set", "quadrature.n_points=100001"],
         # t = 50 at X = 40 / beta = 4e5 needs 8e6 contour panels
         ["bath-correlation", "--set", "bath.beta=1e-4"],
-        # lam^2 underflows: the relaxation horizon is infinite
+        # lam^2 underflows: the N scan sees no relaxation
         ["region-scan", "--set", "lambda=1e-200", "--set", "scan.grid_n=5"],
         # the generator's zero eigenspace is degenerate
         ["region-scan", "--set", "lambda=1e6", "--set", "scan.grid_n=5"],
@@ -425,7 +425,7 @@ def test_cli_config_error_exit2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        # discrete modes never relax: the N scan has no horizon
+        # discrete modes never relax: the N scan has no stationary limit
         ["region-scan", "--set", "bath.type=discrete", "--set", "bath.modes=0.3:0.1,0.9:0.1",
          "--set", "scan.grid_n=5"],
     ],
@@ -454,14 +454,7 @@ def _assert_finite_outputs(out):
             json.loads(text, parse_constant=lambda c: pytest.fail(f"{name} holds {c}"))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]),
-    values=st.dictionaries(st.sampled_from(FUZZ_KEYS), EXTREME_FLOATS, min_size=1),
-)
-def test_cli_exit_codes_at_extreme_values(command, values):
-    # the exit-code contract holds for any value: an exception, which would
-    # end the command line in a traceback, or a warning fails this test
+def _assert_exit_contract(command, values):
     argv = list(command)
     for key, value in values.items():
         argv += ["--set", f"{key}={value!r}"]
@@ -472,6 +465,25 @@ def test_cli_exit_codes_at_extreme_values(command, values):
             _assert_finite_outputs(out)
         else:
             assert not os.listdir(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]),
+    values=st.dictionaries(st.sampled_from(FUZZ_KEYS), EXTREME_FLOATS, min_size=1),
+)
+def test_cli_exit_codes_at_extreme_values(command, values):
+    # the exit-code contract holds for any value: an exception, which would
+    # end the command line in a traceback, or a warning fails this test
+    _assert_exit_contract(command, values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(("lambda", "scan.z")), EXTREME_FLOATS, min_size=1))
+def test_cli_region_scan_exit_codes_at_extreme_values(values):
+    # the N scan's cost does not grow as lambda shrinks, so a 3 x 3 scan
+    # is cheap at any coupling
+    _assert_exit_contract(["region-scan", "--set", "scan.grid_n=3"], values)
 
 
 def test_dump_json_refuses_non_finite_values():

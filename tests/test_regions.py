@@ -182,9 +182,8 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
     xs = reach * np.array(fracs)
     row_scan = _RowScan(model, kernel, 0.5, xs, z, 50.0, 32, 1e-12)
-    block, n_truncated = row_scan(y)
+    block = row_scan(y)
     assert block.shape == (len(xs), 6)
-    truncated = 0
     for x, (p0, bound, in_u, in_n, min_eig, witness) in zip(xs, block.tolist()):
         rho = bloch_to_density((x, y, z))
         u = _u_prime_many(row_scan.tables, 0.5, rho[None], 32)
@@ -195,8 +194,6 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
         assert in_n == (1.0 if nm.in_n else 0.0)
         assert min_eig == pytest.approx(nm.min_eigenvalue_attained, abs=1e-12)
         assert math.isnan(witness) == (nm.witness_time is None)
-        truncated += nm.truncated
-    assert n_truncated == truncated
 
 
 def _fsum(terms):
@@ -358,24 +355,6 @@ def test_region_scan_jobs_identical(model, kernel):
     one = region_scan(model, kernel, 0.5, grid_n=11, jobs=1).to_csv()
     two = region_scan(model, kernel, 0.5, grid_n=11, jobs=2).to_csv()
     assert one == two
-
-
-def test_region_scan_n_truncated(model, kernel, generator):
-    # the count of N scans cut at the horizon is reported, equals the
-    # per-cell flags and does not depend on jobs
-    counts = [
-        region_scan(model, kernel, 0.5, grid_n=7, jobs=jobs).metadata["n_truncated"]
-        for jobs in (1, 2)
-    ]
-    xs = np.linspace(-1.0, 1.0, 7)
-    expect = sum(
-        n_membership(generator, bloch_to_density((x, y, 0.0))).truncated
-        for y in xs
-        for x in xs
-        if x * x + y * y <= 1.0
-    )
-    assert counts == [expect, expect]
-    assert expect > 0
 
 
 def test_max_radial_depth_scaling(model, kernel):
