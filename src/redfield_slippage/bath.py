@@ -530,8 +530,10 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
     s = min(omega_c, 2 pi / beta); its singularities lie on the
     imaginary axis. Moving the contour to w = x - i c turns e^{-iwt}
     into e^{-ct} e^{-ixt}. Times are grouped by the power of two T
-    above them, and each group takes c = s - d with d = min(s / 10, 1 / T),
-    so the leftover e^{dt} cancellation costs at most about one e-fold.
+    above them, at most 2^1023, and each group takes c = s - d with
+    d = min(s / 10, 1 / T), so the leftover e^{dt} cancellation costs at
+    most about one e-fold (two beyond 2^1023); d is at least 4 eps s, so
+    that c does not round to s, where the contour meets a singularity.
     The line [-X, X] with X = max(40 / beta, 30 omega_c) is covered by
     16-point Gauss-Legendre panels graded geometrically toward x = 0 at
     the distance d of the nearest singularity and no wider than one
@@ -565,18 +567,22 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
     eps = np.finfo(float).eps
     values = np.zeros(flat.size, dtype=complex)
     err = np.zeros(flat.size)
-    powers = np.ceil(np.log2(flat))
+    # 2^1024 overflows to a d of 0, for which no panel edges end
+    powers = np.minimum(np.ceil(np.log2(flat)), 1023.0)
     # longest times first, so a group over the panel budget fails early
     for power in np.unique(powers)[::-1]:
         idx = np.flatnonzero(powers == power)
         tt = flat[idx]
         t_group = 2.0**power
-        d = min(0.1 * s, 1.0 / t_group)
+        d = max(min(0.1 * s, 1.0 / t_group), 4.0 * eps * s)
         c = s - d
-        # J(w) = (omega_c^2 / 2) sum_p 1 / (w - p) beyond X, integrated exactly
-        z1 = 1j * tt * (x_cut - 1j * (c + omega_c))
-        z2 = 1j * tt * (x_cut + 1j * (omega_c - c))
-        tail = 0.5 * omega_c**2 * np.exp(-1j * x_cut * tt) * (_exp1_scaled(z1) + _exp1_scaled(z2))
+        # J(w) = (omega_c^2 / 2) sum_p 1 / (w - p) beyond X, integrated
+        # exactly; where t X overflows the tail is NaN, and the alive test
+        # below counts such a time as underflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            z1 = 1j * tt * (x_cut - 1j * (c + omega_c))
+            z2 = 1j * tt * (x_cut + 1j * (omega_c - c))
+            tail = 0.5 * omega_c**2 * np.exp(-1j * x_cut * tt) * (_exp1_scaled(z1) + _exp1_scaled(z2))
         # sum |f_j w_j| on the panels without the period cap, which
         # depends on the group only through c
         x, w = _panel_rule(_panel_edges(d, x_cut, np.inf), 1)
@@ -590,7 +596,8 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
         if 2.0 * x_cut / width > QUAD_MAX_PANELS:
             raise ValueError(
                 f"the contour rule for t up to {t_group:g} needs about "
-                f"{2.0 * x_cut / width:.3g} panels, over its limit of {QUAD_MAX_PANELS}"
+                f"{2.0 * x_cut / width:.3g} panels, over its limit of {QUAD_MAX_PANELS}; "
+                "lower quadrature.t_max, or raise bath.beta or lower bath.omega_cutoff"
             )
         edges = _panel_edges(d, x_cut, width)
         total = np.zeros(tt.size, dtype=complex)

@@ -67,14 +67,12 @@ def _base_metadata(cfg: RunConfig, command: str) -> dict:
 
 
 def _dump_json(obj) -> str:
-    """Strict JSON of a report: a non-finite number is a ConfigError
-    naming the report's command, never NaN or Infinity in the file."""
+    """Strict JSON of a report: a non-finite number is a ConfigError,
+    never NaN or Infinity in the file."""
     try:
         return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ConfigError(
-            f"{obj.get('command')}: the result is not finite at this configuration ({exc})"
-        ) from exc
+        raise ConfigError(f"the result is not finite at this configuration ({exc})") from exc
 
 
 def _write(path, text):
@@ -107,22 +105,14 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     if not isinstance(spec, LorentzDrudeBath):
         raise ConfigError("bath-correlation needs bath.type=lorentz_drude")
     times = cfg.quadrature_times()
-    try:
-        kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
-    except ValueError as exc:
-        raise ConfigError(f"bath: {exc}") from exc
+    kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
     series = kernel.evaluate(times)
-    try:
-        quadr, q_err = bath.correlation_quadrature(spec, times)
-    except ValueError as exc:
-        # the panel budget of the contour rule bounds t_max * X
-        raise ConfigError(
-            f"bath-correlation: {exc}; lower quadrature.t_max, "
-            "or raise bath.beta or lower bath.omega_cutoff"
-        ) from exc
+    quadr, q_err = bath.correlation_quadrature(spec, times)
     # abs of each numpy complex scalar: the array abs differs in last digits
     resid = [abs(cs - cq) / max(abs(cs), abs(cq), 1e-300) for cs, cq in zip(series, quadr)]
     cols = (times, series.real, series.imag, quadr.real, quadr.imag, resid)
+    if not np.all(np.isfinite(cols)):
+        raise ConfigError("the kernel table is not finite at this configuration")
     header = "t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"
     meta = _base_metadata(cfg, "bath-correlation")
     meta["kernel"] = dict(kernel.meta)
@@ -140,30 +130,16 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
 
 
 def cmd_region_scan(cfg: RunConfig, args) -> int:
-    lam = float(cfg["lambda"])
-    if lam <= 0.0:
-        raise ConfigError("region-scan needs lambda > 0")
-    model = cfg.model()
-    kernel = cfg.kernel()
-    # an overflowing lam^2 breaks the generator, which is refused as a
-    # ValueError below; numpy need not warn on the way there
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = region_scan(
-                model,
-                kernel,
-                lam,
-                grid_n=int(cfg["scan.grid_n"]),
-                z=float(cfg["scan.z"]),
-                t_window=float(cfg["scan.t_window"]),
-                refine_iters=int(cfg["scan.refine_iters"]),
-                jobs=int(args.jobs),
-            )
-    except ValueError as exc:
-        # the N scan needs a unique stationary state and a nonzero
-        # lam^2 Re Gamma, which an extreme lambda breaks; the sup search
-        # grid is bounded in size
-        raise ConfigError(f"region-scan: {exc}") from exc
+    result = region_scan(
+        cfg.model(),
+        cfg.kernel(),
+        float(cfg["lambda"]),
+        grid_n=int(cfg["scan.grid_n"]),
+        z=float(cfg["scan.z"]),
+        t_window=float(cfg["scan.t_window"]),
+        refine_iters=int(cfg["scan.refine_iters"]),
+        jobs=int(args.jobs),
+    )
     out = _out_dir(cfg, args)
     _write(os.path.join(out, "region_scan.csv"), result.to_csv())
     meta = _base_metadata(cfg, "region-scan")
@@ -180,20 +156,14 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     lam = float(cfg["lambda"])
     rho0 = bloch_to_density(_parse_bloch(args.initial))
     times = cfg.propagation_times()
-    # the TCL2 panel budget raises ValueError; overflow, also of lam^2 in
-    # the generator, is refused below
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gen = build_redfield_generator(model, kernel, lam)
-            if args.mode == "markov":
-                traj = propagate_markovian(gen, rho0, times)
-            else:
-                traj = propagate_tcl2(gen, rho0, times, kappa=float(args.kappa))
-    except ValueError as exc:
-        raise ConfigError(f"propagate: {exc}") from exc
+    gen = build_redfield_generator(model, kernel, lam)
+    if args.mode == "markov":
+        traj = propagate_markovian(gen, rho0, times)
+    else:
+        traj = propagate_tcl2(gen, rho0, times, kappa=float(args.kappa))
     # min_eig is finite only where x, y and z are; the times are validated
     if not np.all(np.isfinite((traj.min_eigenvalues, traj.trace_errors))):
-        raise ConfigError("propagate: the trajectory is not finite at this configuration")
+        raise ConfigError("the trajectory is not finite at this configuration")
     meta = _base_metadata(cfg, "propagate")
     meta["initial"] = [float(p) for p in args.initial.split(",")]
     meta["mode"] = args.mode
@@ -214,18 +184,12 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     lam = float(cfg["lambda"])
     bloch = _parse_bloch(args.initial)
     rho = bloch_to_density(bloch)
-    # an overflowing lam^2 makes the report non-finite, which _dump_json
-    # turns into a config error; numpy need not warn on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            res = u_prime_membership(
-                model, kernel, lam, rho,
-                t_window=float(cfg["scan.t_window"]),
-                refine_iters=int(cfg["scan.refine_iters"]),
-            )
-        except ValueError as exc:  # the sup search grid is bounded
-            raise ConfigError(f"diagnose: {exc}") from exc
-        report = slipped_initial_condition(model, kernel, lam, rho, Product())
+    res = u_prime_membership(
+        model, kernel, lam, rho,
+        t_window=float(cfg["scan.t_window"]),
+        refine_iters=int(cfg["scan.refine_iters"]),
+    )
+    report = slipped_initial_condition(model, kernel, lam, rho, Product())
     obj = _base_metadata(cfg, "diagnose")
     obj.update(
         {
@@ -246,23 +210,17 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
     model = cfg.model()
-    try:
-        bath = default_oracle_bath(
-            omega_c=float(cfg["bath.omega_cutoff"]),
-            beta=float(cfg["oracle.beta"]),
-            n_modes=int(cfg["oracle.n_modes"]),
-            omega_max=float(cfg["oracle.omega_max"]) * model.epsilon,
-            fock_cutoff=int(cfg["oracle.fock_cutoff"]),
-        )
-    except ValueError as exc:
-        # the truncated bath rejects a visible thermal tail or an
-        # oversized Hilbert space: both come from the oracle.* keys
-        raise ConfigError(f"oracle bath: {exc}") from exc
+    # the truncated bath refuses a visible thermal tail or an oversized
+    # Hilbert space, both set by the oracle.* keys
+    bath = default_oracle_bath(
+        omega_c=float(cfg["bath.omega_cutoff"]),
+        beta=float(cfg["oracle.beta"]),
+        n_modes=int(cfg["oracle.n_modes"]),
+        omega_max=float(cfg["oracle.omega_max"]) * model.epsilon,
+        fock_cutoff=int(cfg["oracle.fock_cutoff"]),
+    )
     t_star = float(cfg["oracle.t_star"])
-    try:
-        check_comparison_time(bath, t_star)
-    except ValueError as exc:
-        raise ConfigError(f"oracle.t_star: {exc}") from exc
+    check_comparison_time(bath, t_star)
     rho_s = bloch_to_density((0.6, 0.0, 0.3))
     n_times = int(cfg["oracle.n_times"])
     times = np.linspace(0.2, 6.0, n_times)
@@ -344,23 +302,26 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and map its refusal to an exit code: a library
+    ValueError (ConfigError among them) is 2, a kernel diagnostic 3 and
+    an oracle inconsistency 4. Every output is checked to be finite, so
+    numpy need not warn on an overflow that ends in a refusal."""
+    args = build_parser().parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-        cfg = RunConfig.load(args.config, args.overrides)
-        return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.jobs < 1:
+                raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+            cfg = RunConfig.load(args.config, args.overrides)
+            return _COMMANDS[args.command](cfg, args)
+    # PoleCollisionError is a ValueError, so the diagnostics come first
     except (KernelNotIntegrableError, PoleCollisionError) as exc:
-        print(f"kernel diagnostic: {exc}", file=sys.stderr)
-        return 3
+        code, kind, reason = 3, "kernel diagnostic", exc
     except OracleConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
-        return 4
-
+        code, kind, reason = 4, "consistency failure", exc
+    except ValueError as exc:
+        code, kind, reason = 2, "config error", exc
+    print(f"{kind}: {args.command}: {reason}", file=sys.stderr)
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

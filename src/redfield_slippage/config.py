@@ -2,9 +2,10 @@
 
 Config files are plain text, one `key = value` per line, `#` starting a
 comment. Every key has a typed default below; unknown keys and values
-that fail validation raise ConfigError, which the command line maps to
-exit code 2. The same keys can be overridden with repeated --set
-options, applied after the file in order.
+that fail validation raise ConfigError, a ValueError, which the command
+line maps to exit code 2 like every other library ValueError. The same
+keys can be overridden with repeated --set options, applied after the
+file in order.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from .bath import (
     T_MIN_FACTOR,
     DiscreteModes,
     LorentzDrudeBath,
-    PoleCollisionError,
     discrete_kernel,
     fit_exponential_mixture,
 )
 from .master import MAX_POINTS, SystemModel
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A value from outside the program that the command line refuses."""
 
 
 # 2001^2 cells: a 290 MB result table and about 100 times the default scan
@@ -194,29 +194,15 @@ class RunConfig:
         return SystemModel(epsilon=float(self.values["model.epsilon"]))
 
     def bath_spec(self):
-        try:
-            if self.values["bath.type"] == "lorentz_drude":
-                return LorentzDrudeBath(
-                    omega_c=float(self.values["bath.omega_cutoff"]),
-                    beta=float(self.values["bath.beta"]),
-                )
-            return DiscreteModes(
-                self.parsed_modes(),
-                beta=float(self.values["bath.beta"]),
-            )
-        except PoleCollisionError:
-            # a kernel diagnostic, not a malformed value
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bath: {exc}") from exc
+        beta = float(self.values["bath.beta"])
+        if self.values["bath.type"] == "lorentz_drude":
+            return LorentzDrudeBath(omega_c=float(self.values["bath.omega_cutoff"]), beta=beta)
+        return DiscreteModes(self.parsed_modes(), beta=beta)
 
     def kernel(self):
         spec = self.bath_spec()
         if isinstance(spec, LorentzDrudeBath):
-            try:
-                return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
-            except ValueError as exc:
-                raise ConfigError(f"bath: {exc}") from exc
+            return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
         return discrete_kernel(spec)
 
     def quadrature_times(self):

@@ -234,7 +234,7 @@ def _tcl2_drive(generator, rho0, tau):
     m = (SX @ a - a @ SX) - (SX @ b - b @ SX)
     m[:, 0, 1] *= np.conj(ph)
     m[:, 1, 0] *= ph
-    return generator.lam**2 * vec(m)
+    return generator.lam * generator.lam * vec(m)
 
 
 def _split_panels(edges, parts):
@@ -265,11 +265,12 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
     accumulates them up to each output time. The next pass splits every
     panel but the innermost into two geometric halves (half the width,
     the square root of the grading ratio); passes stop once two in a
-    row agree to within tol at every output time, or after max_halvings
-    refinements. The last difference is returned as err_est (infinite
-    when no refinement ran). At this order in the coupling all
-    orderings of the memory term agree; kappa = 1 cancels the drive
-    exactly and reproduces the memoryless semigroup.
+    row agree to within tol at every output time, once their difference
+    is not finite, or after max_halvings refinements. The last
+    difference is returned as err_est (infinite when no refinement ran).
+    At this order in the coupling all orderings of the memory term
+    agree; kappa = 1 cancels the drive exactly and reproduces the
+    memoryless semigroup.
     """
     rho0 = check_density(rho0)
     times = np.asarray(times, dtype=float)
@@ -332,7 +333,8 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
             fine = integrate(2**level)
             err = float(np.max(np.linalg.norm(fine - ys, axis=1)))
             ys = fine
-            if err < tol:
+            # a pass that overflowed overflows again when refined
+            if err < tol or not math.isfinite(err):
                 break
 
     cols = generator.liouvillian.expm_action_many(times, ys)
@@ -404,7 +406,7 @@ class PositivityScanner:
             raise KernelNotIntegrableError(
                 "the positivity scan needs a relaxing reservoir; discrete mode sets never relax"
             )
-        if not generator.lam**2 * rate > 0.0:
+        if not generator.lam * generator.lam * rate > 0.0:
             raise ValueError(
                 f"the positivity scan needs lam^2 Re Gamma > 0, got lam = {generator.lam:g}"
             )

@@ -435,9 +435,16 @@ def delta_rho2_direct(model, bath, q_corr, lam, times):
 
 
 def _relative_residuals(d1, d2):
-    """|d1 + d2| / |d1| per time (Frobenius norms), 0 where d1 vanishes."""
+    """|d1 + d2| / |d1| per time (Frobenius norms), 0 where d1 vanishes.
+    Refuses corrections whose norms are not finite or vanish at every
+    time, which would otherwise pass as a perfect cancellation."""
     num = np.linalg.norm(d1 + np.asarray(d2), axis=(-2, -1))
     den = np.linalg.norm(d1, axis=(-2, -1))
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den)) and np.any(den > 0)):
+        raise ValueError(
+            "the first-order corrections are not finite, or vanish at every time, "
+            "at this configuration"
+        )
     return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage import __version__
@@ -201,17 +201,19 @@ def test_cli_bath_correlation_off_default(tmp_path, override):
 
 def test_cli_bath_correlation_large_times(tmp_path):
     # e^{-ct} e^{-ipt} E1 overflowed its factors at large t and wrote nan;
-    # times whose value underflows are now an exact 0
-    argv = ["bath-correlation", "--out", str(tmp_path)]
-    argv += ["--set", "quadrature.t_max=1e6", "--set", "quadrature.n_points=5"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(argv) == 0
-    _, rows = _read_csv(tmp_path / "bath_correlation.csv")
-    values = np.array([[float(v) for v in r] for r in rows])
-    assert values.shape == (5, 6) and np.all(np.isfinite(values))
-    assert np.all(values[-2:, 3:5] == 0.0)
-    assert _read_json(tmp_path / "bath_correlation_meta.json")["quadrature_converged"] is True
+    # times whose value underflows are now an exact 0. Beyond 2^1023 the
+    # contour rule's panel edges ran forever
+    for t_max in (1e6, sys.float_info.max):
+        argv = ["bath-correlation", "--out", str(tmp_path)]
+        argv += ["--set", f"quadrature.t_max={t_max!r}", "--set", "quadrature.n_points=5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        _, rows = _read_csv(tmp_path / "bath_correlation.csv")
+        values = np.array([[float(v) for v in r] for r in rows])
+        assert values.shape == (5, 6) and np.all(np.isfinite(values))
+        assert values[-1, 0] == t_max and np.all(values[-2:, 3:5] == 0.0)
+        assert _read_json(tmp_path / "bath_correlation_meta.json")["quadrature_converged"] is True
 
 
 def test_cli_bath_correlation_single_point(tmp_path):
@@ -377,6 +379,14 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["propagate", "--set", "bath.beta=1e300", "--set", "bath.omega_cutoff=1e10"],
         # lam^2 overflows inside the generator
         ["propagate", "--set", "lambda=1e300"],
+        ["propagate", "--mode", "tcl2", "--set", "lambda=1e300"],
+        # the first-order corrections are NaN, which passed as a perfect
+        # cancellation with both signs
+        ["oracle", "--set", "oracle.beta=1.7976931348623157e308"],
+        ["oracle", "--set", "model.epsilon=1.7976931348623157e308"],
+        ["oracle", "--set", "oracle.cancellation_lambda=1e300"],
+        # the corrections' norms underflow to 0 at every time
+        ["oracle", "--set", "oracle.cancellation_lambda=1e-96"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -414,6 +424,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "diagnose_poles_overflow",
         "beta_omega_cutoff_overflow",
         "markov_lambda_squared_overflow",
+        "tcl2_lambda_squared_overflow",
+        "oracle_beta_overflow",
+        "oracle_epsilon_overflow",
+        "oracle_cancellation_lambda_overflow",
+        "oracle_cancellation_lambda_underflow",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -428,8 +443,18 @@ def test_cli_config_error_exit2(tmp_path, capsys, argv):
         # discrete modes never relax: the N scan has no stationary limit
         ["region-scan", "--set", "bath.type=discrete", "--set", "bath.modes=0.3:0.1,0.9:0.1",
          "--set", "scan.grid_n=5"],
+        # 2 pi 1000 / beta is within 1e-9 of omega_c relative, outside the
+        # 1e-6 window of beta omega_c / 2 around 1000 pi: the fit refuses it
+        ["diagnose", "--set", "bath.omega_cutoff=6283.185310321179"],
+        ["propagate", "--set", "bath.omega_cutoff=6283.185310321179"],
+        ["bath-correlation", "--set", "bath.omega_cutoff=6283.185310321179"],
     ],
-    ids=["region_scan_discrete_bath"],
+    ids=[
+        "region_scan_discrete_bath",
+        "diagnose_matsubara_pole_on_cutoff",
+        "propagate_matsubara_pole_on_cutoff",
+        "bath_correlation_matsubara_pole_on_cutoff",
+    ],
 )
 def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 3
@@ -486,11 +511,48 @@ def test_cli_region_scan_exit_codes_at_extreme_values(values):
     _assert_exit_contract(["region-scan", "--set", "scan.grid_n=3"], values)
 
 
-def test_dump_json_refuses_non_finite_values():
+@settings(max_examples=40, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(("lambda", "propagation.t_end")), EXTREME_FLOATS, min_size=1))
+@example(values={"lambda": 1e300})
+def test_cli_tcl2_exit_codes_at_extreme_values(values):
+    _assert_exit_contract(["propagate", "--mode", "tcl2", "--set", "propagation.n_points=5"], values)
+
+
+BATH_FUZZ_KEYS = ("bath.beta", "bath.omega_cutoff", "quadrature.t_min", "quadrature.t_max")
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(BATH_FUZZ_KEYS), EXTREME_FLOATS, min_size=1))
+@example(values={"quadrature.t_max": sys.float_info.max})
+def test_cli_bath_correlation_exit_codes_at_extreme_values(values):
+    _assert_exit_contract(["bath-correlation", "--set", "quadrature.n_points=3"], values)
+
+
+ORACLE_FUZZ_KEYS = (
+    "oracle.beta", "oracle.omega_max", "oracle.t_star", "oracle.cancellation_lambda", "model.epsilon"
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(values=st.dictionaries(st.sampled_from(ORACLE_FUZZ_KEYS), EXTREME_FLOATS, min_size=1))
+@example(values={"oracle.beta": sys.float_info.max})
+@example(values={"model.epsilon": sys.float_info.max})
+@example(values={"oracle.cancellation_lambda": 1e300})
+def test_cli_oracle_exit_codes_at_extreme_values(values):
+    base = ["oracle", "--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6"]
+    _assert_exit_contract(base + ["--set", "oracle.n_times=2", "--set", "oracle.lambdas=0.08,0.16"], values)
+
+
+def test_dump_json_refuses_non_finite_values(tmp_path, capsys):
     assert _dump_json({"command": "diagnose", "bound": -1.5}).startswith("{")
     for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ConfigError, match="^diagnose: "):
+        with pytest.raises(ConfigError, match="^the result is not finite"):
             _dump_json({"command": "diagnose", "bound": bad})
+    # main names the command once, in front of the refusal
+    assert main(["diagnose", "--set", "lambda=1e200", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: diagnose: the result is not finite")
+    assert err.count("diagnose") == 1
 
 
 def test_cli_propagate_markov(tmp_path):

@@ -164,6 +164,16 @@ def test_gibbs_consistency_shrinks_with_coupling(model, oracle_bath):
     assert res2 < 0.35 * res1
 
 
+def test_relative_residuals_refuse_a_degenerate_cancellation():
+    # a NaN or an all-zero correction passed as a perfect cancellation
+    # of either sign
+    d = np.ones((3, 2, 2), dtype=complex)
+    assert np.all(_relative_residuals(d, -d) == 0.0)
+    for bad in (np.full_like(d, np.nan), np.zeros_like(d)):
+        with pytest.raises(ValueError, match="corrections"):
+            _relative_residuals(bad, -d)
+
+
 def test_evolve_exact_free_precession(model, oracle_bath):
     rho_s = bloch_to_density((1.0, 0.0, 0.0))
     h = build_total_hamiltonian(model, oracle_bath, 0.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
@@ -230,9 +230,14 @@ def _full_sum_tables(kernel, eps, t):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), _unit, _unit, _unit)
+@example(
+    u=0.9537656722540457, r=0.775109314334929, x=0.6797860371607953, y=-0.9581077902703106,
+    z=0.775109314334929,
+)
 def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
-    # the kept terms reproduce the full 4001-term sums to 1e-14 anywhere
-    # on the sup search window
+    # the kept terms reproduce the full 4001-term sums to 1e-14 relative
+    # (absolute below 1) anywhere on the sup search window; at the example
+    # |A| is about 34 and the sums differ by 2 ulp
     tables = VariationalTables(model, kernel)
     grid = default_time_grid(model, kernel, 50.0)
     scale = max(kernel.tau_r_estimate, 1.0 / model.epsilon)
@@ -245,8 +250,8 @@ def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
     i_full, d_full = _full_sum_tables(kernel, model.epsilon, t)
     b_full = 0.5 * np.real(np.dot(i_full, n_vec))
     a_full = 0.25 * np.real(np.dot(d_full, m_vec))
-    assert abs(b[0] - b_full) < 1e-14
-    assert abs(a[0] - a_full) < 1e-14
+    assert abs(b[0] - b_full) < 1e-14 * max(1.0, abs(b_full))
+    assert abs(a[0] - a_full) < 1e-14 * max(1.0, abs(a_full))
     i_vals, d_vals = tables.tables(t)
     assert np.max(np.abs(i_vals - i_full)) < 1e-14
     assert np.all(np.abs(d_vals - d_full) < 1e-14 * np.maximum(1.0, np.abs(d_full)))
