@@ -13,7 +13,6 @@ from .operators import (
     BlochVector,
     Superoperator,
     bloch_to_density,
-    density_to_bloch,
     trace_distance,
 )
 from .bath import (
@@ -22,7 +21,6 @@ from .bath import (
     KernelNotIntegrableError,
     LorentzDrudeBath,
     PoleCollisionError,
-    correlation,
     discrete_kernel,
     fit_exponential_mixture,
 )
@@ -31,14 +29,12 @@ from .master import (
     SystemModel,
     Trajectory,
     build_redfield_generator,
-    n_membership,
     propagate_markovian,
     propagate_tcl2,
     stationary_state,
 )
 from .corrections import (
     NATURAL_SIGN,
-    ExplicitOracleState,
     NaturalFamily,
     Product,
     delta_rho1,
@@ -67,26 +63,22 @@ __all__ = [
     "BlochVector",
     "Superoperator",
     "bloch_to_density",
-    "density_to_bloch",
     "trace_distance",
     "DiscreteModes",
     "ExponentialSum",
     "KernelNotIntegrableError",
     "LorentzDrudeBath",
     "PoleCollisionError",
-    "correlation",
     "discrete_kernel",
     "fit_exponential_mixture",
     "RedfieldGenerator",
     "SystemModel",
     "Trajectory",
     "build_redfield_generator",
-    "n_membership",
     "propagate_markovian",
     "propagate_tcl2",
     "stationary_state",
     "NATURAL_SIGN",
-    "ExplicitOracleState",
     "NaturalFamily",
     "Product",
     "delta_rho1",

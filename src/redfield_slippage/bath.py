@@ -29,9 +29,8 @@ and a per-time error estimate from successive panel bisections. It
 evaluates every time of a group with the same nodes and shares no code
 with the pole sum.
 
-C(t) has an integrable logarithmic divergence at t = 0, so evaluation
-through the public `correlation` entry point is exposed only for
-t >= 1e-6 / Omega.
+C(t) has an integrable logarithmic divergence at t = 0, so the kernel
+table of the command line starts no earlier than T_MIN_FACTOR / Omega.
 """
 
 from __future__ import annotations
@@ -225,9 +224,6 @@ class ExponentialSum:
         """Gamma(omega) = int_0^inf exp(i omega t) C(t) dt."""
         return complex(np.sum(self.c / self.denominators(float(omega))))
 
-    def tail_kernel(self, eps, sigma) -> TailKernel:
-        return TailKernel(self, eps, sigma)
-
 
 class TermSums:
     """t -> sum_k a_rk exp(-g_k t) for amplitude rows a (R, K) of a
@@ -274,30 +270,23 @@ class TermSums:
 
 
 class TailKernel:
-    """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form.
+    """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form,
+    for sigma = +1 and -1 on a trailing axis of length 2.
 
     Each term integrates to c exp((i sigma eps - g) tau) / (g - i sigma eps),
-    a TermSums row times the phase exp(i sigma eps tau). Purely
-    oscillatory terms (discrete modes) get the Abel-regularized value,
-    which is what the perturbative formulas require off resonance.
-
-    sigma is +1, -1 or a tuple of them; a tuple adds a trailing axis
-    over its entries to the result, and every entry shares the same
-    exponentials exp(-g tau).
+    a TermSums row times the phase exp(i sigma eps tau); both signs share
+    the same exponentials exp(-g tau). Purely oscillatory terms (discrete
+    modes) get the Abel-regularized value, which is what the perturbative
+    formulas require off resonance.
     """
 
-    def __init__(self, kernel, eps, sigma):
-        sigmas = np.atleast_1d(np.asarray(sigma))
-        if sigmas.ndim != 1 or not np.all(np.isin(sigmas, (1, -1))):
-            raise ValueError("sigma must be +1, -1 or a tuple of them")
-        self.sigma = sigma
-        self._freq = float(eps) * sigmas
+    def __init__(self, kernel, eps):
+        self._freq = float(eps) * np.array([1.0, -1.0])
         self._sums = TermSums(kernel, kernel.c / kernel.denominators(self._freq))
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
-        out = self._sums(tau) * np.exp(1j * np.multiply.outer(tau, self._freq))
-        return out[..., 0] if np.ndim(self.sigma) == 0 else out
+        return self._sums(tau) * np.exp(1j * np.multiply.outer(tau, self._freq))
 
 
 def sign_phases(phase, signs):
@@ -353,19 +342,18 @@ class SlippageIntegrals:
         return sign_phases(phase, PAIR_SP) * sums - self.s0
 
 
-def _matsubara_remainder(omega_c, beta, k_max, t_ref=None, chunk=20000):
+def _matsubara_remainder(omega_c, beta, k_max):
     """Bound on the dropped Matsubara tail, evaluated at the reference
     time t_ref = 1e-3 / omega_c where downstream integrands are probed.
 
-    The first `chunk` dropped terms are summed directly; the rest are
+    The first 20000 dropped terms are summed directly; the rest are
     closed off geometrically (|c_k| decreases once nu_k > omega_c while
     exp(-nu_k t_ref) contracts by a fixed factor per term). The bound is
     monotone decreasing in k_max because each increment removes one
     positive term from a nested tail sum.
     """
-    if t_ref is None:
-        t_ref = 1e-3 / omega_c
-    k = np.arange(k_max + 1, k_max + chunk + 1, dtype=float)
+    t_ref = 1e-3 / omega_c
+    k = np.arange(k_max + 1, k_max + 20001, dtype=float)
     nu = 2.0 * np.pi * k / beta
     coeff = (2.0 * np.pi * omega_c**2 / beta) * nu / np.abs(nu * nu - omega_c**2)
     terms = coeff * np.exp(-nu * t_ref)
@@ -521,7 +509,7 @@ def _contour_sums(spec, c, edges, splits, t):
     return out, math.sqrt(spread)
 
 
-def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
+def correlation_quadrature(spec: LorentzDrudeBath, t):
     """Continuum kernel by a Gauss-Legendre rule on a shifted contour,
     with a per-time error estimate.
 
@@ -534,12 +522,14 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
     d = min(s / 10, 1 / T), so the leftover e^{dt} cancellation costs at
     most about one e-fold (two beyond 2^1023); d is at least 4 eps s, so
     that c does not round to s, where the contour meets a singularity.
+    A subnormal s, for which d underflows to 0 or c still rounds to s,
+    raises ValueError.
     The line [-X, X] with X = max(40 / beta, 30 omega_c) is covered by
     16-point Gauss-Legendre panels graded geometrically toward x = 0 at
     the distance d of the nearest singularity and no wider than one
     period 2 pi / T; the ends beyond X are completed in closed form with
     scaled exponential integrals. Each pass bisects every panel of the
-    one before, and a time stops when two passes agree to rel_tol
+    one before, and a time stops when two passes agree to QUAD_REL_TOL
     relative, or to the rounding floor
     4 eps (sum |f_j w_j| + |tail| + t sqrt(sum_j |f_j w_j x_j|^2)) that
     more panels cannot lower, or after QUAD_MAX_PASSES bisections. A
@@ -576,6 +566,11 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
         t_group = 2.0**power
         d = max(min(0.1 * s, 1.0 / t_group), 4.0 * eps * s)
         c = s - d
+        if not (d > 0.0 and c < s):
+            raise ValueError(
+                f"the strip half-width s = min(omega_c, 2 pi / beta) = {s:g} is too small "
+                "to shift the contour below the real axis"
+            )
         # J(w) = (omega_c^2 / 2) sum_p 1 / (w - p) beyond X, integrated
         # exactly; where t X overflows the tail is NaN, and the alive test
         # below counts such a time as underflowed
@@ -614,7 +609,7 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
             # errors add up like a random walk
             floor[live] = 4.0 * eps * (size[live] + tt[live] * spread)
             if k > 0:
-                live = live[change[live] > np.maximum(rel_tol * np.abs(new), floor[live])]
+                live = live[change[live] > np.maximum(QUAD_REL_TOL * np.abs(new), floor[live])]
                 if live.size == 0:
                     break
         t_alive = tt[alive]
@@ -630,36 +625,6 @@ def correlation_quadrature(spec: LorentzDrudeBath, t, rel_tol=QUAD_REL_TOL):
     if t_arr.ndim == 0:
         return complex(values), float(err)
     return values, err
-
-
-def correlation(spec, t, method="series"):
-    """Reservoir correlation function C(t) for t > 0.
-
-    method: "series" (pole expansion), "quadrature" (independent contour
-    integration) for the continuum bath; "discrete" for mode lists.
-    """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(spec, DiscreteModes):
-        if method != "discrete":
-            raise ValueError("discrete mode sets support only method='discrete'")
-        if np.any(t_arr < 0.0):
-            raise ValueError("t must be non-negative")
-        return discrete_kernel(spec).evaluate(t)
-    if isinstance(spec, LorentzDrudeBath):
-        if method == "discrete":
-            raise ValueError("method='discrete' requires a DiscreteModes spec")
-        t_min = T_MIN_FACTOR / spec.omega_c
-        if np.any(t_arr < t_min):
-            raise ValueError(
-                f"C(t) is exposed only for t >= {t_min:g} "
-                "(logarithmic divergence at t = 0)"
-            )
-        if method == "series":
-            return fit_exponential_mixture(spec).evaluate(t)
-        if method == "quadrature":
-            return correlation_quadrature(spec, t)[0]
-        raise ValueError(f"unknown method {method!r}")
-    raise TypeError(f"unsupported bath spec {type(spec).__name__}")
 
 
 def discretize_spectral_density(spec: LorentzDrudeBath, n_modes, omega_max, fock_cutoff=5) -> DiscreteModes:

@@ -22,6 +22,7 @@ from .bath import (
     fit_exponential_mixture,
 )
 from .master import MAX_POINTS, SystemModel
+from .regions import REFINE_ITERS, T_WINDOW
 
 
 class ConfigError(ValueError):
@@ -45,8 +46,8 @@ DEFAULTS = {
     "quadrature.n_points": 200,
     "scan.grid_n": 201,
     "scan.z": 0.0,
-    "scan.t_window": 50.0,
-    "scan.refine_iters": 32,
+    "scan.t_window": T_WINDOW,
+    "scan.refine_iters": REFINE_ITERS,
     "propagation.t_end": 20.0,
     "propagation.n_points": 200,
     "oracle.beta": 12.0,

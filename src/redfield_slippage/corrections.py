@@ -38,8 +38,6 @@ _SOP = {1: SP, -1: SM}
 class Product:
     """Uncorrelated rho_S x rho_R initial condition."""
 
-    kappa: float = 0.0
-
 
 @dataclass(frozen=True)
 class NaturalFamily:
@@ -54,14 +52,6 @@ class NaturalFamily:
             raise ValueError("sign must be +1 or -1")
         if not np.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
-
-
-@dataclass(frozen=True)
-class ExplicitOracleState:
-    """Correlated total state supplied directly as a matrix; only the
-    exact-diagonalization module can consume it."""
-
-    state: object
 
 
 def delta_rho1(model, kernel, lam, rho_s, t):
@@ -82,8 +72,9 @@ def delta_rho1(model, kernel, lam, rho_s, t):
     return (lam * lam) * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
-def delta_rho2(model, kernel, lam, rho_s, correlation, t):
-    """Initial-correlation correction at times t, shaped like delta_rho1.
+def delta_rho2(correlation, delta1):
+    """Initial-correlation correction at the times of delta1, the
+    delta_rho1 of the same state.
 
     Vanishes identically for product states. For the kappa family the
     correlated part of the total state feeds the same memory integral
@@ -91,16 +82,9 @@ def delta_rho2(model, kernel, lam, rho_s, correlation, t):
     sign * kappa * delta_rho1.
     """
     if isinstance(correlation, Product):
-        return np.zeros(np.shape(t) + (2, 2), dtype=complex)
+        return np.zeros_like(delta1)
     if isinstance(correlation, NaturalFamily):
-        return correlation.sign * correlation.kappa * delta_rho1(
-            model, kernel, lam, rho_s, t
-        )
-    if isinstance(correlation, ExplicitOracleState):
-        raise TypeError(
-            "explicit total states have no closed-form correction; "
-            "use the exact-diagnostics module"
-        )
+        return correlation.sign * correlation.kappa * delta1
     raise TypeError(f"unsupported correlation {type(correlation).__name__}")
 
 
@@ -136,16 +120,11 @@ def slipped_initial_condition(model, kernel, lam, rho_s, correlation) -> Correct
     which for the kappa family is rho_S + (1 - kappa) delta_rho1[inf].
     """
     rho_s = np.asarray(rho_s, dtype=complex)
-    if isinstance(correlation, Product):
-        kappa = 0.0
-    elif isinstance(correlation, NaturalFamily):
-        kappa = float(correlation.kappa)
-    else:
-        raise TypeError(f"unsupported correlation {type(correlation).__name__}")
     d1 = delta_rho1(model, kernel, lam, rho_s, np.inf)
-    d2 = delta_rho2(model, kernel, lam, rho_s, correlation, np.inf)
+    d2 = delta_rho2(correlation, d1)
+    kappa = float(correlation.kappa) if isinstance(correlation, NaturalFamily) else 0.0
     slipped = rho_s + d1 + d2
-    tail = getattr(kernel, "remainder_bound", 0.0) * kernel.tau_r_estimate
+    tail = kernel.remainder_bound * kernel.tau_r_estimate
     err = lam * lam * tail + abs(complex(np.trace(d1 + d2)))
     return CorrectionReport(rho_s, d1, d2, slipped, kappa, float(err))
 
@@ -160,10 +139,7 @@ def perturbative_solution(model, kernel, lam, rho_s, correlation, times):
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
     gen = build_redfield_generator(model, kernel, lam)
-    starts = (
-        rho_s
-        + delta_rho1(model, kernel, lam, rho_s, times)
-        + delta_rho2(model, kernel, lam, rho_s, correlation, times)
-    )
+    d1 = delta_rho1(model, kernel, lam, rho_s, times)
+    starts = rho_s + d1 + delta_rho2(correlation, d1)
     cols = gen.liouvillian.expm_action_many(times, vec(starts))
     return trajectory_from_states(times, unvec(cols.T))

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bath import KernelNotIntegrableError
+from .bath import KernelNotIntegrableError, TailKernel
 from .operators import (
     I2,
     SM,
@@ -52,8 +52,9 @@ POSITIVITY_TOL = 1e-12
 # most points of any time grid (the output grids, the linear part of the
 # sup search grid, the TCL2 base panels): a huge size fails, not allocates
 MAX_POINTS = 100_000
-# default pass-to-pass tolerance of propagate_tcl2
+# pass-to-pass tolerance of propagate_tcl2 and its most panel halvings
 TCL2_TOL = 1e-9
+TCL2_MAX_HALVINGS = 8
 # Gauss-Legendre nodes per propagate_tcl2 panel
 TCL2_NODES = 8
 # the base panels of propagate_tcl2 halve geometrically from the base
@@ -157,6 +158,8 @@ class RedfieldGenerator:
         self.gamma_minus = kernel.half_fourier(-eps)
         self.theta = 0.5 * (SP * self.gamma_minus + SM * self.gamma_plus)
         self.lambda0 = _dissipator(self.theta, self.lam)
+        if not np.all(np.isfinite(self.lambda0)):
+            raise ValueError(f"the dissipator lam^2 Gamma is not finite at lam = {self.lam:g}")
         self.liouvillian = Superoperator(
             -1j * commutator_superoperator(model.hamiltonian) - self.lambda0
         )
@@ -165,7 +168,7 @@ class RedfieldGenerator:
     def f_sigma(self):
         """Evaluator of the partial half-range integrals F_+(t) and
         F_-(t), on a trailing axis of length 2 (bath.TailKernel)."""
-        return self.kernel.tail_kernel(self.model.epsilon, (1, -1))
+        return TailKernel(self.kernel, self.model.epsilon)
 
     def theta_tail(self, t: float) -> np.ndarray:
         """Theta_t = (1/2)(S^+ F_-(t) + S^- F_+(t)); theta_tail(0) == theta."""
@@ -248,7 +251,7 @@ def _split_panels(edges, parts):
     return np.concatenate((edges[:1], inner.ravel(), edges[-1:]))
 
 
-def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL2_TOL, max_halvings=8) -> Trajectory:
+def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Trajectory:
     """Time-local second-order propagation with memory and slippage.
 
     Works in the interaction picture of the full constant generator,
@@ -265,9 +268,10 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
     accumulates them up to each output time. The next pass splits every
     panel but the innermost into two geometric halves (half the width,
     the square root of the grading ratio); passes stop once two in a
-    row agree to within tol at every output time, once their difference
-    is not finite, or after max_halvings refinements. The last
-    difference is returned as err_est (infinite when no refinement ran).
+    row agree to within TCL2_TOL at every output time, once their
+    difference is not finite, or after TCL2_MAX_HALVINGS refinements.
+    The last difference is returned as err_est (infinite when no
+    refinement ran).
     At this order in the coupling all orderings of the memory term
     agree; kappa = 1 cancels the drive exactly and reproduces the
     memoryless semigroup.
@@ -329,12 +333,12 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0, tol=TCL
 
         ys = integrate(1)
         err = np.inf
-        for level in range(1, int(max_halvings) + 1):
+        for level in range(1, TCL2_MAX_HALVINGS + 1):
             fine = integrate(2**level)
             err = float(np.max(np.linalg.norm(fine - ys, axis=1)))
             ys = fine
             # a pass that overflowed overflows again when refined
-            if err < tol or not math.isfinite(err):
+            if err < TCL2_TOL or not math.isfinite(err):
                 break
 
     cols = generator.liouvillian.expm_action_many(times, ys)
@@ -392,11 +396,15 @@ class PositivityScanner:
     decay rate, down to s = 1/24 and 24 more geometric in s down to
     1e-9. evaluate_many() then costs one (n x 4) x (4 x T) product for
     n initial states, plus one batched golden-section refinement of
-    every sampled local minimum and of both ends, over all states.
+    every sampled local minimum and of both ends, over all states. As
+    |r|^2 = sum_jk (b_j . b_k) c_j c_k, c = e^{w t} y0 the eigen-coordinates
+    and b the eigenvectors' Bloch images, on [t_i, t_i+1] it stays below
+    its larger end value plus K dt^2 / 8, K = sum_jk |b_j . b_k|
+    |w_j + w_k|^2 |c_j(t_i)| |c_k(t_i)|; every interval outside those
+    brackets where this could beat the lowest sample is refined too.
     """
 
-    def __init__(self, generator: RedfieldGenerator, pos_tol=POSITIVITY_TOL):
-        self.pos_tol = float(pos_tol)
+    def __init__(self, generator: RedfieldGenerator):
         w, v, vinv, ok = generator.liouvillian.eigensystem()
         if not ok:
             raise ValueError("generator eigendecomposition is unreliable")
@@ -423,6 +431,9 @@ class PositivityScanner:
             s = np.concatenate((1.0 - np.arange(24) / 24.0, np.geomspace(1.0 / 24.0, 1e-9, 25)[1:]))
             self.times = np.abs(np.log(s)) / k
         self._phases = np.exp(np.outer(w, self.times))
+        bv = np.array([[0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]) @ v
+        self._curv = np.abs(bv.T @ bv) * np.abs(w[:, None] + w) ** 2
+        self._decay = np.exp(np.outer(self.times[:-1], w.real))
 
     def _min_eig_at(self, t, y0):
         """(1 - |r(t)|)/2 at times t (n,) of the states with generator
@@ -448,6 +459,15 @@ class PositivityScanner:
         cell, i = np.nonzero(dip)
         lo = self.times[np.maximum(i - 1, 0)]
         hi = self.times[np.minimum(i + 1, self.times.size - 1)]
+        # and every interval between unrefined samples that may dip lower
+        a = np.abs(y0)[:, None, :] * self._decay
+        g = (1.0 - 2.0 * np.minimum(mins[:, :-1], mins[:, 1:])) ** 2
+        g += np.einsum("nij,jk,nik->ni", a, self._curv, a) * np.diff(self.times) ** 2 / 8.0
+        may_dip = (0.5 * (1.0 - np.sqrt(g)) < best_v[:, None]) & ~dip[:, :-1] & ~dip[:, 1:]
+        more, j = np.nonzero(may_dip)
+        cell = np.concatenate((cell, more))
+        lo = np.concatenate((lo, self.times[j]))
+        hi = np.concatenate((hi, self.times[j + 1]))
         y0_c = y0[cell]
         t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=32)
         # lowest refined dip per cell; lexsort is stable, so ties keep
@@ -460,20 +480,9 @@ class PositivityScanner:
         best_t[hit[lower]] = t_ref[pick[lower]]
 
         best_v = np.minimum(best_v, self._v_ss)
-        in_n = best_v < -self.pos_tol
+        in_n = best_v < -POSITIVITY_TOL
         return NMembership(in_n, np.where(in_n, best_t, np.nan), best_v)
 
     def evaluate(self, rho0) -> NMembership:
         """NMembership of one initial state, as a batch of one."""
         return first_entry(self.evaluate_many(np.asarray(rho0)[None]), "witness_time")
-
-
-def n_membership(generator: RedfieldGenerator, rho0, pos_tol=POSITIVITY_TOL) -> NMembership:
-    """Does the memoryless trajectory from rho0 ever lose positivity?
-
-    The lowest eigenvalue over all t >= 0 comes from PositivityScanner's
-    one-period window and the stationary limit. in_n is true when it
-    goes below -pos_tol.
-    """
-    rho0 = check_density(rho0)
-    return PositivityScanner(generator, pos_tol=pos_tol).evaluate(rho0)

@@ -43,8 +43,8 @@ class BlochVector:
     def norm(self) -> float:
         return float(np.sqrt(self.x * self.x + self.y * self.y + self.z * self.z))
 
-    def is_physical(self, tol=1e-12) -> bool:
-        return self.norm() <= 1.0 + tol
+    def is_physical(self) -> bool:
+        return self.norm() <= 1.0 + 1e-12
 
 
 def bloch_to_density(v) -> np.ndarray:
@@ -59,12 +59,8 @@ def bloch_xyz(rho):
     return 2.0 * rho10.real, 2.0 * rho10.imag, (rho[..., 0, 0] - rho[..., 1, 1]).real
 
 
-def density_to_bloch(rho) -> BlochVector:
-    return BlochVector(*(float(c) for c in bloch_xyz(np.asarray(rho, dtype=complex))))
-
-
-def check_density(rho, tol=1e-12):
-    """Enforce Hermiticity and unit trace.
+def check_density(rho):
+    """Enforce Hermiticity and unit trace, both to 1e-12.
 
     Positivity is deliberately not enforced here; detecting where it
     fails is a measurement, not a precondition.
@@ -72,9 +68,9 @@ def check_density(rho, tol=1e-12):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
-    if np.linalg.norm(rho - rho.conj().T) > tol * max(1.0, float(np.linalg.norm(rho))):
+    if np.linalg.norm(rho - rho.conj().T) > 1e-12 * max(1.0, float(np.linalg.norm(rho))):
         raise ValueError("density matrix is not Hermitian")
-    if abs(complex(np.trace(rho)) - 1.0) > max(tol, 1e-12):
+    if abs(complex(np.trace(rho)) - 1.0) > 1e-12:
         raise ValueError("density matrix trace differs from one")
     return rho
 

@@ -22,18 +22,14 @@ from .bath import (
     discretize_spectral_density,
     recurrence_estimate,
 )
-from .corrections import (
-    ExplicitOracleState,
-    NaturalFamily,
-    Product,
-    delta_rho1,
-    delta_rho2,
-)
+from .corrections import NaturalFamily, Product, delta_rho1
 from .master import SystemModel, build_redfield_generator, trajectory_from_states
 from .operators import SM, SP, SX, trace_distance, unvec, vec
 
 DIM_CAP = 4096
 TRUNCATION_TOL = 1e-8
+# largest cancellation residual that pin_natural_sign accepts for a sign
+CANCELLATION_TOL = 1e-8
 # output times per block in evolve_exact and delta_rho2_direct: bounds
 # their phase arrays whatever the number of times
 TIME_BLOCK = 256
@@ -41,14 +37,6 @@ TIME_BLOCK = 256
 
 class OracleConsistencyError(RuntimeError):
     """Exact and perturbative branches disagree beyond explanation."""
-
-
-class GibbsTotal:
-    """Marker: initialize from the global thermal state of the coupled
-    Hamiltonian instead of a constructed correlation."""
-
-    def __repr__(self):
-        return "GibbsTotal()"
 
 
 class TruncatedBath:
@@ -255,11 +243,8 @@ def _eigh_blocks(h):
 
 
 def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
-    if isinstance(correlation, GibbsTotal):
-        h = build_total_hamiltonian(model, bath, lam)
-        w, v, _ = _eigh_blocks(h)
-        p = np.exp(-bath.spec.beta * (w - w.min()))
-        return (v * (p / p.sum())) @ v.conj().T
+    """rho_S x rho_R plus the first-order correlated part of the kappa
+    family, if correlation is one."""
     rho_s = np.asarray(rho_s, dtype=complex)
     p0 = np.kron(rho_s, bath.rho_r)
     if isinstance(correlation, Product):
@@ -271,8 +256,6 @@ def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
         if drift > 1e-12 * max(1.0, np.linalg.norm(out)):
             raise OracleConsistencyError(f"correlated state lost Hermiticity ({drift:g})")
         return out
-    if isinstance(correlation, ExplicitOracleState):
-        return np.asarray(correlation.state, dtype=complex)
     raise TypeError(f"unsupported correlation {type(correlation).__name__}")
 
 
@@ -470,14 +453,14 @@ def cancellation_test(model, bath, rho_s, lam, sign, times):
     }
 
 
-def pin_natural_sign(model, bath, rho_s, lam, times, tol=1e-8):
+def pin_natural_sign(model, bath, rho_s, lam, times):
     """Decide the sign convention empirically and fail hard on ambiguity."""
     results = {}
     passing = []
     for sign in (-1, 1):
         res = cancellation_test(model, bath, rho_s, lam, sign, times)
         results[sign] = res
-        if res["max_residual"] < tol:
+        if res["max_residual"] < CANCELLATION_TOL:
             passing.append(sign)
     if len(passing) != 1:
         raise OracleConsistencyError(
@@ -506,17 +489,15 @@ def validate_scaling(
     rho_s,
     lambdas=(0.04, 0.08, 0.16),
     t_star=2.0,
-    correlation=None,
 ):
     """Trace-distance error of the second-order solution against exact
-    evolution, per coupling; the log-log slope certifies the order.
+    evolution from a product start, per coupling; the log-log slope
+    certifies the order.
 
     The error of the truncated expansion is O(lam^4) here (odd orders
     vanish for a Gaussian reservoir), so the fitted slope should sit
     near 4 and must exceed 3 for the order-2 claim to hold.
     """
-    if correlation is None:
-        correlation = Product()
     rho_s = np.asarray(rho_s, dtype=complex)
     t_star = float(t_star)
     check_comparison_time(bath, t_star)
@@ -524,12 +505,11 @@ def validate_scaling(
     errors = []
     for lam in lambdas:
         h = build_total_hamiltonian(model, bath, float(lam))
-        rho_t0 = thermal_total_state(model, bath, rho_s, correlation, float(lam))
+        rho_t0 = thermal_total_state(model, bath, rho_s, Product(), float(lam))
         exact = evolve_exact(h, rho_t0, [t_star]).states[0]
         gen = build_redfield_generator(model, kern, float(lam))
         d1 = delta_rho1(model, kern, float(lam), rho_s, t_star)
-        d2 = delta_rho2(model, kern, float(lam), rho_s, correlation, t_star)
-        pred = unvec(gen.liouvillian.expm_action(t_star, vec(rho_s + d1 + d2)))
+        pred = unvec(gen.liouvillian.expm_action(t_star, vec(rho_s + d1)))
         errors.append(trace_distance(exact, pred))
     lam_arr = np.asarray(lambdas, dtype=float)
     err_arr = np.asarray(errors, dtype=float)

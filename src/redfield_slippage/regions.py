@@ -41,6 +41,7 @@ from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, sign_phases
 from .corrections import NATURAL_SIGN
 from .master import (
     MAX_POINTS,
+    POSITIVITY_TOL,
     PositivityScanner,
     build_redfield_generator,
     first_entry,
@@ -61,6 +62,10 @@ _SOP = {1: SP, -1: SM}
 
 # below this, A is treated as zero and the ratio is excluded from the sup
 A_FLOOR = 1e-14
+# the sup search: its time window in memory scales (default_time_grid)
+# and the golden-section iterations of its refinement
+T_WINDOW = 50.0
+REFINE_ITERS = 32
 
 
 class VariationalTables:
@@ -82,7 +87,7 @@ class VariationalTables:
     would overflow.
     """
 
-    def __init__(self, model, kernel, t_window=50.0):
+    def __init__(self, model, kernel, t_window=T_WINDOW):
         self.grid = default_time_grid(model, kernel, t_window)
         self.eps = eps = float(model.epsilon)
         self.integrals = SlippageIntegrals(kernel, eps)
@@ -144,7 +149,7 @@ def state_moments(rho_s, phi0):
     return m_vec, n_vec
 
 
-def default_time_grid(model, kernel, t_window=50.0, density=1.0):
+def default_time_grid(model, kernel, t_window=T_WINDOW):
     """Search grid for the sup: dense linear sampling through the
     oscillatory regime, logarithmic tail out to t_window memory scales."""
     eps = model.epsilon
@@ -153,14 +158,14 @@ def default_time_grid(model, kernel, t_window=50.0, density=1.0):
     t_lo = 1e-3 * min(1.0 / eps, tau)
     t_mid = 12.0 * scale
     t_max = float(t_window) * scale
-    step = np.pi / (8.0 * eps * density)
+    step = np.pi / (8.0 * eps)
     # step is 0 where 8 eps overflows
     n = (t_mid - t_lo) / step if step > 0.0 else np.inf
     if not n <= MAX_POINTS:
         raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
     lin = np.arange(t_lo, t_mid, step)
     if t_max > t_mid:
-        tail = np.geomspace(t_mid, t_max, max(int(48 * density), 2))
+        tail = np.geomspace(t_mid, t_max, 48)
         return np.concatenate((lin, tail))
     return lin
 
@@ -228,8 +233,8 @@ def u_prime_membership(
     kernel,
     lam,
     rho_s,
-    t_window=50.0,
-    refine_iters=48,
+    t_window=T_WINDOW,
+    refine_iters=REFINE_ITERS,
 ) -> VariationalResult:
     """Does the correlated construction on rho_S survive the bound?
 
@@ -248,9 +253,6 @@ _FLAG_TEXT = {"nan": "", "1.0": "1", "0.0": "0"}
 
 @dataclass
 class RegionScanResult:
-    xs: np.ndarray
-    ys: np.ndarray
-    z: float
     table: np.ndarray  # (grid_n^2, 9), columns of SCAN_HEADER, NaN where empty
     metadata: dict
 
@@ -269,10 +271,10 @@ class _RowScan:
     """Scan of one grid row, y fixed; every physical cell of the row is
     evaluated as one batch. Built once per scan and shared by the rows."""
 
-    def __init__(self, model, kernel, lam, xs, z, t_window, refine_iters, pos_tol):
+    def __init__(self, model, kernel, lam, xs, z, t_window, refine_iters):
         self.tables = VariationalTables(model, kernel, t_window)
         generator = build_redfield_generator(model, kernel, lam)
-        self.scanner = PositivityScanner(generator, pos_tol=pos_tol)
+        self.scanner = PositivityScanner(generator)
         self.lam = float(lam)
         self.xs = xs
         self.z = float(z)
@@ -299,9 +301,8 @@ def region_scan(
     lam,
     grid_n=201,
     z=0.0,
-    t_window=50.0,
-    refine_iters=32,
-    pos_tol=1e-12,
+    t_window=T_WINDOW,
+    refine_iters=REFINE_ITERS,
     jobs=1,
 ) -> RegionScanResult:
     """Joint membership scan over the x-y slice of the Bloch disk.
@@ -320,9 +321,8 @@ def region_scan(
         raise ValueError("grid_n must be an odd integer >= 3")
     if lam <= 0.0:
         raise ValueError("region scans need lam > 0")
-    xs = np.linspace(-1.0, 1.0, grid_n)
-    ys = np.linspace(-1.0, 1.0, grid_n)
-    scan = _RowScan(model, kernel, lam, xs, z, t_window, refine_iters, pos_tol)
+    xs = ys = np.linspace(-1.0, 1.0, grid_n)
+    scan = _RowScan(model, kernel, lam, xs, z, t_window, refine_iters)
     if int(jobs) > 1:
         import multiprocessing as mp
 
@@ -343,14 +343,14 @@ def region_scan(
         "kernel_terms": int(len(kernel.g)),
         "t_window": float(t_window),
         "refine_iters": int(refine_iters),
-        "pos_tol": float(pos_tol),
+        "pos_tol": POSITIVITY_TOL,
         "a_floor": A_FLOOR,
         "natural_sign": NATURAL_SIGN,
         "n_in_u_prime": int(np.sum(table[:, 5] == 1.0)),
         "n_in_n": int(np.sum(table[:, 6] == 1.0)),
         "n_unphysical": int(np.sum(np.isnan(table[:, 3]))),
     }
-    return RegionScanResult(xs=xs, ys=ys, z=float(z), table=table, metadata=meta)
+    return RegionScanResult(table=table, metadata=meta)
 
 
 def max_radial_depth(
@@ -359,11 +359,9 @@ def max_radial_depth(
     lam,
     n_directions=64,
     r_tol=1e-5,
-    t_window=50.0,
-    refine_iters=48,
-    z=0.0,
 ):
-    """Deepest inward reach of the membership region from the unit circle.
+    """Deepest inward reach of the membership region from the unit
+    circle of the z = 0 slice.
 
     Each direction whose pure state (r = 1) is a member is walked inward
     on the ladder r = 1 - 0.02, r - 0.02, ... to its first non-member,
@@ -374,7 +372,7 @@ def max_radial_depth(
     of all directions are one batch of _u_prime_many, and so is each
     bisection step of all directions still bracketing.
     """
-    tables = VariationalTables(model, kernel, t_window)
+    tables = VariationalTables(model, kernel)
     n_dir = int(n_directions)
     theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
     cth, sth = np.cos(theta), np.sin(theta)
@@ -382,8 +380,8 @@ def max_radial_depth(
     def member(r, k):
         """in_u_prime of the states at radii r along directions k."""
         x, y = r * cth[k], r * sth[k]
-        rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY + z * SZ
-        return _u_prime_many(tables, lam, rhos, refine_iters).in_u_prime
+        rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY
+        return _u_prime_many(tables, lam, rhos, REFINE_ITERS).in_u_prime
 
     step = 0.02
     ladder = [1.0]

@@ -1,4 +1,5 @@
 import math
+import subprocess
 import sys
 import warnings
 
@@ -17,7 +18,6 @@ from redfield_slippage.bath import (
     LorentzDrudeBath,
     PoleCollisionError,
     bose_occupation,
-    correlation,
     discrete_kernel,
     discretize_spectral_density,
     fit_exponential_mixture,
@@ -97,9 +97,6 @@ def test_bose_occupation_value():
 
 def test_correlation_frozen_value(ld_spec, kernel):
     assert complex(kernel.evaluate(1.0)) == pytest.approx(C_AT_1, rel=1e-12)
-    assert complex(correlation(ld_spec, 1.0, method="series")) == pytest.approx(
-        C_AT_1, rel=1e-12
-    )
 
 
 def test_imaginary_part_is_exact_at_any_truncation(ld_spec):
@@ -115,7 +112,7 @@ def test_imaginary_part_is_exact_at_any_truncation(ld_spec):
 def test_series_vs_quadrature(ld_spec, kernel):
     ts = np.geomspace(1e-3, 50.0, 24)
     series = kernel.evaluate(ts)
-    quad_vals = correlation(ld_spec, ts, method="quadrature")
+    quad_vals = bath.correlation_quadrature(ld_spec, ts)[0]
     scale = np.abs(series)
     assert np.all(np.abs(series - quad_vals) <= 1e-8 * np.maximum(scale, 1e-3))
 
@@ -215,15 +212,36 @@ def test_quadrature_refuses_a_rule_over_its_panel_budget():
 
 
 def test_correlation_input_guards(ld_spec):
-    with pytest.raises(ValueError):
-        correlation(ld_spec, 1e-9)  # below the exposed t range
-    with pytest.raises(ValueError):
-        correlation(ld_spec, 1.0, method="discrete")
-    with pytest.raises(ValueError):
-        correlation(ld_spec, 1.0, method="nope")
-    modes = DiscreteModes(((1.0, 0.5),), beta=2.0)
-    with pytest.raises(ValueError):
-        correlation(modes, 1.0, method="series")
+    # C(t) diverges logarithmically at t = 0: the quadrature takes t > 0 only
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="t must be positive"):
+            bath.correlation_quadrature(ld_spec, np.array([1.0, bad]))
+
+
+def test_quadrature_refuses_a_subnormal_cutoff(child_env):
+    # at omega_c = 5e-324 the contour shift d underflows to 0, for which
+    # no panel edges end; run in a child under a time and a memory limit,
+    # so that a regression cannot hang or exhaust the suite
+    code = (
+        "import numpy as np\n"
+        "from redfield_slippage.bath import LorentzDrudeBath, correlation_quadrature\n"
+        "try:\n"
+        "    correlation_quadrature(LorentzDrudeBath(omega_c=5e-324, beta=1.0), np.array([1.0]))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+
+    def limit_memory():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True,
+        timeout=60, preexec_fn=limit_memory,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "too small to shift the contour" in out.stdout
 
 
 def golden_rule_rate(spec, w):
@@ -278,12 +296,15 @@ def test_half_fourier_vs_time_quadrature(kernel):
 
 def test_tail_kernel(kernel):
     eps = 1.0
-    for sigma in (1, -1):
-        f = kernel.tail_kernel(eps, sigma)
+    pair = bath.TailKernel(kernel, eps)
+    for k, sigma in enumerate((1, -1)):
+        def f(tau):
+            return complex(pair(tau)[k])
+
         # tau = 0 recovers the half-range transform
-        assert complex(f(0.0)) == pytest.approx(kernel.half_fourier(sigma * eps), abs=1e-12)
+        assert f(0.0) == pytest.approx(kernel.half_fourier(sigma * eps), abs=1e-12)
         # decays on the memory scale
-        assert abs(complex(f(40.0 * kernel.tau_r_estimate))) < 1e-8 * abs(complex(f(0.0)))
+        assert abs(f(40.0 * kernel.tau_r_estimate)) < 1e-8 * abs(f(0.0))
         # matches direct integration of the tail
         tau = 0.7
         ref_re, _ = quad(
@@ -294,9 +315,7 @@ def test_tail_kernel(kernel):
             lambda u: (kernel.evaluate(u) * np.exp(1j * sigma * eps * u)).imag,
             tau, 80.0, limit=2000, epsabs=1e-12,
         )
-        assert complex(f(tau)) == pytest.approx(ref_re + 1j * ref_im, abs=1e-8)
-    with pytest.raises(ValueError):
-        kernel.tail_kernel(eps, 2)
+        assert f(tau) == pytest.approx(ref_re + 1j * ref_im, abs=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,32 +325,28 @@ def test_tail_kernel(kernel):
         min_size=1,
         max_size=80,
     ),
-    st.sampled_from([1, -1, (1, -1)]),
 )
-def test_tail_kernel_blocks_match_full_sum(kernel, taus, sigma):
+def test_tail_kernel_blocks_match_full_sum(kernel, taus):
     # the blocked evaluation that drops the terms with Re g * tau > 40
     # reproduces the full 4001-term sum, here summed exactly (fsum)
     tau = np.array(taus)
-    got = kernel.tail_kernel(1.0, sigma)(tau)
-    for k, s in enumerate(np.atleast_1d(sigma)):
+    got = bath.TailKernel(kernel, 1.0)(tau)
+    for k, s in enumerate((1, -1)):
         den = kernel.g - 1j * s
-        part = got if np.ndim(sigma) == 0 else got[:, k]
-        for t, value in zip(tau, part):
+        for t, value in zip(tau, got[:, k]):
             terms = np.exp(-t * den) * (kernel.c / den)
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(value - full) < 1e-14
 
 
 def test_tail_kernel_sigma_pairs_and_shapes(kernel):
-    pair = kernel.tail_kernel(1.0, (1, -1))
+    # (F_+, F_-) on a trailing axis after the shape of tau
+    pair = bath.TailKernel(kernel, 1.0)
     tau = np.array([[0.0, 0.3], [2.0, 7.0]])
     out = pair(tau)
     assert out.shape == (2, 2, 2)
-    assert np.max(np.abs(out[..., 0] - kernel.tail_kernel(1.0, 1)(tau))) < 1e-15
-    assert np.max(np.abs(out[..., 1] - kernel.tail_kernel(1.0, -1)(tau))) < 1e-15
-    assert kernel.tail_kernel(1.0, 1)(0.5).shape == ()
-    with pytest.raises(ValueError):
-        kernel.tail_kernel(1.0, (1, 2))
+    assert np.max(np.abs(out[1, 0] - pair(2.0))) < 1e-15
+    assert pair(0.5).shape == (2,)
 
 
 def test_tau_r_estimate(kernel):
@@ -414,7 +429,7 @@ def test_resonance_guard_is_relative_to_each_term():
     k = fit_exponential_mixture(LorentzDrudeBath(omega_c=3e-6, beta=1.0), k_max=4000)
     eps = 1e-6
     assert np.isfinite(k.half_fourier(eps))
-    assert np.all(np.isfinite(k.tail_kernel(eps, (1, -1))([0.0, 1.0])))
+    assert np.all(np.isfinite(bath.TailKernel(k, eps)([0.0, 1.0])))
     # a mode within 1e-9 of the splitting, relative to either, is refused
     # even next to a much faster mode
     near = discrete_kernel(DiscreteModes(((1.0 + 5e-10, 0.5), (1e4, 0.1)), beta=2.0))

@@ -440,6 +440,23 @@ def test_cli_config_error_exit2(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["propagate", "--set", "lambda=1e300"],
+        ["propagate", "--mode", "tcl2", "--set", "lambda=1e300"],
+        ["region-scan", "--set", "lambda=1e160"],
+    ],
+    ids=["markov", "tcl2", "region_scan"],
+)
+def test_cli_overflowing_coupling_is_named(tmp_path, capsys, argv):
+    # lam^2 Gamma overflows the dissipator: the refusal names the
+    # coupling, not the eigensolver that would meet the infinities
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {argv[0]}: the dissipator lam^2 Gamma is not finite at lam = 1e+")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # discrete modes never relax: the N scan has no stationary limit
         ["region-scan", "--set", "bath.type=discrete", "--set", "bath.modes=0.3:0.1,0.9:0.1",
          "--set", "scan.grid_n=5"],

@@ -16,10 +16,10 @@ from redfield_slippage.bath import (
     discrete_kernel,
     fit_exponential_mixture,
 )
+from redfield_slippage import corrections
 from redfield_slippage.corrections import (
     NATURAL_SIGN,
     CorrectionReport,
-    ExplicitOracleState,
     NaturalFamily,
     Product,
     delta_rho1,
@@ -141,7 +141,7 @@ def test_delta_rho1_time_arrays(model, kernel):
         delta_rho1(model, kernel, 0.5, rho, -1.0)
     with pytest.raises(ValueError):
         delta_rho1(model, kernel, 0.5, rho, np.nan)
-    assert delta_rho2(model, kernel, 0.5, rho, Product(), times).shape == (2, 2, 2, 2)
+    assert delta_rho2(Product(), d).shape == (2, 2, 2, 2)
 
 
 def test_delta_rho1_zero_at_t_zero(model, kernel):
@@ -211,19 +211,17 @@ def test_delta_rho1_discrete_kernel_limits():
 
 def test_delta_rho2_dispatch(model, kernel):
     rho = bloch_to_density((0.7, 0.2, 0.0))
-    z = delta_rho2(model, kernel, 0.5, rho, Product(), 3.0)
-    assert np.max(np.abs(z)) == 0.0
     d1 = delta_rho1(model, kernel, 0.5, rho, 3.0)
-    half = delta_rho2(model, kernel, 0.5, rho, NaturalFamily(kappa=0.5), 3.0)
+    z = delta_rho2(Product(), d1)
+    assert np.max(np.abs(z)) == 0.0
+    half = delta_rho2(NaturalFamily(kappa=0.5), d1)
     assert np.allclose(half, -0.5 * d1, atol=1e-16)
-    full = delta_rho2(model, kernel, 0.5, rho, NaturalFamily(kappa=1.0), 3.0)
+    full = delta_rho2(NaturalFamily(kappa=1.0), d1)
     assert np.max(np.abs(d1 + full)) < 1e-16
-    flipped = delta_rho2(model, kernel, 0.5, rho, NaturalFamily(kappa=1.0, sign=+1), 3.0)
+    flipped = delta_rho2(NaturalFamily(kappa=1.0, sign=+1), d1)
     assert np.allclose(flipped, d1, atol=1e-16)
     with pytest.raises(TypeError):
-        delta_rho2(model, kernel, 0.5, rho, ExplicitOracleState(np.eye(4)), 3.0)
-    with pytest.raises(TypeError):
-        delta_rho2(model, kernel, 0.5, rho, "product", 3.0)
+        delta_rho2("product", d1)
 
 
 def test_natural_family_validation():
@@ -247,7 +245,26 @@ def test_slipped_initial_condition(model, kernel):
     assert rep1.kappa == 1.0
     assert rep.err_est >= 0.0
     with pytest.raises(TypeError):
-        slipped_initial_condition(model, kernel, 0.5, rho, ExplicitOracleState(None))
+        slipped_initial_condition(model, kernel, 0.5, rho, "product")
+
+
+def test_natural_start_computes_delta_rho1_once(model, kernel, monkeypatch):
+    # delta_rho2 of the kappa family is sign * kappa * delta_rho1 at the
+    # same times, so a natural start builds the slippage integrals once
+    built = []
+
+    class Counted(SlippageIntegrals):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(corrections, "SlippageIntegrals", Counted)
+    rho = bloch_to_density((0.4, -0.3, 0.2))
+    family = NaturalFamily(kappa=0.6)
+    slipped_initial_condition(model, kernel, 0.5, rho, family)
+    assert len(built) == 1
+    perturbative_solution(model, kernel, 0.5, rho, family, np.array([0.0, 1.0, 5.0]))
+    assert len(built) == 2
 
 
 def test_correction_report_json(model, kernel):

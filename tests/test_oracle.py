@@ -4,11 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage.bath import DiscreteModes, KernelNotIntegrableError
-from redfield_slippage.corrections import ExplicitOracleState, NaturalFamily, Product, delta_rho1
+from redfield_slippage.corrections import NaturalFamily, Product, delta_rho1
+from redfield_slippage import oracle
 from redfield_slippage.master import SystemModel
 from redfield_slippage.operators import SM, SP, SX, bloch_to_density, trace_distance
 from redfield_slippage.oracle import (
-    GibbsTotal,
     OracleConsistencyError,
     TruncatedBath,
     _natural_q,
@@ -32,6 +32,13 @@ CANCEL_TIMES = np.linspace(0.2, 2.0, 7)
 
 def partial_trace_bath(rho_total, nb):
     return np.einsum("anbn->ab", np.asarray(rho_total).reshape(2, nb, 2, nb))
+
+
+def gibbs_total_state(model, bath, lam):
+    """Global thermal state of the coupled Hamiltonian."""
+    w, v = np.linalg.eigh(build_total_hamiltonian(model, bath, lam))
+    p = np.exp(-bath.spec.beta * (w - w.min()))
+    return (v * (p / p.sum())) @ v.conj().T
 
 
 def test_default_bath_layout(oracle_bath):
@@ -79,16 +86,6 @@ def test_product_state_is_kron(model, oracle_bath):
     assert np.allclose(st, np.kron(rho_s, oracle_bath.rho_r), atol=1e-15)
     red = partial_trace_bath(st, oracle_bath.dim_bath)
     assert np.allclose(red, rho_s, atol=1e-14)
-
-
-def test_explicit_state_passes_through(model, oracle_bath):
-    dim = 2 * oracle_bath.dim_bath
-    mat = np.eye(dim, dtype=complex) / dim
-    rho_s = bloch_to_density((0.0, 0.0, 0.5))
-    st = thermal_total_state(
-        model, oracle_bath, rho_s, ExplicitOracleState(mat), 0.1
-    )
-    assert st is mat
     with pytest.raises(TypeError):
         thermal_total_state(model, oracle_bath, rho_s, "correlated", 0.1)
 
@@ -133,7 +130,7 @@ def test_gibbs_total_reduces_to_system_gibbs(model, oracle_bath):
     gibbs_s = np.diag(w / w.sum()).astype(complex)
     dists = []
     for lam in (0.1, 0.05):
-        g = thermal_total_state(model, oracle_bath, None, GibbsTotal(), lam)
+        g = gibbs_total_state(model, oracle_bath, lam)
         assert complex(np.trace(g)) == pytest.approx(1.0, abs=1e-12)
         red = partial_trace_bath(g, oracle_bath.dim_bath)
         dists.append(trace_distance(red, gibbs_s))
@@ -151,7 +148,7 @@ def test_gibbs_consistency_shrinks_with_coupling(model, oracle_bath):
     def gibbs_residual(lam):
         # largest cancellation residual with the correlated part Q taken
         # from the exact Gibbs state of the coupled Hamiltonian
-        rho_g = thermal_total_state(model, oracle_bath, None, GibbsTotal(), lam)
+        rho_g = gibbs_total_state(model, oracle_bath, lam)
         rho_s = partial_trace_bath(rho_g, oracle_bath.dim_bath)
         q = rho_g - np.kron(rho_s, oracle_bath.rho_r)
         d1 = delta_rho1(model, kern, lam, rho_s, CANCEL_TIMES)
@@ -210,12 +207,14 @@ def test_pin_natural_sign(model, oracle_bath):
     assert reports[1]["max_residual"] > 1.0
 
 
-def test_pin_natural_sign_ambiguity_raises(model, oracle_bath):
+def test_pin_natural_sign_ambiguity_raises(model, oracle_bath, monkeypatch):
     rho_s = bloch_to_density((0.6, 0.0, 0.2))
+    monkeypatch.setattr(oracle, "CANCELLATION_TOL", 1e-20)
     with pytest.raises(OracleConsistencyError, match="no sign"):
-        pin_natural_sign(model, oracle_bath, rho_s, 0.1, CANCEL_TIMES, tol=1e-20)
+        pin_natural_sign(model, oracle_bath, rho_s, 0.1, CANCEL_TIMES)
+    monkeypatch.setattr(oracle, "CANCELLATION_TOL", 10.0)
     with pytest.raises(OracleConsistencyError, match="both signs"):
-        pin_natural_sign(model, oracle_bath, rho_s, 0.1, CANCEL_TIMES, tol=10.0)
+        pin_natural_sign(model, oracle_bath, rho_s, 0.1, CANCEL_TIMES)
 
 
 def test_validate_scaling_order(model, oracle_bath):

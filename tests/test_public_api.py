@@ -138,9 +138,12 @@ def _definitions(node, prefix=""):
 
 def test_every_definition_has_a_production_caller():
     # a function, class or method of the package that no package code
-    # reaches is surface kept alive only by tests; it must be part of
-    # the public or the benchmark surface, or go. A method counts as
-    # reached when any attribute of its name is read.
+    # reaches is surface kept alive only by tests, and goes. Exempt are
+    # the benchmark surface and max_radial_depth, the entry point of
+    # acceptance criterion 4. A definition counts as reached when any
+    # name or attribute of its name is read outside it, so a parameter
+    # or variable of the same name hides it: a `correlation` parameter
+    # hid the former bath.correlation entry point from this check.
     src = Path(redfield_slippage.__file__).parent
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
     refs = [
@@ -149,7 +152,7 @@ def test_every_definition_has_a_production_caller():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     ]
-    allowed = set(redfield_slippage.__all__) | {n for names in BENCH_NAMES.values() for n in names}
+    allowed = {"max_radial_depth"} | {n for names in BENCH_NAMES.values() for n in names}
     unreached = []
     for tree in trees:
         for qualname, definition in _definitions(tree):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
-from redfield_slippage.master import n_membership
+from redfield_slippage.master import PositivityScanner
 from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.regions import (
     PAIRS,
@@ -164,7 +164,9 @@ def test_u_prime_sup_stable_under_grid_refinement(model, kernel):
     rho = bloch_to_density((0.95, 0.0, 0.1))
     base = u_prime_membership(model, kernel, 0.5, rho)
     tables = VariationalTables(model, kernel)
-    tables.grid = default_time_grid(model, kernel, 50.0, density=2.0)
+    # the default grid with every interval halved
+    grid = default_time_grid(model, kernel)
+    tables.grid = np.sort(np.concatenate((grid, 0.5 * (grid[1:] + grid[:-1]))))
     tables.grid_tables = tables.tables(tables.grid)
     dense = _u_prime_many(tables, 0.5, rho[None], 48)
     assert dense.sup_value[0] == pytest.approx(base.sup_value, rel=1e-6)
@@ -181,13 +183,14 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     y, z = rho_yz * np.cos(phi), rho_yz * np.sin(phi)
     reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
     xs = reach * np.array(fracs)
-    row_scan = _RowScan(model, kernel, 0.5, xs, z, 50.0, 32, 1e-12)
+    row_scan = _RowScan(model, kernel, 0.5, xs, z, 50.0, 32)
     block = row_scan(y)
     assert block.shape == (len(xs), 6)
+    scanner = PositivityScanner(generator)
     for x, (p0, bound, in_u, in_n, min_eig, witness) in zip(xs, block.tolist()):
         rho = bloch_to_density((x, y, z))
         u = _u_prime_many(row_scan.tables, 0.5, rho[None], 32)
-        nm = n_membership(generator, rho)
+        nm = scanner.evaluate(rho)
         assert p0 == pytest.approx(u.p0[0], abs=1e-15)
         assert in_u == (1.0 if u.in_u_prime[0] else 0.0)
         assert bound == pytest.approx(u.bound[0], abs=1e-12)
@@ -352,7 +355,7 @@ _scan_cell = st.one_of(
 @given(st.lists(_scan_cell, max_size=24))
 def test_scan_csv_matches_per_cell_formatter(cells):
     table = np.array(cells, dtype=float).reshape(-1, 9)
-    res = RegionScanResult(xs=np.empty(0), ys=np.empty(0), z=0.0, table=table, metadata={})
+    res = RegionScanResult(table=table, metadata={})
     assert res.to_csv() == _reference_csv(table)
 
 
