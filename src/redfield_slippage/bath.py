@@ -84,18 +84,8 @@ class LorentzDrudeBath:
             raise ValueError(f"omega_c must be positive, with (pi/2) omega_c^2 finite: {self.omega_c:g}")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
-        # cot(beta*omega_c/2) pole: beta*omega_c/2 near k pi (k >= 1) also
-        # collides the cutoff pole with the Matsubara frequency 2 pi k / beta.
-        # Near k = 0 no Matsubara frequency is close and c_0 tends to the
-        # finite pi omega_c / beta.
-        half = 0.5 * self.beta * self.omega_c
-        if not math.isfinite(half):
+        if not math.isfinite(0.5 * self.beta * self.omega_c):
             raise ValueError(f"beta * omega_c overflows: {self.beta:g} * {self.omega_c:g}")
-        if round(half / math.pi) >= 1 and abs(math.remainder(half, math.pi)) < 1e-6:
-            raise PoleCollisionError(
-                "beta * omega_c / 2 is within 1e-6 of a nonzero multiple of pi; "
-                "shift omega_c or beta by a relative 1e-6 or more"
-            )
 
 
 @dataclass(frozen=True)
@@ -368,6 +358,16 @@ def _matsubara_remainder(omega_c, beta, k_max):
 @lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore")
 def _fit_cached(omega_c, beta, k_max):
+    # cot(beta*omega_c/2) pole: beta*omega_c/2 near k pi (k >= 1) also
+    # collides the cutoff pole with the Matsubara frequency 2 pi k / beta.
+    # Near k = 0 no Matsubara frequency is close and c_0 tends to the
+    # finite pi omega_c / beta.
+    x = 0.5 * beta * omega_c
+    if round(x / math.pi) >= 1 and abs(math.remainder(x, math.pi)) < 1e-6:
+        raise PoleCollisionError(
+            "beta * omega_c / 2 is within 1e-6 of a nonzero multiple of pi; "
+            "shift omega_c or beta by a relative 1e-6 or more"
+        )
     k = np.arange(1, k_max + 1, dtype=float)
     nu = 2.0 * np.pi * k / beta
     if np.min(np.abs(nu - omega_c)) < 1e-9 * omega_c:
@@ -375,7 +375,6 @@ def _fit_cached(omega_c, beta, k_max):
             "a Matsubara frequency 2 pi k / beta coincides with omega_c; "
             "shift omega_c or beta by a relative 1e-6 or more"
         )
-    x = 0.5 * beta * omega_c
     c0 = 0.5 * np.pi * omega_c**2 * ((1.0 / math.tan(x) if x else math.inf) - 1j)
     if not np.isfinite(c0):
         # omega_c^2 underflows to 0 where cot x overflows: write
@@ -394,7 +393,7 @@ def _fit_cached(omega_c, beta, k_max):
     return ExponentialSum(c, g, remainder_bound=rb, meta=meta)
 
 
-def fit_exponential_mixture(spec: LorentzDrudeBath, k_max=DEFAULT_K_MAX) -> ExponentialSum:
+def fit_exponential_mixture(spec: LorentzDrudeBath, k_max) -> ExponentialSum:
     """Pole expansion of the continuum kernel.
 
     One term for the cutoff pole,

@@ -136,8 +136,6 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
         float(cfg["lambda"]),
         grid_n=int(cfg["scan.grid_n"]),
         z=float(cfg["scan.z"]),
-        t_window=float(cfg["scan.t_window"]),
-        refine_iters=int(cfg["scan.refine_iters"]),
         jobs=int(args.jobs),
     )
     out = _out_dir(cfg, args)
@@ -184,11 +182,7 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     lam = float(cfg["lambda"])
     bloch = _parse_bloch(args.initial)
     rho = bloch_to_density(bloch)
-    res = u_prime_membership(
-        model, kernel, lam, rho,
-        t_window=float(cfg["scan.t_window"]),
-        refine_iters=int(cfg["scan.refine_iters"]),
-    )
+    res = u_prime_membership(model, kernel, lam, rho)
     report = slipped_initial_condition(model, kernel, lam, rho, Product())
     obj = _base_metadata(cfg, "diagnose")
     obj.update(

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .bath import (
+    DEFAULT_K_MAX,
     T_MIN_FACTOR,
     DiscreteModes,
     LorentzDrudeBath,
@@ -22,7 +23,6 @@ from .bath import (
     fit_exponential_mixture,
 )
 from .master import MAX_POINTS, SystemModel
-from .regions import REFINE_ITERS, T_WINDOW
 
 
 class ConfigError(ValueError):
@@ -38,7 +38,7 @@ DEFAULTS = {
     "bath.type": "lorentz_drude",
     "bath.omega_cutoff": 1.0,
     "bath.beta": 1.0,
-    "bath.matsubara_k_max": 4000,
+    "bath.matsubara_k_max": DEFAULT_K_MAX,
     "bath.modes": "",
     "lambda": 0.5,
     "quadrature.t_min": 1e-3,
@@ -46,8 +46,6 @@ DEFAULTS = {
     "quadrature.n_points": 200,
     "scan.grid_n": 201,
     "scan.z": 0.0,
-    "scan.t_window": T_WINDOW,
-    "scan.refine_iters": REFINE_ITERS,
     "propagation.t_end": 20.0,
     "propagation.n_points": 200,
     "oracle.beta": 12.0,
@@ -146,8 +144,6 @@ class RunConfig:
             raise ConfigError(f"scan.grid_n must be an odd integer in [3, {MAX_GRID_N}]")
         if abs(v["scan.z"]) > 1.0:
             raise ConfigError("scan.z must lie in [-1, 1]")
-        if v["scan.t_window"] <= 0.0 or v["scan.refine_iters"] < 1:
-            raise ConfigError("scan.t_window and scan.refine_iters must be positive")
         if v["propagation.t_end"] <= 0.0:
             raise ConfigError("propagation.t_end must be positive")
         if not 2 <= v["propagation.n_points"] <= MAX_POINTS:

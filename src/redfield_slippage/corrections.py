@@ -31,7 +31,19 @@ from .operators import SM, SP, unvec, vec
 
 NATURAL_SIGN = -1
 
-_SOP = {1: SP, -1: SM}
+# S^{+1} = S^+, S^{-1} = S^-
+S_OPS = {1: SP, -1: SM}
+
+
+def pair_commutators(rho):
+    """[S^{s'}, S^{s''} rho] of the four PAIRS, shape (..., 4, 2, 2) for
+    states rho (..., 2, 2). The S^s have 0/1 entries, so every product is
+    exact."""
+    ops = []
+    for sp, sq in PAIRS:
+        b_rho = S_OPS[sq] @ rho
+        ops.append(S_OPS[sp] @ b_rho - b_rho @ S_OPS[sp])
+    return np.stack(ops, axis=-3)
 
 
 @dataclass(frozen=True)
@@ -45,11 +57,8 @@ class NaturalFamily:
     system-reservoir correlation, to first order in the coupling."""
 
     kappa: float
-    sign: int = NATURAL_SIGN
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if not np.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
 
@@ -65,10 +74,7 @@ def delta_rho1(model, kernel, lam, rho_s, t):
             "discrete mode sets never relax"
         )
     ivals = SlippageIntegrals(kernel, model.epsilon)(t)
-    ops = np.array(
-        [_SOP[sp] @ (_SOP[sq] @ rho_s) - (_SOP[sq] @ rho_s) @ _SOP[sp] for sp, sq in PAIRS]
-    )
-    psi = 0.25 * np.tensordot(ivals, ops, axes=1)
+    psi = 0.25 * np.tensordot(ivals, pair_commutators(rho_s), axes=1)
     return (lam * lam) * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 
 
@@ -79,12 +85,12 @@ def delta_rho2(correlation, delta1):
     Vanishes identically for product states. For the kappa family the
     correlated part of the total state feeds the same memory integral
     as delta_rho1 with the opposite orientation, giving
-    sign * kappa * delta_rho1.
+    NATURAL_SIGN * kappa * delta_rho1.
     """
     if isinstance(correlation, Product):
         return np.zeros_like(delta1)
     if isinstance(correlation, NaturalFamily):
-        return correlation.sign * correlation.kappa * delta1
+        return NATURAL_SIGN * correlation.kappa * delta1
     raise TypeError(f"unsupported correlation {type(correlation).__name__}")
 
 

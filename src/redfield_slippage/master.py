@@ -55,6 +55,8 @@ MAX_POINTS = 100_000
 # pass-to-pass tolerance of propagate_tcl2 and its most panel halvings
 TCL2_TOL = 1e-9
 TCL2_MAX_HALVINGS = 8
+# iterations of every golden-section search (golden_min)
+GOLDEN_ITERS = 32
 # Gauss-Legendre nodes per propagate_tcl2 panel
 TCL2_NODES = 8
 # the base panels of propagate_tcl2 halve geometrically from the base
@@ -83,12 +85,12 @@ def first_entry(batch, optional):
     return replace(batch, **values)
 
 
-def golden_min(f, lo, hi, iters=48):
+def golden_min(f, lo, hi):
     """Golden-section minima of a batch of functions, one per bracket.
 
     lo and hi are arrays of bracket ends and f maps an array of probe
     points (one per bracket) to the array of values there; scalars are
-    a batch of one. Each element runs the same fixed-count iteration,
+    a batch of one. Each element runs the same GOLDEN_ITERS iterations,
     selected elementwise, so it follows the scalar update rule exactly.
     Assumes each bracket contains a single local minimum. Returns the
     best probed (t, f(t)) arrays.
@@ -99,7 +101,7 @@ def golden_min(f, lo, hi, iters=48):
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    for _ in range(int(iters)):
+    for _ in range(GOLDEN_ITERS):
         left = f1 <= f2
         lo = np.where(left, lo, x1)
         hi = np.where(left, x2, hi)
@@ -303,8 +305,10 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Traj
             float(np.max(np.abs(g.imag))),
         )
         h0 = 1.0 / rate
-        if not t_end / h0 <= MAX_POINTS:
-            raise ValueError(f"t_end / h0 = {t_end / h0:.3g} base panels, over {MAX_POINTS}")
+        # h0 is 0 where the rate overflows
+        n_base = t_end / h0 if h0 > 0.0 else math.inf
+        if not n_base <= MAX_POINTS:
+            raise ValueError(f"t_end / h0 = {n_base:.3g} base panels, over {MAX_POINTS}")
         base = np.unique(
             np.concatenate(
                 (
@@ -469,7 +473,7 @@ class PositivityScanner:
         lo = np.concatenate((lo, self.times[j]))
         hi = np.concatenate((hi, self.times[j + 1]))
         y0_c = y0[cell]
-        t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi, iters=32)
+        t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi)
         # lowest refined dip per cell; lexsort is stable, so ties keep
         # the earliest dip
         order = np.lexsort((v_ref, cell))

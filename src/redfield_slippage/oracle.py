@@ -22,7 +22,7 @@ from .bath import (
     discretize_spectral_density,
     recurrence_estimate,
 )
-from .corrections import NaturalFamily, Product, delta_rho1
+from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1
 from .master import SystemModel, build_redfield_generator, trajectory_from_states
 from .operators import SM, SP, SX, trace_distance, unvec, vec
 
@@ -250,7 +250,7 @@ def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
     if isinstance(correlation, Product):
         return p0
     if isinstance(correlation, NaturalFamily):
-        q = _natural_q(model, bath, rho_s, lam, correlation.kappa, correlation.sign)
+        q = _natural_q(model, bath, rho_s, lam, correlation.kappa, NATURAL_SIGN)
         out = p0 + q
         drift = np.linalg.norm(out - out.conj().T)
         if drift > 1e-12 * max(1.0, np.linalg.norm(out)):
@@ -504,10 +504,12 @@ def validate_scaling(
     kern = truncated_kernel(bath)
     errors = []
     for lam in lambdas:
+        # first, so that a coupling whose lam^2 Gamma overflows is refused
+        # before the exact evolution meets it
+        gen = build_redfield_generator(model, kern, float(lam))
         h = build_total_hamiltonian(model, bath, float(lam))
         rho_t0 = thermal_total_state(model, bath, rho_s, Product(), float(lam))
         exact = evolve_exact(h, rho_t0, [t_star]).states[0]
-        gen = build_redfield_generator(model, kern, float(lam))
         d1 = delta_rho1(model, kern, float(lam), rho_s, t_star)
         pred = unvec(gen.liouvillian.expm_action(t_star, vec(rho_s + d1)))
         errors.append(trace_distance(exact, pred))

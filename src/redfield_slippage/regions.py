@@ -38,8 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, sign_phases
-from .corrections import NATURAL_SIGN
+from .corrections import NATURAL_SIGN, S_OPS, pair_commutators
 from .master import (
+    GOLDEN_ITERS,
     MAX_POINTS,
     POSITIVITY_TOL,
     PositivityScanner,
@@ -50,22 +51,20 @@ from .master import (
 from .operators import (
     DEGENERACY_TOL,
     I2,
-    SM,
-    SP,
     SX,
     SY,
     SZ,
     check_density,
 )
 
-_SOP = {1: SP, -1: SM}
-
 # below this, A is treated as zero and the ratio is excluded from the sup
 A_FLOOR = 1e-14
-# the sup search: its time window in memory scales (default_time_grid)
-# and the golden-section iterations of its refinement
+# the time window of the sup search, in memory scales (default_time_grid)
 T_WINDOW = 50.0
-REFINE_ITERS = 32
+# max_radial_depth: directions on the unit circle and the bisection
+# tolerance on the membership boundary
+N_DIRECTIONS = 16
+R_TOL = 1e-5
 
 
 class VariationalTables:
@@ -87,8 +86,8 @@ class VariationalTables:
     would overflow.
     """
 
-    def __init__(self, model, kernel, t_window=T_WINDOW):
-        self.grid = default_time_grid(model, kernel, t_window)
+    def __init__(self, model, kernel):
+        self.grid = default_time_grid(model, kernel)
         self.eps = eps = float(model.epsilon)
         self.integrals = SlippageIntegrals(kernel, eps)
         gamma = {s: kernel.half_fourier(s * eps) for s in (1, -1)}
@@ -138,14 +137,9 @@ def state_moments(rho_s, phi0):
     rho_s = np.asarray(rho_s, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
     bra = phi0.conj()
-    m_vec = np.empty(phi0.shape[:-1] + (4,), dtype=complex)
-    n_vec = np.empty(phi0.shape[:-1] + (4,), dtype=complex)
-    for k, (sp, sq) in enumerate(PAIRS):
-        a_op = _SOP[sp]
-        b_op = _SOP[sq]
-        b_rho = b_op @ rho_s
-        m_vec[..., k] = np.einsum("...i,...ij,...j->...", bra, a_op @ rho_s @ b_op, phi0)
-        n_vec[..., k] = np.einsum("...i,...ij,...j->...", bra, a_op @ b_rho - b_rho @ a_op, phi0)
+    m_ops = np.stack([S_OPS[sp] @ rho_s @ S_OPS[sq] for sp, sq in PAIRS], axis=-3)
+    m_vec = np.einsum("...i,...kij,...j->...k", bra, m_ops, phi0)
+    n_vec = np.einsum("...i,...kij,...j->...k", bra, pair_commutators(rho_s), phi0)
     return m_vec, n_vec
 
 
@@ -164,10 +158,7 @@ def default_time_grid(model, kernel, t_window=T_WINDOW):
     if not n <= MAX_POINTS:
         raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
     lin = np.arange(t_lo, t_mid, step)
-    if t_max > t_mid:
-        tail = np.geomspace(t_mid, t_max, 48)
-        return np.concatenate((lin, tail))
-    return lin
+    return np.concatenate((lin, np.geomspace(t_mid, t_max, 48)))
 
 
 @dataclass
@@ -183,7 +174,7 @@ class VariationalResult:
     degenerate_p0: np.ndarray
 
 
-def _u_prime_many(tables, lam, rhos, refine_iters) -> VariationalResult:
+def _u_prime_many(tables, lam, rhos) -> VariationalResult:
     """VariationalResult of the states rhos (k, 2, 2), all at once.
 
     sup_t B^2 / (4A) is the argmax on the grid of tables, then one
@@ -212,7 +203,7 @@ def _u_prime_many(tables, lam, rhos, refine_iters) -> VariationalResult:
         np.divide(-(b * b), 4.0 * a, out=out, where=a > A_FLOOR)
         return out
 
-    t_ref, neg = golden_min(neg_ratio, lo, hi, iters=refine_iters)
+    t_ref, neg = golden_min(neg_ratio, lo, hi)
     # refinement that fails to beat the grid keeps the grid value
     kept = -neg < coarse
     sup[go] = np.where(kept, coarse, -neg)
@@ -228,22 +219,15 @@ def _u_prime_many(tables, lam, rhos, refine_iters) -> VariationalResult:
     )
 
 
-def u_prime_membership(
-    model,
-    kernel,
-    lam,
-    rho_s,
-    t_window=T_WINDOW,
-    refine_iters=REFINE_ITERS,
-) -> VariationalResult:
+def u_prime_membership(model, kernel, lam, rho_s) -> VariationalResult:
     """Does the correlated construction on rho_S survive the bound?
 
     in_u_prime is true when p0 - lam^2 sup < 0, i.e. when no value of
     the variational parameter keeps the correlated state positive.
     """
     rho_s = check_density(rho_s)
-    tables = VariationalTables(model, kernel, t_window)
-    return first_entry(_u_prime_many(tables, lam, rho_s[None], refine_iters), "t_star")
+    tables = VariationalTables(model, kernel)
+    return first_entry(_u_prime_many(tables, lam, rho_s[None]), "t_star")
 
 
 # the columns of a scan table and of its CSV; flags are 1.0 / 0.0
@@ -271,14 +255,13 @@ class _RowScan:
     """Scan of one grid row, y fixed; every physical cell of the row is
     evaluated as one batch. Built once per scan and shared by the rows."""
 
-    def __init__(self, model, kernel, lam, xs, z, t_window, refine_iters):
-        self.tables = VariationalTables(model, kernel, t_window)
+    def __init__(self, model, kernel, lam, xs, z):
+        self.tables = VariationalTables(model, kernel)
         generator = build_redfield_generator(model, kernel, lam)
         self.scanner = PositivityScanner(generator)
         self.lam = float(lam)
         self.xs = xs
         self.z = float(z)
-        self.refine_iters = int(refine_iters)
 
     def __call__(self, y):
         """The row's (len(xs), 6) block of the scan table columns p0 to
@@ -286,7 +269,7 @@ class _RowScan:
         y, z, xs = float(y), self.z, self.xs
         physical = xs * xs + y * y + z * z <= 1.0 + 1e-12
         rhos = 0.5 * I2 + xs[physical][:, None, None] * SX + y * SY + z * SZ
-        u = _u_prime_many(self.tables, self.lam, rhos, self.refine_iters)
+        u = _u_prime_many(self.tables, self.lam, rhos)
         nm = self.scanner.evaluate_many(rhos)
         block = np.full((xs.size, 6), np.nan)
         block[physical] = np.column_stack(
@@ -295,16 +278,7 @@ class _RowScan:
         return block
 
 
-def region_scan(
-    model,
-    kernel,
-    lam,
-    grid_n=201,
-    z=0.0,
-    t_window=T_WINDOW,
-    refine_iters=REFINE_ITERS,
-    jobs=1,
-) -> RegionScanResult:
+def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResult:
     """Joint membership scan over the x-y slice of the Bloch disk.
 
     Rows are emitted in row-major order, y varying slowest, both axes
@@ -322,7 +296,7 @@ def region_scan(
     if lam <= 0.0:
         raise ValueError("region scans need lam > 0")
     xs = ys = np.linspace(-1.0, 1.0, grid_n)
-    scan = _RowScan(model, kernel, lam, xs, z, t_window, refine_iters)
+    scan = _RowScan(model, kernel, lam, xs, z)
     if int(jobs) > 1:
         import multiprocessing as mp
 
@@ -341,8 +315,8 @@ def region_scan(
         "epsilon": float(model.epsilon),
         "kernel": {k: v for k, v in kernel.meta.items()},
         "kernel_terms": int(len(kernel.g)),
-        "t_window": float(t_window),
-        "refine_iters": int(refine_iters),
+        "t_window": T_WINDOW,
+        "refine_iters": GOLDEN_ITERS,
         "pos_tol": POSITIVITY_TOL,
         "a_floor": A_FLOOR,
         "natural_sign": NATURAL_SIGN,
@@ -353,19 +327,13 @@ def region_scan(
     return RegionScanResult(table=table, metadata=meta)
 
 
-def max_radial_depth(
-    model,
-    kernel,
-    lam,
-    n_directions=64,
-    r_tol=1e-5,
-):
+def max_radial_depth(model, kernel, lam):
     """Deepest inward reach of the membership region from the unit
-    circle of the z = 0 slice.
+    circle of the z = 0 slice, over N_DIRECTIONS equally spaced directions.
 
     Each direction whose pure state (r = 1) is a member is walked inward
     on the ladder r = 1 - 0.02, r - 0.02, ... to its first non-member,
-    and the membership boundary is then bisected to r_tol between that
+    and the membership boundary is then bisected to R_TOL between that
     rung and the one above it; the returned depth is max over directions
     of 1 - r_boundary, with the angle of the first deepest direction. A
     direction that is a member down to the axis has depth 1. The ladders
@@ -373,7 +341,7 @@ def max_radial_depth(
     bisection step of all directions still bracketing.
     """
     tables = VariationalTables(model, kernel)
-    n_dir = int(n_directions)
+    n_dir = N_DIRECTIONS
     theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
     cth, sth = np.cos(theta), np.sin(theta)
 
@@ -381,7 +349,7 @@ def max_radial_depth(
         """in_u_prime of the states at radii r along directions k."""
         x, y = r * cth[k], r * sth[k]
         rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY
-        return _u_prime_many(tables, lam, rhos, REFINE_ITERS).in_u_prime
+        return _u_prime_many(tables, lam, rhos).in_u_prime
 
     step = 0.02
     ladder = [1.0]
@@ -399,13 +367,13 @@ def max_radial_depth(
     live = np.flatnonzero(inside[:, 0] & (first_out < ladder.size))
     lo = ladder[first_out[live]]
     hi = ladder[first_out[live] - 1]
-    todo = hi - lo > r_tol
+    todo = hi - lo > R_TOL
     while todo.any():
         mid = 0.5 * (lo[todo] + hi[todo])
         now_in = member(mid, live[todo])
         hi[todo] = np.where(now_in, mid, hi[todo])
         lo[todo] = np.where(now_in, lo[todo], mid)
-        todo = hi - lo > r_tol
+        todo = hi - lo > R_TOL
     depth[live] = 1.0 - 0.5 * (lo + hi)
     k = int(np.argmax(depth))
     return float(depth[k]), float(theta[k])

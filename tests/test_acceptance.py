@@ -127,8 +127,8 @@ def test_criterion_3_pure_states(model, kernel, announce):
 def test_criterion_4_width_scaling(model, kernel, announce):
     # the region depth is quadratic in the coupling: halving lambda
     # shrinks the deepest reach by 4, within 25 percent
-    d_half, _ = max_radial_depth(model, kernel, 0.5, n_directions=16, r_tol=1e-5)
-    d_quarter, _ = max_radial_depth(model, kernel, 0.25, n_directions=16, r_tol=1e-5)
+    d_half, _ = max_radial_depth(model, kernel, 0.5)
+    d_quarter, _ = max_radial_depth(model, kernel, 0.25)
     ratio = d_half / d_quarter
     announce(4, 3.0 <= ratio <= 5.0, f"depth ratio {ratio:.3f} outside [3, 5]")
 

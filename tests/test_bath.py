@@ -44,9 +44,11 @@ def test_spec_validation():
 
 def test_cutoff_matsubara_collision_raises():
     # beta * omega_c / 2 = pi puts the cutoff pole on the first
-    # Matsubara frequency
+    # Matsubara frequency; the spectral density itself is regular there,
+    # so only the pole series refuses it
+    spec = LorentzDrudeBath(omega_c=2.0 * math.pi, beta=1.0)
     with pytest.raises(PoleCollisionError):
-        LorentzDrudeBath(omega_c=2.0 * math.pi, beta=1.0)
+        fit_exponential_mixture(spec, k_max=8)
 
 
 def test_small_cutoff_is_no_collision():
@@ -387,8 +389,8 @@ def test_kernel_flags_follow_the_rates():
 
 
 def test_fit_pole_collision():
-    # the constructor guard is absolute (1e-6 on beta*omega_c/2 mod pi)
-    # while the fit-level one is relative (1e-9 on |nu_k - omega_c|), so
+    # the cot-pole guard is absolute (1e-6 on beta*omega_c/2 mod pi)
+    # while the Matsubara one is relative (1e-9 on |nu_k - omega_c|), so
     # a collision can slip past the first and must be caught by the
     # second once beta*omega_c is large enough
     beta = 2.0 * (637.0 * math.pi + 1.5e-6)

@@ -299,6 +299,14 @@ def test_cli_cutoff_on_first_matsubara_exit3(tmp_path, capsys):
     assert "kernel diagnostic" in capsys.readouterr().err
 
 
+def test_cli_oracle_runs_at_a_cutoff_pole_collision(tmp_path):
+    # at oracle.beta = 12 this cutoff puts beta omega_c / 2 on pi, where the
+    # cutoff pole of the pole series meets the first Matsubara frequency;
+    # the oracle discretises J(w) and builds no pole series
+    assert main(["oracle", "--out", str(tmp_path), "--set", "bath.omega_cutoff=0.5235987755982988"]) == 0
+    assert _read_json(tmp_path / "oracle_report.json")["pinned_sign"] == -1
+
+
 def test_cli_resonant_discrete_exit3(tmp_path, capsys):
     rc = main(
         [
@@ -320,6 +328,10 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert main(["region-scan", "--out", str(tmp_path), "--set", "scan.grid_n=10"]) == 2
+    # the sup search's window and iteration count are constants, not keys
+    assert main(["diagnose", "--out", str(tmp_path), "--set", "scan.t_window=50"]) == 2
+    assert main(["region-scan", "--out", str(tmp_path), "--set", "scan.refine_iters=32"]) == 2
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -387,6 +399,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["oracle", "--set", "oracle.cancellation_lambda=1e300"],
         # the corrections' norms underflow to 0 at every time
         ["oracle", "--set", "oracle.cancellation_lambda=1e-96"],
+        # the mode frequency overflows the TCL2 base width 1 / rate to 0
+        ["propagate", "--mode", "tcl2", "--set", "bath.type=discrete",
+         "--set", "bath.modes=1.7976931348623157e308:0.1"],
+        # lam^2 Gamma overflows at the second coupling of the scaling fit
+        ["oracle", "--set", "oracle.lambdas=1e154,1.7976931348623157e308"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -429,6 +446,8 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "oracle_epsilon_overflow",
         "oracle_cancellation_lambda_overflow",
         "oracle_cancellation_lambda_underflow",
+        "tcl2_mode_frequency_overflow",
+        "oracle_scaling_lambda_overflow",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -465,12 +484,15 @@ def test_cli_overflowing_coupling_is_named(tmp_path, capsys, argv):
         ["diagnose", "--set", "bath.omega_cutoff=6283.185310321179"],
         ["propagate", "--set", "bath.omega_cutoff=6283.185310321179"],
         ["bath-correlation", "--set", "bath.omega_cutoff=6283.185310321179"],
+        # the cutoff at which the oracle runs: the pole series refuses it
+        ["propagate", "--set", "bath.beta=12", "--set", "bath.omega_cutoff=0.5235987755982988"],
     ],
     ids=[
         "region_scan_discrete_bath",
         "diagnose_matsubara_pole_on_cutoff",
         "propagate_matsubara_pole_on_cutoff",
         "bath_correlation_matsubara_pole_on_cutoff",
+        "propagate_cot_pole_at_the_oracle_cutoff",
     ],
 )
 def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
@@ -558,6 +580,47 @@ ORACLE_FUZZ_KEYS = (
 def test_cli_oracle_exit_codes_at_extreme_values(values):
     base = ["oracle", "--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6"]
     _assert_exit_contract(base + ["--set", "oracle.n_times=2", "--set", "oracle.lambdas=0.08,0.16"], values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lambdas=st.lists(EXTREME_FLOATS | st.floats(0.0, 1.0), min_size=2, max_size=3))
+@example(lambdas=[1e154, sys.float_info.max])
+def test_cli_oracle_lambdas_exit_codes_at_extreme_values(lambdas):
+    base = ["oracle", "--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6", "--set", "oracle.n_times=2"]
+    _assert_exit_contract(base + ["--set", "oracle.lambdas=" + ",".join(map(repr, lambdas))], {})
+
+
+TCL2_SHORT = ["propagate", "--mode", "tcl2", "--set", "propagation.n_points=5"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"], TCL2_SHORT]),
+    modes=st.lists(
+        st.tuples(EXTREME_FLOATS | st.floats(0.0, 10.0), EXTREME_FLOATS | st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@example(command=TCL2_SHORT, modes=[(sys.float_info.max, 0.1)])
+def test_cli_discrete_modes_exit_codes_at_extreme_values(command, modes):
+    text = ",".join(f"{w!r}:{nu!r}" for w, nu in modes)
+    _assert_exit_contract(command + ["--set", "bath.type=discrete", "--set", f"bath.modes={text}"], {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"], TCL2_SHORT]),
+    # most extreme triples lie outside the Bloch ball, so components in
+    # [-1, 1] are drawn too
+    bloch=st.tuples(*[EXTREME_FLOATS | st.floats(-1.0, 1.0)] * 3),
+    kappa=EXTREME_FLOATS,
+)
+def test_cli_initial_and_kappa_exit_codes_at_extreme_values(command, bloch, kappa):
+    argv = command + ["--initial=" + ",".join(map(repr, bloch))]
+    if command == TCL2_SHORT:
+        argv.append(f"--kappa={kappa!r}")
+    _assert_exit_contract(argv, {})
 
 
 def test_dump_json_refuses_non_finite_values(tmp_path, capsys):

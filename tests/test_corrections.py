@@ -218,19 +218,14 @@ def test_delta_rho2_dispatch(model, kernel):
     assert np.allclose(half, -0.5 * d1, atol=1e-16)
     full = delta_rho2(NaturalFamily(kappa=1.0), d1)
     assert np.max(np.abs(d1 + full)) < 1e-16
-    flipped = delta_rho2(NaturalFamily(kappa=1.0, sign=+1), d1)
-    assert np.allclose(flipped, d1, atol=1e-16)
     with pytest.raises(TypeError):
         delta_rho2("product", d1)
 
 
 def test_natural_family_validation():
     with pytest.raises(ValueError):
-        NaturalFamily(kappa=1.0, sign=0)
-    with pytest.raises(ValueError):
         NaturalFamily(kappa=np.nan)
     assert NATURAL_SIGN == -1
-    assert NaturalFamily(kappa=0.3).sign == NATURAL_SIGN
 
 
 def test_slipped_initial_condition(model, kernel):

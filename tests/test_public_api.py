@@ -106,12 +106,14 @@ def test_config_kernel_exposes_its_rates():
 
 
 # `bench/tracing.py` counts the time points passed to these layers by
-# position (or by keyword when passed so); a moved or renamed parameter
-# would silently zero its per-layer counter
+# position (or by keyword when passed so), and rebuilds the sup search
+# grid as default_time_grid(model, kernel, t_window); a moved or renamed
+# parameter would silently zero a per-layer counter or fail its call
 BENCH_TIME_ARGS = [
     ("oracle", "evolve_exact", 2, "times"),
     ("oracle", "delta_rho2_direct", 4, "times"),
     ("bath", "correlation_quadrature", 1, "t"),
+    ("regions", "default_time_grid", 2, "t_window"),
 ]
 
 
@@ -121,6 +123,30 @@ def test_bench_time_argument_positions(module, func, pos, name):
     params = list(inspect.signature(fn).parameters.values())
     assert params[pos].name == name
     assert params[pos].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_every_config_key_is_read():
+    # a key that no package code reads, its validation aside, changes no
+    # run; the former quadrature.rel_tol was one
+    from redfield_slippage.config import DEFAULTS
+
+    read = set()
+    for path in sorted(Path(redfield_slippage.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        checks = {
+            id(n)
+            for d in ast.walk(tree)
+            if isinstance(d, ast.FunctionDef) and d.name == "validate"
+            for n in ast.walk(d)
+        }
+        read |= {
+            node.slice.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and id(node) not in checks
+        }
+    assert not set(DEFAULTS) - read
 
 
 def _definitions(node, prefix=""):

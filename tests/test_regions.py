@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from redfield_slippage import master, regions
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
 from redfield_slippage.master import PositivityScanner
@@ -160,15 +161,17 @@ def test_u_prime_degenerate_flag(model, kernel):
     assert not res.degenerate_p0
 
 
-def test_u_prime_sup_stable_under_grid_refinement(model, kernel):
+def test_u_prime_sup_stable_under_grid_refinement(model, kernel, monkeypatch):
     rho = bloch_to_density((0.95, 0.0, 0.1))
     base = u_prime_membership(model, kernel, 0.5, rho)
     tables = VariationalTables(model, kernel)
-    # the default grid with every interval halved
+    # the default grid with every interval halved, refined with 48
+    # golden-section iterations
     grid = default_time_grid(model, kernel)
     tables.grid = np.sort(np.concatenate((grid, 0.5 * (grid[1:] + grid[:-1]))))
     tables.grid_tables = tables.tables(tables.grid)
-    dense = _u_prime_many(tables, 0.5, rho[None], 48)
+    monkeypatch.setattr(master, "GOLDEN_ITERS", 48)
+    dense = _u_prime_many(tables, 0.5, rho[None])
     assert dense.sup_value[0] == pytest.approx(base.sup_value, rel=1e-6)
 
 
@@ -183,13 +186,13 @@ def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, p
     y, z = rho_yz * np.cos(phi), rho_yz * np.sin(phi)
     reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
     xs = reach * np.array(fracs)
-    row_scan = _RowScan(model, kernel, 0.5, xs, z, 50.0, 32)
+    row_scan = _RowScan(model, kernel, 0.5, xs, z)
     block = row_scan(y)
     assert block.shape == (len(xs), 6)
     scanner = PositivityScanner(generator)
     for x, (p0, bound, in_u, in_n, min_eig, witness) in zip(xs, block.tolist()):
         rho = bloch_to_density((x, y, z))
-        u = _u_prime_many(row_scan.tables, 0.5, rho[None], 32)
+        u = _u_prime_many(row_scan.tables, 0.5, rho[None])
         nm = scanner.evaluate(rho)
         assert p0 == pytest.approx(u.p0[0], abs=1e-15)
         assert in_u == (1.0 if u.in_u_prime[0] else 0.0)
@@ -365,21 +368,28 @@ def test_region_scan_jobs_identical(model, kernel):
     assert one == two
 
 
-def test_max_radial_depth_scaling(model, kernel):
+@pytest.fixture
+def coarse_depth(monkeypatch):
+    # 8 directions and a 1e-4 boundary: cheaper than criterion 4's depths
+    monkeypatch.setattr(regions, "N_DIRECTIONS", 8)
+    monkeypatch.setattr(regions, "R_TOL", 1e-4)
+
+
+def test_max_radial_depth_scaling(model, kernel, coarse_depth):
     # the region depth shrinks like lam^2: quartering the coupling
     # strength at half lam shrinks the depth by about four
-    d_half, th_half = max_radial_depth(model, kernel, 0.5, n_directions=8, r_tol=1e-4)
-    d_quarter, _ = max_radial_depth(model, kernel, 0.25, n_directions=8, r_tol=1e-4)
+    d_half, th_half = max_radial_depth(model, kernel, 0.5)
+    d_quarter, _ = max_radial_depth(model, kernel, 0.25)
     assert d_half > 0.0 and d_quarter > 0.0
     assert 0.0 <= th_half < 2.0 * np.pi
     assert 3.0 < d_half / d_quarter < 5.0
 
 
-def test_max_radial_depth_brackets_the_boundary(model, kernel):
+def test_max_radial_depth_brackets_the_boundary(model, kernel, coarse_depth):
     # the deepest direction's boundary r_b = 1 - depth separates members
-    # just outside it from non-members just inside, to within r_tol
-    r_tol = 1e-4
-    depth, theta = max_radial_depth(model, kernel, 0.5, n_directions=8, r_tol=r_tol)
+    # just outside it from non-members just inside, to within R_TOL
+    r_tol = regions.R_TOL
+    depth, theta = max_radial_depth(model, kernel, 0.5)
     r_b = 1.0 - depth
     for r, inside in ((r_b + r_tol, True), (r_b - r_tol, False)):
         rho = bloch_to_density((r * np.cos(theta), r * np.sin(theta), 0.0))
