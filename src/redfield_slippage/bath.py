@@ -49,6 +49,7 @@ INTEGRABILITY_FLOOR = 1e-12
 TERM_CUTOFF = 40.0
 # largest (times x terms) block of exponentials evaluated at once
 EXP_BLOCK = 2**16
+SERIES_BLOCK = 2**20  # in ExponentialSum.evaluate (16 MB): 200 x 4001 is one block
 # contour quadrature: 16-point Gauss-Legendre panel rule, default
 # relative tolerance between passes and the most panel bisections after
 # the first
@@ -191,8 +192,12 @@ class ExponentialSum:
         return 1.0 / slowest if slowest > 0.0 else math.inf
 
     def evaluate(self, t):
+        """C(t), from exponentials formed SERIES_BLOCK (time x term) at a time."""
         t = np.asarray(t, dtype=float)
-        return np.exp(-np.multiply.outer(t, self.g)) @ self.c
+        step = max(1, SERIES_BLOCK // self.g.size)
+        parts = np.split(t.ravel(), range(step, t.size, step))
+        sums = [np.exp(-np.multiply.outer(u, self.g)) @ self.c for u in parts]
+        return np.concatenate(sums).reshape(t.shape)
 
     def denominators(self, omega):
         """g_k - i omega for each frequency in omega, of shape

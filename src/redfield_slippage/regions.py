@@ -17,10 +17,10 @@ I and D are closed-form double integrals of the reservoir kernel. Both
 are assembled from the four kernel sums of bath.SlippageIntegrals (the
 I of the slippage correction), evaluated over arrays of times by
 bath.TermSums with the terms negligible at each time left out. Scans
-evaluate one grid row of states as a batch: one matrix product for the
-sup on the time grid, then one golden-section pass that refines every
-state's sup, and likewise for the positivity dips. Batch results are
-arrays over the states, and a scan is one float table in the column
+evaluate blocks of SCAN_BLOCK cells as batches: one matrix product for
+the sup on the time grid, then one golden-section pass that refines
+every state's sup, and likewise for the positivity dips. Batch results
+are arrays over the states, and a scan is one float table in the column
 order of its CSV, NaN where a field is empty.
 A negative value of the expression above puts rho_S in U': no member
 of the variational family of correlated total states built on rho_S is
@@ -34,6 +34,7 @@ so N should lie inside U'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -65,6 +66,9 @@ T_WINDOW = 50.0
 # tolerance on the membership boundary
 N_DIRECTIONS = 16
 R_TOL = 1e-5
+# cells per batch of region_scan and per worker task: a 31 x 31 scan is one
+# block, and larger blocks, at about 3 kB a cell, are no faster at 201 x 201
+SCAN_BLOCK = 1024
 
 
 class VariationalTables:
@@ -186,8 +190,9 @@ def _u_prime_many(tables, lam, rhos) -> VariationalResult:
     i_tab, d_tab = tables.grid_tables
     b_arr = 0.5 * np.real(i_tab @ n.T)
     a_arr = 0.25 * np.real(d_tab @ m.T)
-    vals = np.zeros_like(b_arr)
-    np.divide(b_arr * b_arr, 4.0 * a_arr, out=vals, where=a_arr > A_FLOOR)
+    # B^2 / (4 A) in the memory of B, 0 where A is below the floor
+    vals = np.divide(np.square(b_arr, out=b_arr), 4.0 * a_arr, out=b_arr, where=a_arr > A_FLOOR)
+    vals[~(a_arr > A_FLOOR)] = 0.0
     idx = np.argmax(vals, axis=0)
     coarse = vals[idx, np.arange(idx.size)]
     sup = np.zeros(idx.size)
@@ -251,31 +256,15 @@ class RegionScanResult:
         return "\n".join(lines) + "\n"
 
 
-class _RowScan:
-    """Scan of one grid row, y fixed; every physical cell of the row is
-    evaluated as one batch. Built once per scan and shared by the rows."""
-
-    def __init__(self, model, kernel, lam, xs, z):
-        self.tables = VariationalTables(model, kernel)
-        generator = build_redfield_generator(model, kernel, lam)
-        self.scanner = PositivityScanner(generator)
-        self.lam = float(lam)
-        self.xs = xs
-        self.z = float(z)
-
-    def __call__(self, y):
-        """The row's (len(xs), 6) block of the scan table columns p0 to
-        witness_t, in x order."""
-        y, z, xs = float(y), self.z, self.xs
-        physical = xs * xs + y * y + z * z <= 1.0 + 1e-12
-        rhos = 0.5 * I2 + xs[physical][:, None, None] * SX + y * SY + z * SZ
-        u = _u_prime_many(self.tables, self.lam, rhos)
-        nm = self.scanner.evaluate_many(rhos)
-        block = np.full((xs.size, 6), np.nan)
-        block[physical] = np.column_stack(
-            (u.p0, u.bound, u.in_u_prime, nm.in_n, nm.min_eigenvalue_attained, nm.witness_time)
-        )
-        return block
+def _scan_block(tables, scanner, lam, xyz):
+    """Scan table columns p0 to witness_t (k, 6) at Bloch points xyz (k, 3), as one batch."""
+    x, y, z = xyz.T[:, :, None, None]
+    rhos = 0.5 * I2 + x * SX + y * SY + z * SZ
+    u = _u_prime_many(tables, lam, rhos)
+    nm = scanner.evaluate_many(rhos)
+    return np.column_stack(
+        (u.p0, u.bound, u.in_u_prime, nm.in_n, nm.min_eigenvalue_attained, nm.witness_time)
+    )
 
 
 def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResult:
@@ -283,12 +272,13 @@ def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResu
 
     Rows are emitted in row-major order, y varying slowest, both axes
     ascending over [-1, 1] with grid_n nodes. Points outside the unit
-    ball are flagged unphysical (empty fields), not evaluated. A grid
-    row is the unit of batched evaluation and of the work handed to
-    each of the jobs worker processes, so the output is deterministic
-    and independent of jobs. N membership samples one period of the
-    memoryless trajectory and compares it with the stationary limit
-    (master.PositivityScanner), so its cost does not depend on lam.
+    ball are flagged unphysical (empty fields), not evaluated. Blocks
+    of up to SCAN_BLOCK physical cells, in row-major order, are the unit
+    of batched evaluation and of the work handed to each of the jobs
+    worker processes, so the output is deterministic and independent of
+    jobs. N membership samples one period of the memoryless trajectory
+    and compares it with the stationary limit (master.PositivityScanner),
+    so its cost does not depend on lam.
     """
     grid_n = int(grid_n)
     if grid_n < 3 or grid_n % 2 == 0:
@@ -296,21 +286,26 @@ def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResu
     if lam <= 0.0:
         raise ValueError("region scans need lam > 0")
     xs = ys = np.linspace(-1.0, 1.0, grid_n)
-    scan = _RowScan(model, kernel, lam, xs, z)
+    x, y = (a.ravel() for a in np.meshgrid(xs, ys))
+    z = float(z)
+    table = np.column_stack((x, y, np.full(x.size, z), np.full((x.size, 6), np.nan)))
+    cells = np.flatnonzero(x * x + y * y + z * z <= 1.0 + 1e-12)
+    points = [table[cells[i : i + SCAN_BLOCK], :3] for i in range(0, cells.size, SCAN_BLOCK)]
+    tables = VariationalTables(model, kernel)
+    scanner = PositivityScanner(build_redfield_generator(model, kernel, lam))
+    scan = partial(_scan_block, tables, scanner, float(lam))
     if int(jobs) > 1:
         import multiprocessing as mp
 
         with mp.get_context("fork").Pool(int(jobs)) as pool:
-            results = pool.map(scan, ys)
+            results = pool.map(scan, points)
     else:
-        results = [scan(y) for y in ys]
-    x, y = np.meshgrid(xs, ys)
-    table = np.column_stack(
-        (x.ravel(), y.ravel(), np.full(x.size, float(z)), np.concatenate(results))
-    )
+        results = [scan(p) for p in points]
+    # no blocks where the slice misses the ball (|z| > 1)
+    table[cells, 3:] = np.concatenate([np.empty((0, 6)), *results])
     meta = {
         "grid_n": grid_n,
-        "z": float(z),
+        "z": z,
         "lambda": float(lam),
         "epsilon": float(model.epsilon),
         "kernel": {k: v for k, v in kernel.meta.items()},

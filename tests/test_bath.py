@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,6 +100,23 @@ def test_bose_occupation_value():
 
 def test_correlation_frozen_value(ld_spec, kernel):
     assert complex(kernel.evaluate(1.0)) == pytest.approx(C_AT_1, rel=1e-12)
+
+
+def test_series_forms_exponentials_in_blocks(ld_spec):
+    # 100000 times x 65 terms at once would be 104 MB of exponentials
+    # (bath-correlation at quadrature.n_points=100000 and 4001 terms ran
+    # out of memory); blocks of times hold two complex blocks and the
+    # sums, and leave every sum as it was
+    k = fit_exponential_mixture(ld_spec, 64)
+    t = np.geomspace(1e-3, 50.0, 100_000)
+    tracemalloc.start()
+    try:
+        series = k.evaluate(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * bath.SERIES_BLOCK
+    assert np.array_equal(series[:3000], np.exp(-np.multiply.outer(t[:3000], k.g)) @ k.c)
 
 
 def test_imaginary_part_is_exact_at_any_truncation(ld_spec):

@@ -519,6 +519,8 @@ def _assert_finite_outputs(out):
 
 
 def _assert_exit_contract(command, values):
+    """Runs the command with each of values set; returns the exit code
+    and the bytes of the files written, by name."""
     argv = list(command)
     for key, value in values.items():
         argv += ["--set", f"{key}={value!r}"]
@@ -529,6 +531,7 @@ def _assert_exit_contract(command, values):
             _assert_finite_outputs(out)
         else:
             assert not os.listdir(out)
+        return rc, {name: (Path(out) / name).read_bytes() for name in os.listdir(out)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -542,12 +545,24 @@ def test_cli_exit_codes_at_extreme_values(command, values):
     _assert_exit_contract(command, values)
 
 
+# odd and even sizes up to 41 x 41, and sizes outside [3, MAX_GRID_N]
+GRID_NS = st.integers(1, 41) | st.sampled_from([-3, 0, MAX_GRID_N + 1, MAX_GRID_N + 2, 2**64])
+
+
 @settings(max_examples=50, deadline=None)
-@given(values=st.dictionaries(st.sampled_from(("lambda", "scan.z")), EXTREME_FLOATS, min_size=1))
-def test_cli_region_scan_exit_codes_at_extreme_values(values):
-    # the N scan's cost does not grow as lambda shrinks, so a 3 x 3 scan
-    # is cheap at any coupling
-    _assert_exit_contract(["region-scan", "--set", "scan.grid_n=3"], values)
+@given(
+    values=st.dictionaries(st.sampled_from(("lambda", "scan.z")), EXTREME_FLOATS | st.floats(0.0, 1.0)),
+    grid_n=GRID_NS,
+)
+def test_cli_region_scan_exit_codes_at_extreme_values(values, grid_n):
+    # the N scan's cost does not grow as lambda shrinks, so a 41 x 41 scan
+    # is cheap at any coupling; two worker processes write the same bytes
+    # as one
+    one, two = (
+        _assert_exit_contract(["region-scan", f"--jobs={jobs}", "--set", f"scan.grid_n={grid_n}"], values)
+        for jobs in (1, 2)
+    )
+    assert one == two
 
 
 @settings(max_examples=40, deadline=None)
@@ -555,6 +570,27 @@ def test_cli_region_scan_exit_codes_at_extreme_values(values):
 @example(values={"lambda": 1e300})
 def test_cli_tcl2_exit_codes_at_extreme_values(values):
     _assert_exit_contract(["propagate", "--mode", "tcl2", "--set", "propagation.n_points=5"], values)
+
+
+# the bounds of both point counts, either side, and negative counts
+POINT_COUNTS = st.sampled_from([0, 1, 2, MAX_POINTS, MAX_POINTS + 1]) | st.integers(max_value=-1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=POINT_COUNTS)
+@example(n=MAX_POINTS)
+def test_cli_markov_n_points_exit_codes(n):
+    _assert_exit_contract(["propagate", "--mode", "markov"], {"propagation.n_points": n})
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=POINT_COUNTS)
+@example(n=MAX_POINTS)
+def test_cli_bath_correlation_n_points_exit_codes(n):
+    # at t = 1000 the quadrature's bound underflows, so every point is an
+    # exact 0 at no cost, and 65 kernel terms keep the series cheap
+    argv = ["bath-correlation", "--set", "bath.matsubara_k_max=64"]
+    _assert_exit_contract(argv, {"quadrature.t_min": 1e3, "quadrature.t_max": 1e3, "quadrature.n_points": n})
 
 
 BATH_FUZZ_KEYS = ("bath.beta", "bath.omega_cutoff", "quadrature.t_min", "quadrature.t_max")

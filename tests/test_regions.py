@@ -14,7 +14,7 @@ from redfield_slippage.regions import (
     PAIRS,
     RegionScanResult,
     VariationalTables,
-    _RowScan,
+    _scan_block,
     _u_prime_many,
     default_time_grid,
     max_radial_depth,
@@ -179,20 +179,18 @@ _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0 * np.pi), st.lists(_unit, min_size=1, max_size=8))
-def test_scan_row_matches_single_state_calls(model, kernel, generator, rho_yz, phi, fracs):
-    # a scan row is one batch; every entry must equal the batch-of-one
+@given(st.lists(st.tuples(_unit, _unit, _unit), min_size=1, max_size=8))
+def test_scan_block_matches_single_state_calls(model, kernel, generator, points):
+    # a scan block is one batch; every entry must equal the batch-of-one
     # public calls on the same state
-    y, z = rho_yz * np.cos(phi), rho_yz * np.sin(phi)
-    reach = np.sqrt(max(1.0 - y * y - z * z, 0.0))
-    xs = reach * np.array(fracs)
-    row_scan = _RowScan(model, kernel, 0.5, xs, z)
-    block = row_scan(y)
-    assert block.shape == (len(xs), 6)
-    scanner = PositivityScanner(generator)
-    for x, (p0, bound, in_u, in_n, min_eig, witness) in zip(xs, block.tolist()):
-        rho = bloch_to_density((x, y, z))
-        u = _u_prime_many(row_scan.tables, 0.5, rho[None])
+    xyz = np.array(points)
+    xyz /= np.maximum(1.0, np.linalg.norm(xyz, axis=1))[:, None]
+    tables, scanner = VariationalTables(model, kernel), PositivityScanner(generator)
+    block = _scan_block(tables, scanner, 0.5, xyz)
+    assert block.shape == (len(xyz), 6)
+    for v, (p0, bound, in_u, in_n, min_eig, witness) in zip(xyz.tolist(), block.tolist()):
+        rho = bloch_to_density(v)
+        u = _u_prime_many(tables, 0.5, rho[None])
         nm = scanner.evaluate(rho)
         assert p0 == pytest.approx(u.p0[0], abs=1e-15)
         assert in_u == (1.0 if u.in_u_prime[0] else 0.0)
@@ -366,6 +364,42 @@ def test_region_scan_jobs_identical(model, kernel):
     one = region_scan(model, kernel, 0.5, grid_n=11, jobs=1).to_csv()
     two = region_scan(model, kernel, 0.5, grid_n=11, jobs=2).to_csv()
     assert one == two
+
+
+def test_region_scan_blocks_jobs_identical(model, kernel, monkeypatch):
+    # 81 physical cells in blocks of 16: the workers share out six
+    # blocks, and block boundaries cut through grid rows
+    whole = region_scan(model, kernel, 0.5, grid_n=11)
+    monkeypatch.setattr(regions, "SCAN_BLOCK", 16)
+    one = region_scan(model, kernel, 0.5, grid_n=11, jobs=1)
+    two = region_scan(model, kernel, 0.5, grid_n=11, jobs=2)
+    assert one.to_csv() == two.to_csv()
+    assert one.metadata == whole.metadata
+    # BLAS sums depend on the batch shape: only bound may move, and only
+    # by rounding
+    flags = [COL_IN_U, COL_IN_N]
+    assert np.array_equal(one.table[:, flags], whole.table[:, flags], equal_nan=True)
+    np.testing.assert_allclose(one.table, whole.table, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("block", [regions.SCAN_BLOCK, 100])
+def test_region_scan_refines_once_per_block(model, kernel, monkeypatch, block):
+    # one golden-section search per block for U' and one for N, each over
+    # a non-empty batch: no per-row searches and none on an empty row
+    monkeypatch.setattr(regions, "SCAN_BLOCK", block)
+    sizes = {regions: [], master: []}
+    for module in sizes:
+
+        def counted(f, lo, hi, raw=module.golden_min, seen=sizes[module]):
+            seen.append(np.size(lo))
+            return raw(f, lo, hi)
+
+        monkeypatch.setattr(module, "golden_min", counted)
+    res = region_scan(model, kernel, 0.5, grid_n=31)
+    physical = res.metadata["grid_n"] ** 2 - res.metadata["n_unphysical"]
+    for seen in sizes.values():
+        assert len(seen) == math.ceil(physical / block)
+        assert min(seen) > 0
 
 
 @pytest.fixture
