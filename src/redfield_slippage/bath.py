@@ -182,6 +182,8 @@ class ExponentialSum:
         self.remainder_bound = float(remainder_bound)
         self.meta = dict(meta or {})
         self.integrable = bool(np.all(g.real > INTEGRABILITY_FLOOR))
+        # real rates (the continuum pole expansion) take real exponentials
+        self.real_rates = bool(np.all(g.imag == 0.0))
 
     @property
     def tau_r_estimate(self) -> float:
@@ -192,11 +194,17 @@ class ExponentialSum:
         return 1.0 / slowest if slowest > 0.0 else math.inf
 
     def evaluate(self, t):
-        """C(t), from exponentials formed SERIES_BLOCK (time x term) at a time."""
+        """C(t), from exponentials formed SERIES_BLOCK (time x term) at a
+        time, real ones where every rate is real."""
         t = np.asarray(t, dtype=float)
         step = max(1, SERIES_BLOCK // self.g.size)
         parts = np.split(t.ravel(), range(step, t.size, step))
-        sums = [np.exp(-np.multiply.outer(u, self.g)) @ self.c for u in parts]
+        g = self.g.real if self.real_rates else self.g
+        sums = []
+        for u in parts:
+            e = np.exp(-np.multiply.outer(u, g))
+            # two matrix-vector products: a time's sum does not depend on its block
+            sums.append(e @ self.c.real + 1j * (e @ self.c.imag) if self.real_rates else e @ self.c)
         return np.concatenate(sums).reshape(t.shape)
 
     def denominators(self, omega):
@@ -230,7 +238,12 @@ class TermSums:
     most EXP_BLOCK (time x term) entries, and each block is summed from
     its smallest (fastest-decaying) term up in one matrix product, which
     keeps the rounding error of the 4001-term continuum sums near 1e-16.
-    Kernels with real decay rates use real exponentials.
+    Kernels with real decay rates use real exponentials. A matrix
+    product may round a time's sums differently with the number of
+    times in its block; a call with row_exact sums each time by a
+    product of its own, so that its sums do not depend on the other
+    times of the call. Where few terms are kept that costs several
+    times a matrix product, and less than the exponentials.
     """
 
     def __init__(self, kernel, amp):
@@ -239,16 +252,17 @@ class TermSums:
         g = kernel.g[order]
         self._re_g = g.real[::-1]
         self._rows = amp.shape[0]
-        self._real_g = bool(np.all(g.imag == 0.0))
-        a = amp[:, order].T
+        self._real_g = kernel.real_rates
+        a = amp[:, order]
         if self._real_g:
             self._gneg = -g.real
-            self._amp = np.ascontiguousarray(np.hstack((a.real, a.imag)))
+            # rows stacked first, so that only one transpose is strided
+            self._amp = np.ascontiguousarray(np.concatenate((a.real, a.imag)).T)
         else:
             self._gneg = -g
-            self._amp = np.ascontiguousarray(a)
+            self._amp = np.ascontiguousarray(a.T)
 
-    def __call__(self, t):
+    def __call__(self, t, row_exact=False):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty((flat.size, self._rows), dtype=complex)
@@ -259,7 +273,8 @@ class TermSums:
             step = max(1, EXP_BLOCK // n_terms)
             for lo in range(0, idx.size, step):
                 part = idx[lo : lo + step]
-                v = np.exp(np.multiply.outer(flat[part], self._gneg[k])) @ self._amp[k]
+                e = np.exp(np.multiply.outer(flat[part], self._gneg[k]))
+                v = (e[:, None, :] @ self._amp[k])[:, 0] if row_exact else e @ self._amp[k]
                 out[part] = v[:, : self._rows] + 1j * v[:, self._rows :] if self._real_g else v
         return out.reshape(t.shape + (self._rows,))
 
@@ -311,14 +326,14 @@ class SlippageIntegrals:
         self._kernel = kernel
         # g - i s eps for s = +1, -1, so that w = -c / (den[-s''] den[s'])
         den = dict(zip((1, -1), kernel.denominators(self.eps * np.array([1.0, -1.0]))))
-        self._w = -kernel.c / np.array([den[-sq] * den[sp] for sp, sq in PAIRS])
-        self.s0 = self._w.sum(axis=-1)
+        self.w = -kernel.c / np.array([den[-sq] * den[sp] for sp, sq in PAIRS])
+        self.s0 = self.w.sum(axis=-1)
 
     @cached_property
     def sums(self):
         """S(t) for the four pairs, built on first use: t = inf needs
         only S(0)."""
-        return TermSums(self._kernel, self._w)
+        return TermSums(self._kernel, self.w)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

@@ -23,6 +23,7 @@ from .bath import (
     fit_exponential_mixture,
 )
 from .master import MAX_POINTS, SystemModel
+from .oracle import DIM_CAP
 
 
 class ConfigError(ValueError):
@@ -31,6 +32,14 @@ class ConfigError(ValueError):
 
 # 2001^2 cells: a 290 MB result table and about 100 times the default scan
 MAX_GRID_N = 2001
+# a kernel term takes about 500 bytes at peak (its poles, the amplitude
+# rows of the variational tables and their real stack): diagnose peaks at
+# 520 MB with 10^6 terms, and at the default temperature the Matsubara
+# remainder bound is already 0 in double precision at 10^5
+MAX_K_MAX = 10**6
+# every oscillator at least doubles the oracle's dimension (fock_cutoff
+# >= 1): more modes are refused before their arrays are built
+MAX_ORACLE_MODES = int(math.log2(DIM_CAP // 2))
 
 
 DEFAULTS = {
@@ -131,8 +140,8 @@ class RunConfig:
             raise ConfigError("bath.type must be lorentz_drude or discrete")
         if v["bath.omega_cutoff"] <= 0.0 or v["bath.beta"] <= 0.0:
             raise ConfigError("bath.omega_cutoff and bath.beta must be positive")
-        if v["bath.matsubara_k_max"] < 1:
-            raise ConfigError("bath.matsubara_k_max must be at least 1")
+        if not 1 <= v["bath.matsubara_k_max"] <= MAX_K_MAX:
+            raise ConfigError(f"bath.matsubara_k_max must lie in [1, {MAX_K_MAX}]")
         if v["lambda"] < 0.0:
             raise ConfigError("lambda must be non-negative")
         if not (0.0 < v["quadrature.t_min"] <= v["quadrature.t_max"]):
@@ -148,8 +157,13 @@ class RunConfig:
             raise ConfigError("propagation.t_end must be positive")
         if not 2 <= v["propagation.n_points"] <= MAX_POINTS:
             raise ConfigError(f"propagation.n_points must lie in [2, {MAX_POINTS}]")
-        if v["oracle.n_modes"] < 1 or v["oracle.fock_cutoff"] < 1:
-            raise ConfigError("oracle.n_modes and oracle.fock_cutoff must be >= 1")
+        if v["oracle.fock_cutoff"] < 1:
+            raise ConfigError("oracle.fock_cutoff must be >= 1")
+        if not 1 <= v["oracle.n_modes"] <= MAX_ORACLE_MODES:
+            raise ConfigError(
+                f"oracle.n_modes must lie in [1, {MAX_ORACLE_MODES}]: "
+                f"the oracle's dimension is capped at {DIM_CAP}"
+            )
         if v["oracle.beta"] <= 0.0 or v["oracle.omega_max"] <= 0.0:
             raise ConfigError("oracle.beta and oracle.omega_max must be positive")
         if v["oracle.t_star"] <= 0.0:

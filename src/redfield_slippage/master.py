@@ -21,6 +21,12 @@ PositivityScanner finds the lowest eigenvalue of the memoryless
 trajectory over all t >= 0 (the N region). Because the coupling is
 through S^x, one period of the x-y rotation and the stationary limit
 bound it, so the scan's cost does not depend on lam.
+
+golden_min is the one 1-D search of the package, shared by the N dips
+and the U' sup (regions): its objectives return values with their
+closed-form slopes, and it refines a batch of brackets by cubic
+interpolation of values and slopes, GOLDEN_ITERS steps after the two
+end probes.
 """
 
 from __future__ import annotations
@@ -55,8 +61,8 @@ MAX_POINTS = 100_000
 # pass-to-pass tolerance of propagate_tcl2 and its most panel halvings
 TCL2_TOL = 1e-9
 TCL2_MAX_HALVINGS = 8
-# iterations of every golden-section search (golden_min)
-GOLDEN_ITERS = 32
+# steps of every slope search (golden_min), after its two end probes
+GOLDEN_ITERS = 8
 # Gauss-Legendre nodes per propagate_tcl2 panel
 TCL2_NODES = 8
 # the base panels of propagate_tcl2 halve geometrically from the base
@@ -85,32 +91,64 @@ def first_entry(batch, optional):
     return replace(batch, **values)
 
 
+def _cubic_step(p, fp, dp, q, fq, dq):
+    """Stationary point of the cubic with values f and slopes d at p and
+    q, the one that is a minimum; NaN or infinite where it has none."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d1 = dp + dq - 3.0 * ((fq - fp) / (q - p))
+        d2 = np.sign(q - p) * np.sqrt(d1 * d1 - dp * dq)
+        return q - (q - p) * ((dq + d2 - d1) / (dq - dp + 2.0 * d2))
+
+
 def golden_min(f, lo, hi):
-    """Golden-section minima of a batch of functions, one per bracket.
+    """Minima of a batch of functions, one per bracket, from their slopes.
 
     lo and hi are arrays of bracket ends and f maps an array of probe
-    points (one per bracket) to the array of values there; scalars are
-    a batch of one. Each element runs the same GOLDEN_ITERS iterations,
-    selected elementwise, so it follows the scalar update rule exactly.
-    Assumes each bracket contains a single local minimum. Returns the
-    best probed (t, f(t)) arrays.
+    points (one per bracket) to the arrays of values and slopes there;
+    scalars are a batch of one. Both ends are probed first, then
+    GOLDEN_ITERS steps. Where the end slopes change sign (falling at lo,
+    rising at hi), a step probes the minimum of the cubic that matches
+    the values and slopes of the two latest probes if it lies inside the
+    bracket, and else that of the cubic through the bracket ends, which
+    always does; elsewhere it probes the golden-section point nearer the
+    lower end. The probe replaces lo where its slope is negative and hi
+    otherwise. The cubic through the latest probes keeps the steps
+    superlinear where one end of the bracket stays far out. Every
+    element runs the same steps, selected elementwise, so it follows the
+    scalar update rule exactly. Returns the best probed (t, f(t))
+    arrays, the earliest probe on ties. The name is the one under which
+    bench/tracing.py counts the probes of both searches.
     """
     invphi = 0.6180339887498949
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    a = np.asarray(lo, dtype=float)
+    b = np.asarray(hi, dtype=float)
+    (fa, da), (fb, db) = f(a), f(b)
+    best_t, best_f = np.where(fb < fa, b, a), np.where(fb < fa, fb, fa)
+    # the two latest probes, the older first
+    p, fp, dp, q, fq, dq = a, fa, da, b, fb, db
     for _ in range(GOLDEN_ITERS):
-        left = f1 <= f2
-        lo = np.where(left, lo, x1)
-        hi = np.where(left, x2, hi)
-        x_new = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
-        f_new = f(x_new)
-        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
-        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    best = f1 <= f2
-    return np.where(best, x1, x2), np.where(best, f1, f2)
+        x_ends = _cubic_step(a, fa, da, b, fb, db)
+        x_ends = np.where(np.isfinite(x_ends), x_ends, 0.5 * (a + b))
+        x_last = _cubic_step(p, fp, dp, q, fq, dq)
+        x = np.where((x_last > a) & (x_last < b), x_last, x_ends)
+        x_gold = np.where(fa <= fb, b - invphi * (b - a), a + invphi * (b - a))
+        x = np.where((da < 0.0) & (db > 0.0), x, x_gold)
+        fx, dx = f(x)
+        better = fx < best_f
+        best_t, best_f = np.where(better, x, best_t), np.where(better, fx, best_f)
+        left = dx < 0.0
+        a, fa, da = np.where(left, x, a), np.where(left, fx, fa), np.where(left, dx, da)
+        b, fb, db = np.where(left, b, x), np.where(left, fb, fx), np.where(left, db, dx)
+        p, fp, dp, q, fq, dq = q, fq, dq, x, fx, dx
+    return best_t, best_f
+
+
+def lowest_per_cell(cell, values):
+    """The distinct entries of cell, ascending, and for each the index of
+    its lowest value; lexsort is stable, so ties keep the earliest."""
+    order = np.lexsort((values, cell))
+    hit, first = np.unique(cell[order], return_index=True)
+    return hit, order[first]
 
 
 @dataclass(frozen=True)
@@ -399,8 +437,9 @@ class PositivityScanner:
     samples instead 24 nodes uniform in s = e^{-k t}, k the slowest
     decay rate, down to s = 1/24 and 24 more geometric in s down to
     1e-9. evaluate_many() then costs one (n x 4) x (4 x T) product for
-    n initial states, plus one batched golden-section refinement of
-    every sampled local minimum and of both ends, over all states. As
+    n initial states, plus one batched slope search (golden_min, from
+    the closed-form slope of |r|) that refines every sampled local
+    minimum and both ends, over all states. As
     |r|^2 = sum_jk (b_j . b_k) c_j c_k, c = e^{w t} y0 the eigen-coordinates
     and b the eigenvectors' Bloch images, on [t_i, t_i+1] it stays below
     its larger end value plus K dt^2 / 8, K = sum_jk |b_j . b_k|
@@ -440,11 +479,16 @@ class PositivityScanner:
         self._decay = np.exp(np.outer(self.times[:-1], w.real))
 
     def _min_eig_at(self, t, y0):
-        """(1 - |r(t)|)/2 at times t (n,) of the states with generator
-        eigen-coordinates y0 (n, 4)."""
-        s = (np.exp(np.multiply.outer(t, self._w)) * y0) @ self._v.T
-        x, y, z = bloch_xyz(unvec(s))
-        return 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
+        """(1 - |r(t)|)/2 and its slope -(r . r') / (2 |r|) at times t (n,)
+        of the states with generator eigen-coordinates y0 (n, 4); the
+        slope is 0 where r = 0."""
+        c = np.exp(np.multiply.outer(t, self._w)) * y0
+        x, y, z = bloch_xyz(unvec(c @ self._v.T))
+        dx, dy, dz = bloch_xyz(unvec((c * self._w) @ self._v.T))
+        norm = np.sqrt(x * x + y * y + z * z)
+        r_dr = x * dx + y * dy + z * dz
+        slope = np.divide(-r_dr, 2.0 * norm, out=np.zeros_like(norm), where=norm > 0.0)
+        return 0.5 * (1.0 - norm), slope
 
     def evaluate_many(self, rhos) -> NMembership:
         """NMembership of the initial states rhos (n, 2, 2), all at once."""
@@ -474,11 +518,8 @@ class PositivityScanner:
         hi = np.concatenate((hi, self.times[j + 1]))
         y0_c = y0[cell]
         t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi)
-        # lowest refined dip per cell; lexsort is stable, so ties keep
-        # the earliest dip
-        order = np.lexsort((v_ref, cell))
-        hit, first = np.unique(cell[order], return_index=True)
-        pick = order[first]
+        # lowest refined dip per cell
+        hit, pick = lowest_per_cell(cell, v_ref)
         lower = v_ref[pick] < best_v[hit]
         best_v[hit[lower]] = v_ref[pick[lower]]
         best_t[hit[lower]] = t_ref[pick[lower]]

@@ -18,10 +18,12 @@ are assembled from the four kernel sums of bath.SlippageIntegrals (the
 I of the slippage correction), evaluated over arrays of times by
 bath.TermSums with the terms negligible at each time left out. Scans
 evaluate blocks of SCAN_BLOCK cells as batches: one matrix product for
-the sup on the time grid, then one golden-section pass that refines
-every state's sup, and likewise for the positivity dips. Batch results
-are arrays over the states, and a scan is one float table in the column
-order of its CSV, NaN where a field is empty.
+the sup on the time grid, then one pass of master.golden_min that
+refines, from the closed-form slopes of B and A, every peak of the grid
+that comes within SUP_RIVAL of a state's grid maximum, and likewise for
+the positivity dips. Batch results are arrays over the states, and a
+scan is one float table in the column order of its CSV, NaN where a
+field is empty.
 A negative value of the expression above puts rho_S in U': no member
 of the variational family of correlated total states built on rho_S is
 positive, so rho_S has no naturally correlated partner of that family.
@@ -38,8 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, sign_phases
-from .corrections import NATURAL_SIGN, S_OPS, pair_commutators
+from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, TermSums, sign_phases
+from .corrections import NATURAL_SIGN, S_OPS
 from .master import (
     GOLDEN_ITERS,
     MAX_POINTS,
@@ -48,6 +50,7 @@ from .master import (
     build_redfield_generator,
     first_entry,
     golden_min,
+    lowest_per_cell,
 )
 from .operators import (
     DEGENERACY_TOL,
@@ -62,6 +65,13 @@ from .operators import (
 A_FLOOR = 1e-14
 # the time window of the sup search, in memory scales (default_time_grid)
 T_WINDOW = 50.0
+# ratio of the geometric nodes at the head of the sup grid
+HEAD_RATIO = 1.2
+# a local maximum of the sup grid at this fraction of the grid maximum or
+# more is refined too: over 4000 random states a peak between grid nodes
+# lost up to 2.3 % of its height to sampling at epsilon = 1 and up to
+# 26 % at epsilon 0.5 to 3
+SUP_RIVAL = 0.5
 # max_radial_depth: directions on the unit circle and the bisection
 # tolerance on the membership boundary
 N_DIRECTIONS = 16
@@ -83,7 +93,10 @@ class VariationalTables:
                         + e^{i s'' eps t} Sb(t) + e^{i s' eps t} conj Sb(t),
 
     where K_{s' s''} = Gamma(s'' eps) + conj Gamma(-s' eps) and Phi_s(t) is
-    int_0^t e^{i s eps u} du.
+    int_0^t e^{i s eps u} du. One bath.TermSums evaluates S(t) and its
+    slope dS/dt, amplitude rows w_k and -g_k w_k, from the same
+    exponentials, so the slopes of I and D, and of B and A, are closed
+    form too.
 
     The sup search grid of default_time_grid and (I, D) on it are built
     once, grid first: its size check refuses an epsilon whose amplitudes
@@ -94,6 +107,8 @@ class VariationalTables:
         self.grid = default_time_grid(model, kernel)
         self.eps = eps = float(model.epsilon)
         self.integrals = SlippageIntegrals(kernel, eps)
+        w = self.integrals.w
+        self._sums = TermSums(kernel, np.concatenate((w, -kernel.g * w)))
         gamma = {s: kernel.half_fourier(s * eps) for s in (1, -1)}
         self._k = np.array([gamma[sq] + np.conj(gamma[-sp]) for sp, sq in PAIRS])
         self._two_re_sb0 = 2.0 * np.real(-self.integrals.s0[::-1])
@@ -104,10 +119,12 @@ class VariationalTables:
 
     def tables(self, times):
         """(I, D), each of shape times.shape + (4,)."""
-        return self._i_d(np.asarray(times, dtype=float))
+        return self._i_d(np.asarray(times, dtype=float))[:2]
 
-    def _i_d(self, times):
-        sums = self.integrals.sums(times)
+    def _i_d(self, times, row_exact=False):
+        """I, D, dI/dt and dD/dt at times (bath.TermSums for row_exact)."""
+        both = self._sums(times, row_exact)
+        sums, slopes = both[..., :4], both[..., 4:]
         phase = np.exp(1j * self.eps * times)
         esp = sign_phases(phase, PAIR_SP)
         esq = sign_phases(phase, PAIR_SQ)
@@ -116,53 +133,88 @@ class VariationalTables:
         phi2 = np.where(self._phi_is_t, times[..., None], (e_s - 1.0) / self._phi_den)
         sb = -sums[..., ::-1]
         d_vals = phi2 * self._k - e_s * self._two_re_sb0 + esq * sb + esp * np.conj(sb)
-        return i_vals, d_vals
+        # d/dt of each factor: e^{i s eps t} gives i s eps, Phi gives e_s
+        isp, isq = 1j * self.eps * PAIR_SP, 1j * self.eps * PAIR_SQ
+        dsb = -slopes[..., ::-1]
+        di = esp * (isp * sums + slopes)
+        dd = (
+            e_s * (self._k - (isp + isq) * self._two_re_sb0)
+            + esq * (isq * sb + dsb)
+            + esp * (isp * np.conj(sb) + np.conj(dsb))
+        )
+        return i_vals, d_vals, di, dd
 
     def b_a(self, t, m, n):
-        """B and A at times t (...) for states with moments m, n (..., 4).
+        """B, A, dB/dt and dA/dt at times t (...) for states with moments
+        m, n (..., 4).
 
         Each time keeps the leading kernel terms that bath.term_groups
         selects for it. A dropped term weighs below e^-40 times its
         amplitude, so the dropped tail of B and of A is bounded by
-        e^-40 * sum |amp| over the dropped terms.
+        e^-40 * sum |amp| over the dropped terms, and that of the slopes
+        likewise with the amplitudes g_k w_k.
         """
-        i_vals, d_vals = self._i_d(np.asarray(t, dtype=float))
+        # time by time: a state's sup does not depend on its batch
+        i_vals, d_vals, di, dd = self._i_d(np.asarray(t, dtype=float), row_exact=True)
         b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))
         a = 0.25 * np.real(np.sum(d_vals * m, axis=-1))
-        return b, a
+        db = 0.5 * np.real(np.sum(di * n, axis=-1))
+        da = 0.25 * np.real(np.sum(dd * m, axis=-1))
+        return b, a, db, da
+
+
+# S^{s'}, S^{s''} and S^{s'} S^{s''} of the PAIRS, each stacked (4, 2, 2)
+_S_LEFT = np.array([S_OPS[sp] for sp, _ in PAIRS])
+_S_RIGHT = np.array([S_OPS[sq] for _, sq in PAIRS])
+_S_BOTH = _S_LEFT @ _S_RIGHT
 
 
 def state_moments(rho_s, phi0):
     """The four M and N moments of rho_S seen from the direction phi0.
 
     Takes one state (2, 2) and direction (2,), or stacks (k, 2, 2) and
-    (k, 2); returns M and N of shape (..., 4).
+    (k, 2); returns M and N of shape (..., 4). Each moment is a bra,
+    rho_S and a ket made from phi0 by the S operators:
+
+        M = <phi0| S' rho S'' |phi0>,
+        N = <phi0| S' S'' rho |phi0> - <phi0| S'' rho S' |phi0>.
     """
     rho_s = np.asarray(rho_s, dtype=complex)
     phi0 = np.asarray(phi0, dtype=complex)
-    bra = phi0.conj()
-    m_ops = np.stack([S_OPS[sp] @ rho_s @ S_OPS[sq] for sp, sq in PAIRS], axis=-3)
-    m_vec = np.einsum("...i,...kij,...j->...k", bra, m_ops, phi0)
-    n_vec = np.einsum("...i,...kij,...j->...k", bra, pair_commutators(rho_s), phi0)
-    return m_vec, n_vec
+
+    def form(left, right):
+        bra = np.einsum("...i,pij->...pj", phi0.conj(), left)
+        ket = np.einsum("pij,...j->...pi", right, phi0)
+        return np.einsum("...pi,...ij,...pj->...p", bra, rho_s, ket)
+
+    unit = np.broadcast_to(I2, _S_BOTH.shape)
+    return form(_S_LEFT, _S_RIGHT), form(_S_BOTH, unit) - form(_S_RIGHT, _S_LEFT)
 
 
 def default_time_grid(model, kernel, t_window=T_WINDOW):
-    """Search grid for the sup: dense linear sampling through the
-    oscillatory regime, logarithmic tail out to t_window memory scales."""
+    """Search grid for the sup: geometric nodes in the ratio HEAD_RATIO
+    from t_lo up to t_join, where their spacing reaches the linear step
+    pi / (16 eps), linear nodes from there through the oscillatory
+    regime, and a logarithmic tail out to t_window memory scales.
+    B^2 / (4A) can peak sharply at times well below a linear step, and
+    the slope search needs such a peak inside a bracket of two nodes."""
     eps = model.epsilon
     tau = kernel.tau_r_estimate
     scale = max(tau, 1.0 / eps)
     t_lo = 1e-3 * min(1.0 / eps, tau)
     t_mid = 12.0 * scale
     t_max = float(t_window) * scale
-    step = np.pi / (8.0 * eps)
-    # step is 0 where 8 eps overflows
+    step = np.pi / (16.0 * eps)
+    # step is 0 where 16 eps overflows
     n = (t_mid - t_lo) / step if step > 0.0 else np.inf
     if not n <= MAX_POINTS:
         raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
-    lin = np.arange(t_lo, t_mid, step)
-    return np.concatenate((lin, np.geomspace(t_mid, t_max, 48)))
+    # t_lo <= 1e-3 / eps < t_join < t_mid, as t_mid >= 12 / eps
+    t_join = step / (HEAD_RATIO - 1.0)
+    n_head = int(np.ceil(np.log(t_join / t_lo) / np.log(HEAD_RATIO)))
+    head = np.geomspace(t_lo, t_join, n_head + 1)[:-1]
+    lin = np.arange(t_join, t_mid, step)
+    return np.concatenate((head, lin, np.geomspace(t_mid, t_max, 48)))
 
 
 @dataclass
@@ -178,41 +230,65 @@ class VariationalResult:
     degenerate_p0: np.ndarray
 
 
+def _grid_peaks(tables, m, n):
+    """The grid maximum of B^2 / (4A) of the states with moments m, n
+    (k, 4), its node, and the (node, state) pairs of every local maximum
+    of the grid within SUP_RIVAL of it, the grid maximum among them; the
+    (grid x states) arrays are freed on return."""
+    i_tab, d_tab = tables.grid_tables
+    # Re(tab @ v.T) as one real product: no complex (grid x states) array
+    b_arr = np.hstack((i_tab.real, -i_tab.imag)) @ np.hstack((n.real, n.imag)).T
+    b_arr *= 0.5
+    a4_arr = np.hstack((d_tab.real, -d_tab.imag)) @ np.hstack((m.real, m.imag)).T
+    live = a4_arr > 4.0 * A_FLOOR
+    # B^2 / (4 A) in the memory of B, 0 where A is below the floor
+    vals = np.divide(np.square(b_arr, out=b_arr), a4_arr, out=b_arr, where=live)
+    vals[~live] = 0.0
+    idx = np.argmax(vals, axis=0)
+    coarse = vals[idx, np.arange(idx.size)]
+    peak = (vals >= SUP_RIVAL * coarse) & (coarse > 0.0)
+    peak[1:] &= vals[1:] >= vals[:-1]
+    peak[:-1] &= vals[:-1] >= vals[1:]
+    return coarse, idx, *np.nonzero(peak)
+
+
 def _u_prime_many(tables, lam, rhos) -> VariationalResult:
     """VariationalResult of the states rhos (k, 2, 2), all at once.
 
-    sup_t B^2 / (4A) is the argmax on the grid of tables, then one
-    batched golden-section refinement of every state's bracket around it.
+    sup_t B^2 / (4A) is the maximum on the grid of tables, then one
+    batched slope search (golden_min), in s = log t where the geometric
+    parts of the grid are uniform, of the bracket around every local
+    maximum of the grid within SUP_RIVAL of it: a peak that falls
+    between nodes can lose a good part of its height to sampling.
     """
     w, v = np.linalg.eigh(rhos)
     m, n = state_moments(rhos, v[:, :, 0])
     grid = tables.grid
-    i_tab, d_tab = tables.grid_tables
-    b_arr = 0.5 * np.real(i_tab @ n.T)
-    a_arr = 0.25 * np.real(d_tab @ m.T)
-    # B^2 / (4 A) in the memory of B, 0 where A is below the floor
-    vals = np.divide(np.square(b_arr, out=b_arr), 4.0 * a_arr, out=b_arr, where=a_arr > A_FLOOR)
-    vals[~(a_arr > A_FLOOR)] = 0.0
-    idx = np.argmax(vals, axis=0)
-    coarse = vals[idx, np.arange(idx.size)]
-    sup = np.zeros(idx.size)
-    t_star = np.full(idx.size, np.nan)
-    go = coarse > 0.0
-    idx, coarse, m_go, n_go = idx[go], coarse[go], m[go], n[go]
-    lo = grid[np.maximum(idx - 1, 0)]
-    hi = grid[np.minimum(idx + 1, len(grid) - 1)]
+    coarse, idx, node, cell = _grid_peaks(tables, m, n)
+    lo = np.log(grid[np.maximum(node - 1, 0)])
+    hi = np.log(grid[np.minimum(node + 1, len(grid) - 1)])
+    m_c, n_c = m[cell], n[cell]
 
-    def neg_ratio(t):
-        b, a = tables.b_a(t, m_go, n_go)
+    def neg_ratio(s):
+        """-B^2 / (4 A) at t = e^s and its slope in s,
+        -t (q dB/dt - q^2 dA/dt) with q = B / (2 A); both are 0 where A
+        is below the floor."""
+        t = np.exp(s)
+        b, a, db, da = tables.b_a(t, m_c, n_c)
+        live = a > A_FLOOR
         out = np.zeros_like(b)
-        np.divide(-(b * b), 4.0 * a, out=out, where=a > A_FLOOR)
-        return out
+        np.divide(-(b * b), 4.0 * a, out=out, where=live)
+        q = np.divide(b, 2.0 * a, out=np.zeros_like(b), where=live)
+        return out, -t * (q * db - q * q * da)
 
-    t_ref, neg = golden_min(neg_ratio, lo, hi)
-    # refinement that fails to beat the grid keeps the grid value
-    kept = -neg < coarse
-    sup[go] = np.where(kept, coarse, -neg)
-    t_star[go] = np.where(kept, grid[idx], t_ref)
+    s_ref, neg = golden_min(neg_ratio, lo, hi)
+    # the highest refined peak of each state, where it beats the grid
+    sup = coarse.copy()
+    t_star = np.where(coarse > 0.0, grid[idx], np.nan)
+    hit, pick = lowest_per_cell(cell, neg)
+    up = -neg[pick] > coarse[hit]
+    sup[hit[up]] = -neg[pick[up]]
+    t_star[hit[up]] = np.exp(s_ref[pick[up]])
     bound = w[:, 0] - lam * lam * sup
     return VariationalResult(
         p0=w[:, 0],

@@ -213,7 +213,7 @@ def test_criterion_9_invariants(model, ld_spec, kernel, kernel_fine, generator, 
     for bloch in ((1.0, 0.0, 0.0), (0.3, -0.4, 0.2), (0.0, 1.0, 0.0)):
         rho = bloch_to_density(bloch)
         phi0 = np.linalg.eigh(rho)[1][:, 0]
-        _, vals = tables.b_a(tables.grid, *state_moments(rho, phi0))
+        _, vals = tables.b_a(tables.grid, *state_moments(rho, phi0))[:2]
         if min(vals) < -1e-10:
             failures.append("negative variational coefficient")
             break

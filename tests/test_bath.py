@@ -106,7 +106,8 @@ def test_series_forms_exponentials_in_blocks(ld_spec):
     # 100000 times x 65 terms at once would be 104 MB of exponentials
     # (bath-correlation at quadrature.n_points=100000 and 4001 terms ran
     # out of memory); blocks of times hold two complex blocks and the
-    # sums, and leave every sum as it was
+    # sums, and leave every sum as it was: real rates take real
+    # exponentials, summed against the real and imaginary amplitudes
     k = fit_exponential_mixture(ld_spec, 64)
     t = np.geomspace(1e-3, 50.0, 100_000)
     tracemalloc.start()
@@ -116,7 +117,8 @@ def test_series_forms_exponentials_in_blocks(ld_spec):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 16 * bath.SERIES_BLOCK
-    assert np.array_equal(series[:3000], np.exp(-np.multiply.outer(t[:3000], k.g)) @ k.c)
+    e = np.exp(-np.multiply.outer(t[:3000], k.g.real))
+    assert np.array_equal(series[:3000], e @ k.c.real + 1j * (e @ k.c.imag))
 
 
 def test_imaginary_part_is_exact_at_any_truncation(ld_spec):

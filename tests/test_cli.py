@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 from redfield_slippage import __version__
 from redfield_slippage.bath import DiscreteModes, LorentzDrudeBath
 from redfield_slippage.cli import _dump_json, main
-from redfield_slippage.config import DEFAULTS, MAX_GRID_N, ConfigError, RunConfig
+from redfield_slippage.config import (
+    DEFAULTS,
+    MAX_GRID_N,
+    MAX_K_MAX,
+    MAX_ORACLE_MODES,
+    ConfigError,
+    RunConfig,
+)
 from redfield_slippage.corrections import NaturalFamily, perturbative_solution
 from redfield_slippage.master import MAX_POINTS
 from redfield_slippage.operators import bloch_to_density
@@ -107,6 +114,8 @@ SIZE_BOUNDS = {
     "propagation.n_points": (2, MAX_POINTS),
     "oracle.n_times": (1, MAX_POINTS),
     "scan.grid_n": (3, MAX_GRID_N),
+    "bath.matsubara_k_max": (1, MAX_K_MAX),
+    "oracle.n_modes": (1, MAX_ORACLE_MODES),
 }
 
 
@@ -115,7 +124,10 @@ SIZE_BOUNDS = {
     key=st.sampled_from(sorted(SIZE_BOUNDS)),
     text=st.one_of(
         st.integers().map(str),
-        st.sampled_from([10**300, -(10**300), MAX_POINTS + 1, MAX_GRID_N + 2]).map(str),
+        st.sampled_from(
+            [10**300, -(10**300), MAX_POINTS + 1, MAX_GRID_N + 2]
+            + [MAX_K_MAX + 1, MAX_ORACLE_MODES + 1]
+        ).map(str),
         st.floats().map(repr),
     ),
 )
@@ -593,6 +605,18 @@ def test_cli_bath_correlation_n_points_exit_codes(n):
     _assert_exit_contract(argv, {"quadrature.t_min": 1e3, "quadrature.t_max": 1e3, "quadrature.n_points": n})
 
 
+# kernel sizes the commands run at once, and sizes that validation refuses
+# before a kernel is fitted
+K_MAX_VALUES = st.sampled_from([-1, 0, 1, 2, 64, MAX_K_MAX + 1, 10**13, 2**64])
+
+
+@settings(max_examples=20, deadline=None)
+@given(command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]), k_max=K_MAX_VALUES)
+@example(command=["diagnose"], k_max=10**13)
+def test_cli_matsubara_k_max_exit_codes(command, k_max):
+    _assert_exit_contract(command, {"bath.matsubara_k_max": k_max})
+
+
 BATH_FUZZ_KEYS = ("bath.beta", "bath.omega_cutoff", "quadrature.t_min", "quadrature.t_max")
 
 
@@ -616,6 +640,28 @@ ORACLE_FUZZ_KEYS = (
 def test_cli_oracle_exit_codes_at_extreme_values(values):
     base = ["oracle", "--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6"]
     _assert_exit_contract(base + ["--set", "oracle.n_times=2", "--set", "oracle.lambdas=0.08,0.16"], values)
+
+
+# oracle sizes: small ones, which it runs or refuses at once (a visible
+# thermal tail or the dimension cap), and ones that validation refuses
+# before any mode or time grid is built
+ORACLE_SIZES = {
+    "oracle.n_modes": [-1, 0, 1, 2, MAX_ORACLE_MODES + 1, 10**8, 2**64],
+    "oracle.fock_cutoff": [-1, 0, 1, 2, 10**8, 2**64],
+    "oracle.n_times": [-1, 0, 1, 2, MAX_POINTS + 1, 2**64],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    values=st.fixed_dictionaries(
+        {}, optional={key: st.sampled_from(sizes) for key, sizes in ORACLE_SIZES.items()}
+    )
+)
+@example(values={"oracle.n_modes": 10**8})
+def test_cli_oracle_size_exit_codes(values):
+    base = ["oracle", "--set", "oracle.omega_max=0.6", "--set", "oracle.lambdas=0.08,0.16"]
+    _assert_exit_contract(base, {"oracle.n_modes": 1, "oracle.n_times": 2, **values})
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,7 +15,6 @@ from redfield_slippage.bath import (
 )
 from redfield_slippage import master
 from redfield_slippage.master import (
-    GOLDEN_ITERS,
     PositivityScanner,
     _dissipator,
     SystemModel,
@@ -366,29 +365,58 @@ def test_trajectory_from_states_matches_per_state_formulas(rows):
 
 
 def test_golden_min():
-    x, f = golden_min(lambda u: (u - 1.3) ** 2 + 0.25, 0.0, 3.0)
-    # the minimum and the returned point share the final bracket, which
-    # each iteration shrinks by the golden ratio
-    assert x == pytest.approx(1.3, abs=3.0 * 0.6180339887498949**GOLDEN_ITERS)
-    assert f == pytest.approx(0.25, abs=1e-12)
+    # the tolerance of the 32 golden-section iterations this search
+    # replaced: cubic steps are exact on a quadratic and converge within
+    # the steps on a cosh, and on a cosine whose bracket reaches far to
+    # one side
+    tol = 3.0 * 0.6180339887498949**32
+    cases = [
+        (lambda u: ((u - 1.3) ** 2 + 0.25, 2.0 * (u - 1.3)), 0.0, 3.0, 1.3, 0.25),
+        (lambda u: (np.cosh(u - 1.3) - 0.75, np.sinh(u - 1.3)), 0.0, 3.0, 1.3, 0.25),
+        (lambda u: (-np.cos(u), np.sin(u)), -1.0, 2.5, 0.0, -1.0),
+    ]
+    for f, lo, hi, x_min, f_min in cases:
+        x, fx = golden_min(f, lo, hi)
+        assert x == pytest.approx(x_min, abs=tol)
+        assert fx == pytest.approx(f_min, abs=1e-12)
 
 
 def golden_min_scalar(f, lo, hi, iters):
-    """Reference golden-section loop on one bracket."""
+    """Reference slope search on one bracket, in numpy scalars: cubic
+    steps where the end slopes change sign, golden-section steps toward
+    the lower end elsewhere."""
     invphi = 0.6180339887498949
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+
+    def cubic(p, fp, dp, q, fq, dq):
+        with np.errstate(all="ignore"):
+            d1 = dp + dq - 3.0 * ((fq - fp) / (q - p))
+            d2 = np.sign(q - p) * np.sqrt(d1 * d1 - dp * dq)
+            return q - (q - p) * ((dq + d2 - d1) / (dq - dp + 2.0 * d2))
+
+    a, b = np.float64(lo), np.float64(hi)
+    (fa, da), (fb, db) = f(a), f(b)
+    best_t, best_f = (b, fb) if fb < fa else (a, fa)
+    latest = [(a, fa, da), (b, fb, db)]
     for _ in range(iters):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
+        if da < 0.0 < db:
+            x = cubic(*latest[0], *latest[1])
+            if not a < x < b:
+                x = cubic(a, fa, da, b, fb, db)
+                if not np.isfinite(x):
+                    x = 0.5 * (a + b)
+        elif fa <= fb:
+            x = b - invphi * (b - a)
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+            x = a + invphi * (b - a)
+        fx, dx = f(x)
+        if fx < best_f:
+            best_t, best_f = x, fx
+        if dx < 0.0:
+            a, fa, da = x, fx, dx
+        else:
+            b, fb, db = x, fx, dx
+        latest = [latest[1], (x, fx, dx)]
+    return best_t, best_f
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
@@ -415,16 +443,35 @@ def test_golden_min_batch_matches_scalar_loop(cases, iters):
     hi = lo + width
 
     def f(t):
-        return a * (t - c) * (t - c) + b * np.abs(t - c) + d
+        return a * (t - c) * (t - c) + b * np.abs(t - c) + d, 2.0 * a * (t - c) + b * np.sign(t - c)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(master, "GOLDEN_ITERS", iters)
         t_b, f_b = golden_min(f, lo, hi)
     for k in range(len(cases)):
-        fk = lambda t, k=k: a[k] * (t - c[k]) * (t - c[k]) + b[k] * np.abs(t - c[k]) + d[k]
+
+        def fk(t, k=k):
+            u = t - c[k]
+            return a[k] * u * u + b[k] * np.abs(u) + d[k], 2.0 * a[k] * u + b[k] * np.sign(u)
+
         t_s, f_s = golden_min_scalar(fk, lo[k], hi[k], iters)
         assert t_b[k] == t_s
         assert f_b[k] == f_s
+
+
+def test_min_eig_slope_matches_central_differences(generator, rng):
+    # the slope -(r . r') / (2 |r|) of the scanner's objective against
+    # (f(t + h) - f(t - h)) / 2h with h = 1e-6 over the scanned window
+    scanner = PositivityScanner(generator)
+    t = np.linspace(0.0, scanner.times[-1], 25) + 1e-3
+    h = 1e-6
+    for _ in range(5):
+        v = rng.normal(size=3)
+        v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
+        y0 = np.repeat(vec(bloch_to_density(tuple(v)))[None] @ scanner._vinv.T, t.size, axis=0)
+        _, slope = scanner._min_eig_at(t, y0)
+        up, dn = (scanner._min_eig_at(t + s, y0)[0] for s in (h, -h))
+        assert np.max(np.abs(slope - (up - dn) / (2.0 * h))) < 1e-9
 
 
 def test_n_membership_stationary_state_is_out(generator):

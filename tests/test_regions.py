@@ -35,7 +35,7 @@ def ground_pair(rho):
 
 def b_a_of_state(tables, rho, t):
     """B and A of one state at times t, through VariationalTables.b_a."""
-    return tables.b_a(t, *state_moments(rho, ground_pair(rho)[1]))
+    return tables.b_a(t, *state_moments(rho, ground_pair(rho)[1]))[:2]
 
 
 def test_a_and_b_vanish_at_zero(model, kernel):
@@ -200,6 +200,51 @@ def test_scan_block_matches_single_state_calls(model, kernel, generator, points)
         assert math.isnan(witness) == (nm.witness_time is None)
 
 
+@pytest.fixture(scope="module")
+def dense_window(model, kernel):
+    """VariationalTables and (I, D) at 6001 log-spaced times of its sup window."""
+    tables = VariationalTables(model, kernel)
+    times = np.geomspace(tables.grid[0], tables.grid[-1], 6001)
+    return tables, tables.tables(times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_unit, _unit, _unit), min_size=1, max_size=16))
+def test_sup_is_never_below_a_dense_brute_force(dense_window, points):
+    # the refined sup of every state reaches the largest B^2 / (4A) over
+    # 6001 log-spaced times of the window, to 1e-9 relative: no peak is
+    # lost between grid nodes or to a search that stopped short
+    tables, (i_dense, d_dense) = dense_window
+    xyz = np.array(points)
+    xyz /= np.maximum(1.0, np.linalg.norm(xyz, axis=1))[:, None]
+    rhos = np.array([bloch_to_density(v) for v in xyz.tolist()])
+    res = _u_prime_many(tables, 0.5, rhos)
+    m, n = state_moments(rhos, np.linalg.eigh(rhos)[1][:, :, 0])
+    b = 0.5 * np.real(i_dense @ n.T)
+    a = 0.25 * np.real(d_dense @ m.T)
+    live = a > regions.A_FLOOR
+    brute = np.max(np.where(live, b * b / (4.0 * np.where(live, a, 1.0)), 0.0), axis=0)
+    assert np.all(res.sup_value >= brute * (1.0 - 1e-9))
+
+
+def test_b_a_slopes_match_central_differences(model, kernel, rng):
+    # dB/dt and dA/dt against (f(t + h) - f(t - h)) / 2h with h = 1e-6,
+    # relative to max(1, |f|): the difference rounds at about
+    # 1e-16 |f| / h
+    tables = VariationalTables(model, kernel)
+    t = np.geomspace(2e-3, 49.0, 40)
+    h = 1e-6
+    for _ in range(5):
+        v = rng.normal(size=3)
+        v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
+        rho = bloch_to_density(tuple(v))
+        m_vec, n_vec = state_moments(rho, ground_pair(rho)[1])
+        b, a, db, da = tables.b_a(t, m_vec, n_vec)
+        (b_up, a_up), (b_dn, a_dn) = (tables.b_a(t + s, m_vec, n_vec)[:2] for s in (h, -h))
+        assert np.all(np.abs(db - (b_up - b_dn) / (2.0 * h)) < 1e-9 * np.maximum(1.0, np.abs(b)))
+        assert np.all(np.abs(da - (a_up - a_dn) / (2.0 * h)) < 1e-9 * np.maximum(1.0, np.abs(a)))
+
+
 def _fsum(terms):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
@@ -250,7 +295,7 @@ def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
     v *= r / max(math.hypot(*v), 1e-300)  # hypot does not underflow
     rho = bloch_to_density(tuple(v))
     m_vec, n_vec = state_moments(rho, ground_pair(rho)[1])
-    b, a = tables.b_a(np.array([t]), m_vec[None], n_vec[None])
+    b, a = tables.b_a(np.array([t]), m_vec[None], n_vec[None])[:2]
     i_full, d_full = _full_sum_tables(kernel, model.epsilon, t)
     b_full = 0.5 * np.real(np.dot(i_full, n_vec))
     a_full = 0.25 * np.real(np.dot(d_full, m_vec))
