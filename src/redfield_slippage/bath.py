@@ -9,8 +9,10 @@ and its finite-temperature correlation function
     C(t) = int_0^inf dw J(w) [coth(beta w / 2) cos(w t) - i sin(w t)]
 
 is carried in two interchangeable representations. The workhorse is a
-pole expansion C(t) = sum_k c_k exp(-g_k t) (cutoff pole plus Matsubara
-series) held in ExponentialSum, the one kernel type; small discrete
+pole expansion C(t) = sum_k c_k exp(-g_k t) held in ExponentialSum, the
+one kernel type: the cutoff pole and the infinite Matsubara series,
+summed by Gauss rules on blocks of Matsubara indices with a certified
+error (fit_exponential_mixture); small discrete
 mode sets, used by the exact reference dynamics, are exponential sums
 with purely imaginary decay rates. Every downstream time integral is
 closed form and reduces to sums sum_k a_k exp(-g_k t) over rows of
@@ -41,15 +43,25 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-DEFAULT_K_MAX = 4000
 T_MIN_FACTOR = 1e-6
+# the compressed Matsubara series: the error budget of its certificate
+# (relative to omega_c^2 for C, to omega_c for Gamma), the most Gauss
+# nodes of one block, the growth of the blocks, the times of the sampled
+# sup of a block below the cutoff, and the most Matsubara frequencies
+# below the cutoff that are summed (about 2 log4 of that blocks; past it
+# only the first MAX_BELOW_CUTOFF are, and the error bound is infinite)
+FIT_TOL = 3e-13
+MAX_NODES = 16
+BLOCK_GROWTH = 3.0
+SUP_SAMPLES = 256
+MAX_BELOW_CUTOFF = 1e8
 # decay rates below this are treated as non-decaying
 INTEGRABILITY_FLOOR = 1e-12
 # kernel terms with Re g * t above this weigh below e^-40 ~ 4e-18 at t
 TERM_CUTOFF = 40.0
 # largest (times x terms) block of exponentials evaluated at once
 EXP_BLOCK = 2**16
-SERIES_BLOCK = 2**20  # in ExponentialSum.evaluate (16 MB): 200 x 4001 is one block
+SERIES_BLOCK = 2**20  # in ExponentialSum.evaluate (16 MB): 200 times x every term is one block
 # contour quadrature: 16-point Gauss-Legendre panel rule, default
 # relative tolerance between passes and the most panel bisections after
 # the first
@@ -57,8 +69,11 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 QUAD_REL_TOL = 1e-12
 QUAD_MAX_PASSES = 6
 # most panels of the first pass of one time group: 2 X T / (2 pi) for
-# times up to T, with X = max(40 / beta, 30 omega_c)
+# times up to T, with X = 40 / beta
 QUAD_MAX_PANELS = 2**18
+# the continued fraction of _exp1_scaled takes E1_REACH / min |z| + 8
+# levels: 3e-16 relative against mpmath for |z| >= 2, Re z >= 0
+E1_REACH = 200.0
 # (s', s'') of the four slippage integrals; S^{+1} = S^+, S^{-1} = S^-
 PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 PAIR_SP, PAIR_SQ = np.array(PAIRS, dtype=float).T
@@ -237,7 +252,7 @@ class TermSums:
     term_groups selects for it. Exponentials are formed in blocks of at
     most EXP_BLOCK (time x term) entries, and each block is summed from
     its smallest (fastest-decaying) term up in one matrix product, which
-    keeps the rounding error of the 4001-term continuum sums near 1e-16.
+    keeps the rounding error of the continuum sums near 1e-16.
     Kernels with real decay rates use real exponentials. A matrix
     product may round a time's sums differently with the number of
     times in its block; a call with row_exact sums each time by a
@@ -352,45 +367,205 @@ class SlippageIntegrals:
         return sign_phases(phase, PAIR_SP) * sums - self.s0
 
 
-def _matsubara_remainder(omega_c, beta, k_max):
-    """Bound on the dropped Matsubara tail, evaluated at the reference
-    time t_ref = 1e-3 / omega_c where downstream integrands are probed.
+def _gram_rules(n_pts, n):
+    """The n-node Gauss and the (n + 2)-node Gauss-Lobatto rules of the
+    uniform measure on each of B blocks of n_pts points, in the scaled
+    variable y_j = (2 j + 1 - n_pts) / n_pts, j = 0 .. n_pts - 1: nodes
+    and weights, each (B, max n + 2), with weights 0 past each rule's
+    nodes. The discrete Chebyshev (Gram) recurrence has zero diagonal and
+    off-diagonals b_j^(1/2), b_j = j^2 (1 - j^2 / n_pts^2) / (4 j^2 - 1).
+    The Lobatto rule has nodes at both end points y = +-e,
+    e = (n_pts - 1) / n_pts, and by symmetry differs only in its last
+    off-diagonal, b = e p_{n+1}(e) / p_n(e) with the monic orthogonal
+    polynomials p (Golub, SIAM Rev. 15, 318 (1973)). All 2B Jacobi
+    matrices are padded to one order with uncoupled diagonal entries
+    above 1 and take one eigh call."""
+    size = int(n.max(initial=1)) + 2
+    j = np.arange(1.0, size)
+    b = j * j * np.maximum(1.0 - (j / n_pts[:, None]) ** 2, 0.0) / (4.0 * j * j - 1.0)
+    end = (n_pts - 1.0) / n_pts
+    p_prev, p, b_end = np.zeros_like(end), np.ones_like(end), np.zeros_like(end)
+    for k in range(size - 1):
+        p_prev, p = p, end * p - (b[:, k - 1] if k else 0.0) * p_prev
+        b_end = np.where(k == n, end * p / p_prev, b_end)
+    b_lob = np.where(j == n[:, None] + 1, b_end[:, None], b)
+    order = np.concatenate((n, n + 2))
+    off = np.sqrt(np.where(j < order[:, None], np.concatenate((b, b_lob)), 0.0))
+    diag = np.where(np.arange(size) >= order[:, None], 4.0 + np.arange(size), 0.0)
+    jac = np.zeros((order.size, size, size))
+    i = np.arange(size)
+    jac[:, i, i] = diag
+    jac[:, i[:-1], i[1:]] = jac[:, i[1:], i[:-1]] = off
+    y, v = np.linalg.eigh(jac)
+    w = np.where(i < order[:, None], np.concatenate((n_pts, n_pts))[:, None] * v[:, 0, :] ** 2, 0.0)
+    return (y[: n.size], w[: n.size]), (y[n.size :], w[n.size :])
 
-    The first 20000 dropped terms are summed directly; the rest are
-    closed off geometrically (|c_k| decreases once nu_k > omega_c while
-    exp(-nu_k t_ref) contracts by a fixed factor per term). The bound is
-    monotone decreasing in k_max because each increment removes one
-    positive term from a nested tail sum.
+
+def _index_blocks(k0, k_end):
+    """Blocks (K, N), the Matsubara indices K .. K + N - 1, from 1 until
+    k_end is passed, no longer than BLOCK_GROWTH times their distance to
+    the singular points 0 and k0 of the summand in k, so that none
+    contains k0, and the first index after them; None for that index
+    where k_end lies below k0. Python integers, so that no index is lost
+    to rounding."""
+    blocks = []
+    k = 1
+    k_below = math.ceil(k0) - 1
+    while k <= min(k_below, k_end):
+        n = max(1, min(int(BLOCK_GROWTH * k), int(BLOCK_GROWTH * (k_below - k + 1) / (1.0 + BLOCK_GROWTH))))
+        blocks.append((k, n))
+        k += n
+    if k <= k_below:
+        return blocks, None
+    k = max(k, math.floor(k0) + 1)
+    while k <= k_end:
+        n = max(1, int(BLOCK_GROWTH * (k - k0)))
+        blocks.append((k, n))
+        k += n
+    return blocks, k
+
+
+def _tail_bounds(omega_c, h, k_from, t_min):
+    """Bounds on the Matsubara terms k >= k_from, nu_k >= 2 omega_c:
+    sum c_k e^{-nu_k t_min}, sum c_k / nu_k and sum c_k / nu_k^2, from
+    c(nu) <= (4/3) omega_c^2 / k and sum over k <= first term + integral;
+    numpy scalars, so that an overflow is inf, not an exception."""
+    k = np.float64(k_from)
+    nu = h * k
+    amp = (4.0 / 3.0) * np.float64(omega_c) ** 2
+    c_tail = amp / k * np.exp(-nu * t_min) / -np.expm1(-h * t_min)
+    return c_tail, amp * (1.0 / (k * nu) + 1.0 / nu), amp * (1.0 / (k * nu * nu) + 0.5 / (nu * nu))
+
+
+def _compress_matsubara(omega_c, beta):
+    """The Matsubara series compressed to Gauss rules on index blocks:
+    rates nu (ascending), amplitudes c and the certified error bounds of
+    C(t) on [T_MIN_FACTOR / omega_c, inf), of Gamma(omega) at any real
+    omega (and F_sigma(tau) at any tau >= 0), and of S(0).
+
+    The summand of block b, c(nu) f(nu) at nu_k = h k, h = 2 pi / beta, is
+    summed by the n-node Gauss rule G_b of the uniform measure on its
+    indices. The envelope chat(nu) = (A / 2)(1 / |nu - omega_c| + 1 / (nu + omega_c)),
+    A = h omega_c^2, equals |c(nu)| and, times e^{-nu t}, is a positive
+    mixture of exponentials e^{lambda nu}, whose even derivatives are all
+    positive: on such f, G_b <= exact <= L_b, the (n + 2)-node
+    Gauss-Lobatto rule of the block. So |error of C(t)| <= (L_b - G_b)
+    [chat e^{-nu t}], and integrating over t bounds Gamma by
+    (L_b - G_b)[chat / nu] and S(0) by (L_b - G_b)[chat / nu^2]. Above
+    omega_c that C bound does not increase with t, so t_min gives its
+    sup; below omega_c its sup is sampled at SUP_SAMPLES geometric times
+    and doubled. Each block takes about the fewest nodes that meet
+    FIT_TOL omega_c^2 (C) and FIT_TOL omega_c (Gamma) over the number of
+    blocks, at most MAX_NODES; a block that is no longer than its rule
+    keeps its terms exactly. The terms beyond the last block, from
+    nu = 10 omega_c / FIT_TOL up, are bounded in closed form and left out.
     """
-    t_ref = 1e-3 / omega_c
-    k = np.arange(k_max + 1, k_max + 20001, dtype=float)
-    nu = 2.0 * np.pi * k / beta
-    coeff = (2.0 * np.pi * omega_c**2 / beta) * nu / np.abs(nu * nu - omega_c**2)
-    terms = coeff * np.exp(-nu * t_ref)
-    ratio = math.exp(-2.0 * math.pi * t_ref / beta)
-    if ratio == 1.0:  # the geometric tail does not contract: no bound
-        return math.inf
-    return float(terms.sum() + terms[-1] * ratio / (1.0 - ratio))
+    h = 2.0 * math.pi / beta
+    amp = h * omega_c**2
+    k0 = omega_c / h
+    t_min = T_MIN_FACTOR / omega_c
+    # past 10 omega_c / FIT_TOL the Gamma tail is below FIT_TOL omega_c / 7
+    k_end = max(10.0 * omega_c / (FIT_TOL * h), 2.0 * k0 + 1.0)
+    if k0 > MAX_BELOW_CUTOFF:
+        k_end = MAX_BELOW_CUTOFF
+    blocks, k_next = _index_blocks(k0, k_end)
+    start = np.array([b[0] for b in blocks], dtype=float)
+    size = np.array([b[1] for b in blocks], dtype=float)
+    mid = start + 0.5 * (size - 1.0)
+    below = h * start < omega_c
+
+    def chat(nu):
+        return 0.5 * amp * (1.0 / np.abs(nu - omega_c) + 1.0 / (nu + omega_c))
+
+    def bracket(sel, lob, gau, f):
+        """(L - G)[f] per block of sel, plus the rounding of both sums."""
+        out = []
+        for y, w in (lob, gau):
+            fw = np.where(w > 0.0, w * f(h * (mid[sel, None] + 0.5 * y * size[sel, None])), 0.0)
+            out += [np.sum(fw, axis=-1), np.sum(np.abs(fw), axis=-1)]
+        return np.maximum(out[0] - out[2], 0.0) + 4.0 * np.finfo(float).eps * (out[1] + out[3])
+
+    # a block takes a rule only where it saves terms: n + 2 < its length
+    comp = np.flatnonzero(size > 3.0)
+    cap = np.minimum(MAX_NODES, size[comp] - 3.0).astype(int)
+    # the smallest normal double keeps a tolerance that underflows from
+    # dividing by 0: a bound that underflows with it meets it
+    tiny = np.finfo(float).tiny
+    tol_c = max(FIT_TOL * omega_c**2 / max(comp.size, 1), tiny)
+    tol_g = max(FIT_TOL * omega_c / max(comp.size, 1), tiny)
+
+    def misfit(n, idx=slice(None)):
+        """Rules of n nodes on the blocks comp[idx], their C and Gamma
+        bounds, and the larger of the two over its tolerance."""
+        blk = comp[idx]
+        gau, lob = _gram_rules(size[blk], n)
+        e_c = bracket(blk, lob, gau, lambda nu: chat(nu) * np.exp(-nu * t_min))
+        e_g = bracket(blk, lob, gau, lambda nu: chat(nu) / nu)
+        return gau, lob, e_c, e_g, np.maximum(e_c / tol_c, e_g / tol_g)
+
+    # the bounds fall about geometrically with n: extrapolate from 3 and 5
+    # nodes, then step up to the first n that meets the tolerance
+    both = np.concatenate((np.arange(comp.size),) * 2)
+    m35 = misfit(np.minimum(np.repeat([3, 5], comp.size), cap[both]), both)[-1].reshape(2, -1)
+    rate = np.clip(np.sqrt(m35[0] / np.maximum(m35[1], 1e-300)), 2.0, 1e3)
+    # a bound that is not finite (amplitudes that overflow) takes cap nodes
+    n = np.nan_to_num(5 + np.ceil(np.log(np.maximum(m35[1], 1e-300)) / np.log(rate)), nan=MAX_NODES)
+    n = np.clip(n, 1, cap).astype(int)
+    while True:
+        gau, lob, e_c, e_g, m = misfit(n)
+        up = (m > 1.0) & (n < cap)
+        if not up.any():
+            break
+        n = n + up
+    # a block whose rule misses the tolerance keeps its terms, unless the
+    # rule has MAX_NODES nodes already: its bound then counts as it is
+    ruled = (m <= 1.0) | (n == MAX_NODES)
+    sel, n = comp[ruled], n[ruled]
+    gau, lob = ((y[ruled], w[ruled]) for y, w in (gau, lob))
+    err = np.array([e_c[ruled], e_g[ruled], bracket(sel, lob, gau, lambda nu: chat(nu) / nu**2)])
+    low = below[sel]
+    if np.any(low):
+        # below omega_c the sup of the C bound over t >= t_min is sampled,
+        # up to t = 60 / nu of the block's first index, and doubled
+        span = 60.0 / (h * start[sel[low]] * t_min)
+        t = t_min * span[:, None] ** np.linspace(0.0, 1.0, SUP_SAMPLES)[:, None, None]
+        sub = ((y[low], w[low]) for y, w in (lob, gau))
+        err[0, low] = 2.0 * bracket(sel[low], *sub, lambda nu: chat(nu) * np.exp(-nu * t)).max(axis=0)
+    nu_parts, c_parts = [], []
+    rule_of = dict(zip(sel.tolist(), range(sel.size)))
+    for b, (k, n_pts) in enumerate(blocks):
+        if b in rule_of:
+            i = rule_of[b]
+            nu = h * (mid[b] + 0.5 * gau[0][i, : n[i]] * size[b])
+            w = gau[1][i, : n[i]]
+        else:
+            nu = h * np.arange(k, k + n_pts, dtype=float)
+            w = np.ones(n_pts)
+        nu_parts.append(nu)
+        c_parts.append(w * amp * nu / ((nu - omega_c) * (nu + omega_c)))
+    tail = (math.inf,) * 3 if k_next is None else _tail_bounds(omega_c, h, k_next, t_min)
+    # a bound that overflows to inf - inf is no bound
+    bounds = np.nan_to_num(err.sum(axis=1) + np.array(tail), nan=math.inf)
+    return np.concatenate(nu_parts), np.concatenate(c_parts), bounds
 
 
 # extreme omega_c or beta overflow the poles or the amplitudes: such a fit
 # is refused as not finite, and numpy need not warn on the way there
 @lru_cache(maxsize=32)
-@np.errstate(over="ignore", invalid="ignore")
-def _fit_cached(omega_c, beta, k_max):
+@np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore")
+def _fit_cached(omega_c, beta):
     # cot(beta*omega_c/2) pole: beta*omega_c/2 near k pi (k >= 1) also
     # collides the cutoff pole with the Matsubara frequency 2 pi k / beta.
     # Near k = 0 no Matsubara frequency is close and c_0 tends to the
     # finite pi omega_c / beta.
     x = 0.5 * beta * omega_c
-    if round(x / math.pi) >= 1 and abs(math.remainder(x, math.pi)) < 1e-6:
+    k0 = x / math.pi
+    if round(k0) >= 1 and abs(math.remainder(x, math.pi)) < 1e-6:
         raise PoleCollisionError(
             "beta * omega_c / 2 is within 1e-6 of a nonzero multiple of pi; "
             "shift omega_c or beta by a relative 1e-6 or more"
         )
-    k = np.arange(1, k_max + 1, dtype=float)
-    nu = 2.0 * np.pi * k / beta
-    if np.min(np.abs(nu - omega_c)) < 1e-9 * omega_c:
+    if 1 <= round(k0) <= MAX_BELOW_CUTOFF and abs(round(k0) - k0) < 1e-9 * k0:
         raise PoleCollisionError(
             "a Matsubara frequency 2 pi k / beta coincides with omega_c; "
             "shift omega_c or beta by a relative 1e-6 or more"
@@ -401,38 +576,55 @@ def _fit_cached(omega_c, beta, k_max):
         # omega_c^2 cot x = (2 omega_c / beta) x cot x instead
         x_cot_x = x / math.tan(x) if x else 1.0
         c0 = np.pi * omega_c / beta * x_cot_x - 0.5j * np.pi * omega_c**2
-    ck = (2.0 * np.pi * omega_c**2 / beta) * nu / (nu * nu - omega_c**2)
+    nu, ck, (err_c, err_gamma, err_s) = _compress_matsubara(omega_c, beta)
     c = np.concatenate(([c0], ck.astype(complex)))
     g = np.concatenate(([omega_c], nu)).astype(complex)
     if not (np.all(np.isfinite(c)) and np.all(np.isfinite(g))):
         raise ValueError(
             f"the pole expansion is not finite at omega_c = {omega_c:g}, beta = {beta:g}"
         )
-    rb = _matsubara_remainder(omega_c, beta, k_max)
-    meta = {"beta": beta, "omega": omega_c, "k_max": int(k_max)}
+    # C on [t_min, inf), Gamma at two frequencies (+-eps) and S(0), and
+    # the rounding of x and nu_k carried into the amplitudes, which near a
+    # pole collision is most of it (in C and Gamma, whose terms are at
+    # most |c_k| and |c_k| / nu_k): d cot x / cot x = -dx / (sin x cos x),
+    # and d c_k / c_k = -dnu (nu^2 + omega_c^2) / (nu (nu^2 - omega_c^2))
+    eps = np.finfo(float).eps
+    cond = 0.5 * x / abs(math.sin(x) * math.cos(x)) if x else 0.5
+    d_c0 = eps * (abs(c0.real) * (3.0 + cond) + 3.0 * abs(c0.imag))
+    d_ck = eps * np.abs(ck) * (3.0 + (nu * nu + omega_c**2) / np.abs(nu * nu - omega_c**2))
+    d_c = np.concatenate(([d_c0], d_ck))
+    rb = err_c + 2.0 * err_gamma + err_s + float(np.sum(d_c + 2.0 * d_c / g.real))
+    meta = {"beta": beta, "omega": omega_c}
     return ExponentialSum(c, g, remainder_bound=rb, meta=meta)
 
 
-def fit_exponential_mixture(spec: LorentzDrudeBath, k_max) -> ExponentialSum:
-    """Pole expansion of the continuum kernel.
+def fit_exponential_mixture(spec: LorentzDrudeBath) -> ExponentialSum:
+    """Pole expansion of the continuum kernel, the full Matsubara series
+    in a few hundred terms at most, with a certified error.
 
-    One term for the cutoff pole,
+    The cutoff pole is kept exactly,
 
         c_0 = (pi omega_c^2 / 2)(cot(beta omega_c / 2) - i),  g_0 = omega_c,
 
-    plus k_max Matsubara terms
+    and the infinite Matsubara series
 
         c_k = (2 pi omega_c^2 / beta) nu_k / (nu_k^2 - omega_c^2),
-        g_k = nu_k = 2 pi k / beta.
+        g_k = nu_k = 2 pi k / beta,  k >= 1,
 
-    The imaginary part is carried entirely by the cutoff pole, so
-    Im C(t) = -(pi/2) omega_c^2 exp(-omega_c t) holds exactly at every
-    truncation order.
+    is summed by Gauss rules of its discrete measure on blocks of k
+    (_compress_matsubara); every rate is real. remainder_bound bounds the
+    sum of the errors of C(t) on [T_MIN_FACTOR / omega_c, inf), of
+    Gamma(omega) at two real frequencies and of S(0) of
+    SlippageIntegrals; the rounding of the amplitudes enters it as it
+    reaches C and Gamma, which covers S(0) where eps >= 1 or every rate
+    is at least 1. The imaginary part is carried entirely by the cutoff
+    pole, so Im C(t) = -(pi/2) omega_c^2 exp(-omega_c t) is exact.
+    Matsubara frequencies 2 pi k / beta and omega_c closer than a
+    relative 1e-9 raise PoleCollisionError. With more than
+    MAX_BELOW_CUTOFF Matsubara frequencies below omega_c only the first
+    MAX_BELOW_CUTOFF are summed, and remainder_bound is infinite.
     """
-    k_max = int(k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    return _fit_cached(float(spec.omega_c), float(spec.beta), k_max)
+    return _fit_cached(float(spec.omega_c), float(spec.beta))
 
 
 def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
@@ -449,20 +641,43 @@ def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
 
 
 def _exp1_scaled(z):
-    """e^z E1(z) without overflow: the product of the two factors where
-    |Re z| < 500, the asymptotic series (1/z) sum_n (-1)^n n! / z^n
-    elsewhere, where |z| >= 500 makes 16 terms exact to double precision."""
+    """e^z E1(z) without overflow. Where Re z >= 0 scipy's complex exp1
+    loses up to 8e-13 relative (near |z| = 4 close to the positive real
+    axis), so there the power series
+    -e^z (gamma + log z + sum_n (-z)^n / (n n!)) takes |z| < 2 and the
+    continued fraction 1 / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))),
+    cut after E1_REACH / min |z| + 8 levels, the rest; both agree with
+    mpmath to 4e-15 relative in the upper half plane. Where Re z < 0
+    scipy's exp1 times e^z takes |Re z| < 500, and the asymptotic series
+    (1/z) sum_n (-1)^n n! / z^n, exact to double precision with 16 terms
+    at |z| >= 500, the rest."""
     from scipy.special import exp1
 
     z = np.asarray(z, dtype=complex)
     out = np.empty_like(z)
-    near = np.abs(z.real) < 500.0
+    right = z.real >= 0.0
+    small = right & (np.abs(z) < 2.0)
+    zs = z[small]
+    term, acc = np.ones_like(zs), np.zeros_like(zs)
+    for n in range(1, 40):
+        term *= -zs / n
+        acc += term / n
+    out[small] = -np.exp(zs) * (np.euler_gamma + np.log(zs) + acc)
+    frac = right & ~small
+    zf = z[frac]
+    depth = math.ceil(E1_REACH / np.min(np.abs(zf), initial=E1_REACH)) + 8
+    den = zf + (2 * depth + 1)
+    for k in range(depth, 0, -1):
+        den = zf + (2 * k - 1) - k * k / den
+    out[frac] = 1.0 / den
+    near = ~right & (z.real > -500.0)
     out[near] = np.exp(z[near]) * exp1(z[near])
-    inv = 1.0 / z[~near]
+    far = ~right & ~near
+    inv = 1.0 / z[far]
     series = np.ones_like(inv)
     for n in range(15, 0, -1):
         series = 1.0 - n * inv * series
-    out[~near] = inv * series
+    out[far] = inv * series
     return out
 
 
@@ -543,7 +758,7 @@ def correlation_quadrature(spec: LorentzDrudeBath, t):
     that c does not round to s, where the contour meets a singularity.
     A subnormal s, for which d underflows to 0 or c still rounds to s,
     raises ValueError.
-    The line [-X, X] with X = max(40 / beta, 30 omega_c) is covered by
+    The line [-X, X] with X = 40 / beta is covered by
     16-point Gauss-Legendre panels graded geometrically toward x = 0 at
     the distance d of the nearest singularity and no wider than one
     period 2 pi / T; the ends beyond X are completed in closed form with
@@ -565,10 +780,9 @@ def correlation_quadrature(spec: LorentzDrudeBath, t):
     omega_c, beta = spec.omega_c, spec.beta
     s = min(omega_c, 2.0 * np.pi / beta)
     # beyond X, f differs from J (x > X) and from 0 (x < -X) by J nbar,
-    # below e^{-40} J. X >= 30 omega_c keeps the E1 arguments near the
-    # imaginary axis: scipy's complex exp1 loses up to 3e-13 relative
-    # near |z| = 4 close to the positive real axis
-    x_cut = max(40.0 / beta, 30.0 * omega_c)
+    # below e^{-40} J; J itself is integrated there in closed form, so X
+    # does not grow with omega_c
+    x_cut = 40.0 / beta
     t_arr = np.asarray(t, dtype=float)
     flat = t_arr.ravel()
     if not np.all(flat > 0.0):
@@ -596,14 +810,17 @@ def correlation_quadrature(spec: LorentzDrudeBath, t):
         with np.errstate(over="ignore", invalid="ignore"):
             z1 = 1j * tt * (x_cut - 1j * (c + omega_c))
             z2 = 1j * tt * (x_cut + 1j * (omega_c - c))
-            tail = 0.5 * omega_c**2 * np.exp(-1j * x_cut * tt) * (_exp1_scaled(z1) + _exp1_scaled(z2))
+            e1 = _exp1_scaled(np.concatenate((z1, z2))).reshape(2, -1)
+            tail = 0.5 * omega_c**2 * np.exp(-1j * x_cut * tt) * (e1[0] + e1[1])
         # sum |f_j w_j| on the panels without the period cap, which
         # depends on the group only through c
         x, w = _panel_rule(_panel_edges(d, x_cut, np.inf), 1)
         size = np.sum(np.abs(_shifted_integrand(spec, x, c) * w)) + np.abs(tail)
         # times whose bound e^{-ct} size underflows stay exactly 0, so
-        # no period-wide panels are built for them
-        alive = np.flatnonzero(np.exp(np.log(size) - c * tt) > 0.0)
+        # no period-wide panels are built for them; with X = 40 / beta
+        # tiny, size itself can underflow to 0
+        with np.errstate(divide="ignore"):
+            alive = np.flatnonzero(np.exp(np.log(size) - c * tt) > 0.0)
         if alive.size == 0:
             continue
         width = 2.0 * np.pi / t_group
@@ -611,7 +828,7 @@ def correlation_quadrature(spec: LorentzDrudeBath, t):
             raise ValueError(
                 f"the contour rule for t up to {t_group:g} needs about "
                 f"{2.0 * x_cut / width:.3g} panels, over its limit of {QUAD_MAX_PANELS}; "
-                "lower quadrature.t_max, or raise bath.beta or lower bath.omega_cutoff"
+                "lower quadrature.t_max or raise bath.beta"
             )
         edges = _panel_edges(d, x_cut, width)
         total = np.zeros(tt.size, dtype=complex)

@@ -105,7 +105,7 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     if not isinstance(spec, LorentzDrudeBath):
         raise ConfigError("bath-correlation needs bath.type=lorentz_drude")
     times = cfg.quadrature_times()
-    kernel = fit_exponential_mixture(spec, int(cfg["bath.matsubara_k_max"]))
+    kernel = fit_exponential_mixture(spec)
     series = kernel.evaluate(times)
     quadr, q_err = bath.correlation_quadrature(spec, times)
     # abs of each numpy complex scalar: the array abs differs in last digits

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .bath import (
-    DEFAULT_K_MAX,
     T_MIN_FACTOR,
     DiscreteModes,
     LorentzDrudeBath,
@@ -32,11 +31,6 @@ class ConfigError(ValueError):
 
 # 2001^2 cells: a 290 MB result table and about 100 times the default scan
 MAX_GRID_N = 2001
-# a kernel term takes about 500 bytes at peak (its poles, the amplitude
-# rows of the variational tables and their real stack): diagnose peaks at
-# 520 MB with 10^6 terms, and at the default temperature the Matsubara
-# remainder bound is already 0 in double precision at 10^5
-MAX_K_MAX = 10**6
 # every oscillator at least doubles the oracle's dimension (fock_cutoff
 # >= 1): more modes are refused before their arrays are built
 MAX_ORACLE_MODES = int(math.log2(DIM_CAP // 2))
@@ -47,7 +41,6 @@ DEFAULTS = {
     "bath.type": "lorentz_drude",
     "bath.omega_cutoff": 1.0,
     "bath.beta": 1.0,
-    "bath.matsubara_k_max": DEFAULT_K_MAX,
     "bath.modes": "",
     "lambda": 0.5,
     "quadrature.t_min": 1e-3,
@@ -140,8 +133,6 @@ class RunConfig:
             raise ConfigError("bath.type must be lorentz_drude or discrete")
         if v["bath.omega_cutoff"] <= 0.0 or v["bath.beta"] <= 0.0:
             raise ConfigError("bath.omega_cutoff and bath.beta must be positive")
-        if not 1 <= v["bath.matsubara_k_max"] <= MAX_K_MAX:
-            raise ConfigError(f"bath.matsubara_k_max must lie in [1, {MAX_K_MAX}]")
         if v["lambda"] < 0.0:
             raise ConfigError("lambda must be non-negative")
         if not (0.0 < v["quadrature.t_min"] <= v["quadrature.t_max"]):
@@ -213,7 +204,7 @@ class RunConfig:
     def kernel(self):
         spec = self.bath_spec()
         if isinstance(spec, LorentzDrudeBath):
-            return fit_exponential_mixture(spec, int(self.values["bath.matsubara_k_max"]))
+            return fit_exponential_mixture(spec)
         return discrete_kernel(spec)
 
     def quadrature_times(self):

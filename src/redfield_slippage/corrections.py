@@ -130,7 +130,11 @@ def slipped_initial_condition(model, kernel, lam, rho_s, correlation) -> Correct
     d2 = delta_rho2(correlation, d1)
     kappa = float(correlation.kappa) if isinstance(correlation, NaturalFamily) else 0.0
     slipped = rho_s + d1 + d2
-    tail = kernel.remainder_bound * kernel.tau_r_estimate
+    # each I(inf) = -S(0) is off by at most the kernel's remainder_bound
+    # (bath.fit_exponential_mixture), and ||[S', S'' rho]|| <= 2: the four
+    # pairs move Psi + Psi^dag by at most 4 remainder_bound, and
+    # delta_rho2 = -kappa delta_rho1 with them
+    tail = 4.0 * (1.0 + abs(kappa)) * kernel.remainder_bound
     err = lam * lam * tail + abs(complex(np.trace(d1 + d2)))
     return CorrectionReport(rho_s, d1, d2, slipped, kappa, float(err))
 

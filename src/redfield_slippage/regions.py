@@ -211,7 +211,12 @@ def default_time_grid(model, kernel, t_window=T_WINDOW):
         raise ValueError(f"the sup search grid needs {n:.3g} linear nodes, over {MAX_POINTS}")
     # t_lo <= 1e-3 / eps < t_join < t_mid, as t_mid >= 12 / eps
     t_join = step / (HEAD_RATIO - 1.0)
-    n_head = int(np.ceil(np.log(t_join / t_lo) / np.log(HEAD_RATIO)))
+    # a subnormal t_lo (a memory time near the smallest double) overflows
+    # the ratio t_join / t_lo
+    n_head = np.ceil(np.log(t_join / t_lo) / np.log(HEAD_RATIO))
+    if not n_head <= MAX_POINTS:
+        raise ValueError(f"the sup search grid needs {n_head:.3g} geometric nodes, over {MAX_POINTS}")
+    n_head = int(n_head)
     head = np.geomspace(t_lo, t_join, n_head + 1)[:-1]
     lin = np.arange(t_join, t_mid, step)
     return np.concatenate((head, lin, np.geomspace(t_mid, t_max, 48)))

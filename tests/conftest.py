@@ -25,14 +25,7 @@ def ld_spec():
 
 @pytest.fixture(scope="session")
 def kernel(ld_spec):
-    return fit_exponential_mixture(ld_spec, k_max=4000)
-
-
-@pytest.fixture(scope="session")
-def kernel_fine(ld_spec):
-    # tail error of the pole sum scales like 1/k_max; the detailed-balance
-    # checks at 1e-6 need far more terms than day-to-day propagation
-    return fit_exponential_mixture(ld_spec, k_max=250000)
+    return fit_exponential_mixture(ld_spec)
 
 
 @pytest.fixture(scope="session")

@@ -193,7 +193,7 @@ def test_criterion_8_kernel_dual_evaluation(ld_spec, kernel, announce):
     )
 
 
-def test_criterion_9_invariants(model, ld_spec, kernel, kernel_fine, generator, announce):
+def test_criterion_9_invariants(model, ld_spec, kernel, generator, announce):
     failures = []
 
     # trace and Hermiticity are preserved along both propagation routes
@@ -239,7 +239,7 @@ def test_criterion_9_invariants(model, ld_spec, kernel, kernel_fine, generator, 
         failures.append(f"route mismatch {worst:.3e}")
 
     # absorption and emission rates obey detailed balance
-    ratio = kernel_fine.half_fourier(1.0).real / kernel_fine.half_fourier(-1.0).real
+    ratio = kernel.half_fourier(1.0).real / kernel.half_fourier(-1.0).real
     if abs(ratio / np.exp(ld_spec.beta * 1.0) - 1.0) > 1e-6:
         failures.append("detailed balance")
 

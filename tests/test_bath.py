@@ -26,6 +26,7 @@ from redfield_slippage.bath import (
     spectral_density,
 )
 
+import matsubara_reference
 from time_quadrature import half_fourier_quadrature
 
 # values frozen from two independent evaluation routes (pole expansion
@@ -49,14 +50,14 @@ def test_cutoff_matsubara_collision_raises():
     # so only the pole series refuses it
     spec = LorentzDrudeBath(omega_c=2.0 * math.pi, beta=1.0)
     with pytest.raises(PoleCollisionError):
-        fit_exponential_mixture(spec, k_max=8)
+        fit_exponential_mixture(spec)
 
 
 def test_small_cutoff_is_no_collision():
     # beta * omega_c / 2 near 0 * pi: no Matsubara frequency is near
     # omega_c, and c_0 tends to pi omega_c / beta
     spec = LorentzDrudeBath(omega_c=1e-6, beta=1.0)
-    kern = fit_exponential_mixture(spec, k_max=8)
+    kern = fit_exponential_mixture(spec)
     assert kern.c[0].real == pytest.approx(math.pi * 1e-6, rel=1e-9)
     assert np.all(np.isfinite(kern.c))
 
@@ -65,11 +66,11 @@ def test_small_cutoff_is_no_collision():
 def test_underflowing_cutoff_keeps_c0_finite(omega_c):
     # omega_c^2 underflows to 0 where cot(beta omega_c / 2) overflows (or
     # beta omega_c / 2 itself underflows); c_0 then goes through x cot x
-    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=1.0), k_max=8)
+    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=1.0))
     assert np.all(np.isfinite(kern.c))
     assert kern.c[0] == math.pi * omega_c
     # where the closed form is finite its bits are kept
-    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=1e-6, beta=1.0), k_max=8)
+    kern = fit_exponential_mixture(LorentzDrudeBath(omega_c=1e-6, beta=1.0))
     assert kern.c[0] == 0.5 * math.pi * 1e-12 * (1.0 / math.tan(5e-7) - 1j)
 
 
@@ -102,13 +103,13 @@ def test_correlation_frozen_value(ld_spec, kernel):
     assert complex(kernel.evaluate(1.0)) == pytest.approx(C_AT_1, rel=1e-12)
 
 
-def test_series_forms_exponentials_in_blocks(ld_spec):
-    # 100000 times x 65 terms at once would be 104 MB of exponentials
-    # (bath-correlation at quadrature.n_points=100000 and 4001 terms ran
-    # out of memory); blocks of times hold two complex blocks and the
-    # sums, and leave every sum as it was: real rates take real
-    # exponentials, summed against the real and imaginary amplitudes
-    k = fit_exponential_mixture(ld_spec, 64)
+def test_series_forms_exponentials_in_blocks(kernel):
+    # 100000 times x the kernel's terms at once would be over 100 MB of
+    # exponentials (bath-correlation at quadrature.n_points=100000 and
+    # 4001 terms ran out of memory); blocks of times hold two complex
+    # blocks and the sums, and leave every sum as it was: real rates take
+    # real exponentials, summed against the real and imaginary amplitudes
+    k = kernel
     t = np.geomspace(1e-3, 50.0, 100_000)
     tracemalloc.start()
     try:
@@ -117,18 +118,21 @@ def test_series_forms_exponentials_in_blocks(ld_spec):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 16 * bath.SERIES_BLOCK
-    e = np.exp(-np.multiply.outer(t[:3000], k.g.real))
-    assert np.array_equal(series[:3000], e @ k.c.real + 1j * (e @ k.c.imag))
+    first = bath.SERIES_BLOCK // k.g.size
+    e = np.exp(-np.multiply.outer(t[:first], k.g.real))
+    assert np.array_equal(series[:first], e @ k.c.real + 1j * (e @ k.c.imag))
 
 
-def test_imaginary_part_is_exact_at_any_truncation(ld_spec):
+def test_imaginary_part_is_exact_at_any_truncation():
     # Im C(t) = -(pi/2) omega_c^2 e^{-omega_c t}: only the cutoff pole
-    # carries an imaginary coefficient, so truncation cannot touch it
-    for k_max in (10, 4000):
-        k = fit_exponential_mixture(ld_spec, k_max=k_max)
-        t = np.array([0.05, 0.3, 1.0, 4.0])
-        expect = -0.5 * math.pi * np.exp(-t)
-        assert np.allclose(k.evaluate(t).imag, expect, rtol=0, atol=1e-12)
+    # carries an imaginary coefficient, so compressing the Matsubara
+    # series cannot touch it
+    t = np.array([0.05, 0.3, 1.0, 4.0])
+    for omega_c, beta in ((1.0, 1.0), (2.0, 0.3), (0.5, 40.0)):
+        k = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=beta))
+        assert np.all(k.c[1:].imag == 0.0) and np.all(k.g.imag == 0.0)
+        expect = -0.5 * math.pi * omega_c**2 * np.exp(-omega_c * t)
+        assert np.allclose(k.evaluate(t).imag, expect, rtol=1e-14, atol=0)
 
 
 def test_series_vs_quadrature(ld_spec, kernel):
@@ -155,20 +159,19 @@ def _far_from_pole_collision(omega_c, beta, rel=1e-2):
 # rounding of the sum dominates here: an eps-wide floor fell short by 1.5x
 @example(omega_c=5.0, beta=4.75, log_t=[0.0])
 def test_quadrature_matches_converged_series(omega_c, beta, log_t):
-    # the k_max = 250000 series drops terms below e^{-2 pi 250000 t / beta}
-    # < e^{-300} relative for t >= 1e-3 and beta <= 5
+    # the compressed series is certified to remainder_bound, far below
+    # 1e-11 relative at these times
     assume(_far_from_pole_collision(omega_c, beta))
     spec = LorentzDrudeBath(omega_c=omega_c, beta=beta)
     t = 10.0 ** np.array(log_t)
-    try:
-        series = fit_exponential_mixture(spec, 250000).evaluate(t)
-    finally:
-        bath._fit_cached.cache_clear()  # 8 MB per fit; hypothesis draws many
+    series = fit_exponential_mixture(spec).evaluate(t)
     values, err = bath.correlation_quadrature(spec, t)
     assert np.all(np.abs(values - series) <= 1e-11 * np.abs(series))
     # the estimate bounds the error actually made, measured against the
-    # same series in extended precision
-    exact = _series_extended(omega_c, beta, t, 250000)
+    # pole series in extended precision, cut where its terms fall below
+    # e^{-60} at the earliest time
+    k_max = math.ceil(60.0 * beta / (2.0 * math.pi * t.min()))
+    exact = _series_extended(omega_c, beta, t, k_max)
     assert np.all(np.abs(values - exact) <= err + 1e-15 * np.abs(exact))
 
 
@@ -283,30 +286,25 @@ def test_golden_rule_rates(ld_spec):
     assert golden_rule_rate(ld_spec, 0.0) == pytest.approx(math.pi)
 
 
-def test_half_fourier_matches_golden_rule(ld_spec, kernel_fine):
-    # Re Gamma(w) must reproduce the golden-rule rates once the pole sum
-    # is converged; the truncated Matsubara tail leaves a uniform
-    # absolute error beta omega_c^2 / (2 pi k_max) ~ 6.4e-7 here
+def test_half_fourier_matches_golden_rule(ld_spec, kernel):
+    # Re Gamma(w) reproduces the golden-rule rates to the certified error
+    # of the compressed series (remainder_bound, 2.8e-13 here)
     for w in (1.0, -1.0, 0.37, -2.2):
-        assert kernel_fine.half_fourier(w).real == pytest.approx(
-            golden_rule_rate(ld_spec, w), rel=1e-6, abs=1e-6
-        )
+        assert abs(kernel.half_fourier(w).real - golden_rule_rate(ld_spec, w)) <= kernel.remainder_bound
 
 
-def test_detailed_balance_ratio(kernel_fine):
-    beta = kernel_fine.meta["beta"]
-    for eps in (0.5, 1.0):
-        ratio = kernel_fine.half_fourier(eps).real / kernel_fine.half_fourier(-eps).real
-        assert ratio == pytest.approx(math.exp(beta * eps), rel=1e-6)
-    # the tail error delta shifts the ratio by delta (G+ - G-)/(G+ G-),
-    # which the small downward rate at eps = 2 amplifies past 1e-6
-    ratio = kernel_fine.half_fourier(2.0).real / kernel_fine.half_fourier(-2.0).real
-    assert ratio == pytest.approx(math.exp(2.0 * beta), rel=5e-6)
+def test_detailed_balance_ratio(kernel):
+    beta = kernel.meta["beta"]
+    # an error delta of each rate shifts the ratio by about
+    # delta (G+ + G-) / G-^2: 1e-12 relative at eps = 2
+    for eps, rel in ((0.5, 1e-12), (1.0, 1e-12), (2.0, 5e-12)):
+        ratio = kernel.half_fourier(eps).real / kernel.half_fourier(-eps).real
+        assert ratio == pytest.approx(math.exp(beta * eps), rel=rel)
 
 
-def test_rate_positivity(kernel_fine):
+def test_rate_positivity(kernel):
     for w in np.linspace(-8.0, 8.0, 64):
-        assert kernel_fine.half_fourier(float(w)).real > 0.0
+        assert kernel.half_fourier(float(w)).real > 0.0
 
 
 def test_half_fourier_vs_time_quadrature(kernel):
@@ -350,7 +348,7 @@ def test_tail_kernel(kernel):
 )
 def test_tail_kernel_blocks_match_full_sum(kernel, taus):
     # the blocked evaluation that drops the terms with Re g * tau > 40
-    # reproduces the full 4001-term sum, here summed exactly (fsum)
+    # reproduces the full sum over every term, here summed exactly (fsum)
     tau = np.array(taus)
     got = bath.TailKernel(kernel, 1.0)(tau)
     for k, s in enumerate((1, -1)):
@@ -376,14 +374,67 @@ def test_tau_r_estimate(kernel):
     assert kernel.tau_r_estimate == pytest.approx(1.0)
 
 
-def test_remainder_bound_monotone(ld_spec):
-    bounds = [fit_exponential_mixture(ld_spec, k_max=k).remainder_bound for k in (100, 400, 1600, 6400)]
-    assert all(b > 0.0 for b in bounds)
-    assert all(a > b for a, b in zip(bounds, bounds[1:]))
+@settings(max_examples=6, deadline=None)
+@given(omega_c=st.floats(0.05, 20.0), beta=st.floats(0.02, 400.0))
+@example(omega_c=1.0, beta=1.0)
+# 48 Matsubara frequencies below the cutoff: c_k changes sign inside the
+# compressed series, whose blocks lie on either side of omega_c
+@example(omega_c=1.0, beta=300.0)
+# beta omega_c / 2 = 5 pi + 3e-6, three times the guard of
+# PoleCollisionError: the cutoff and the fifth Matsubara pole nearly
+# cancel, and the rounding of their amplitudes dominates the bound
+@example(omega_c=1.0, beta=2.0 * (5.0 * math.pi + 3e-6))
+def test_fit_within_certified_error_of_full_series(omega_c, beta):
+    # against the untruncated Matsubara series in mpmath: C(t) on
+    # [T_MIN_FACTOR / omega_c, 50 / omega_c], Gamma(+-eps), F_+-(tau) at
+    # tau = 0, below T_MIN and beyond, and the four S(0); each within the
+    # reported remainder_bound
+    try:
+        kernel = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=beta))
+    except PoleCollisionError:
+        assume(False)
+    bound = kernel.remainder_bound
+    assert 0.0 < bound < math.inf
+    for t in np.geomspace(bath.T_MIN_FACTOR / omega_c, 50.0 / omega_c, 5):
+        assert abs(complex(kernel.evaluate(t)) - matsubara_reference.correlation(omega_c, beta, t)) <= bound
+    eps = 1.0
+    tail = bath.TailKernel(kernel, eps)
+    for tau in (0.0, 0.1 * bath.T_MIN_FACTOR / omega_c, 1.0 / omega_c):
+        got = tail(tau)
+        for k, sigma in enumerate((1, -1)):
+            ref = matsubara_reference.tail_kernel(omega_c, beta, sigma * eps, tau)
+            assert abs(got[k] - ref) <= bound
+            if tau == 0.0:
+                assert abs(kernel.half_fourier(sigma * eps) - ref) <= bound
+    s0 = bath.SlippageIntegrals(kernel, eps).s0
+    for k, (sp, sq) in enumerate(bath.PAIRS):
+        assert abs(s0[k] - matsubara_reference.slippage_s0(omega_c, beta, eps, sp, sq)) <= bound
+
+
+def test_default_fit_is_certified_below_1e_12(kernel):
+    # the truncated 4001-pole series was off by 3.98e-5 in Gamma(+-1)
+    assert 0.0 < kernel.remainder_bound <= 1e-12
+    assert kernel.g.size <= 250 and kernel.real_rates
+    # the cutoff pole and the slowest Matsubara poles are kept exactly
+    assert np.array_equal(kernel.g.real[:4], [1.0, 2 * math.pi, 4 * math.pi, 6 * math.pi])
+
+
+def test_scaled_exp1_matches_mpmath():
+    # the upper half plane, where the contour tails take their arguments;
+    # scipy's exp1 alone lost up to 8e-13 relative near |z| = 4
+    import mpmath
+
+    r = np.geomspace(1e-6, 1e4, 31)
+    theta = np.concatenate((np.linspace(0.0, 3.1, 16), math.pi - np.geomspace(1e-6, 1e-2, 3)))
+    z = np.multiply.outer(r, np.exp(1j * theta)).ravel()
+    got = bath._exp1_scaled(z)
+    for zi, gi in zip(z, got):
+        ref = complex(mpmath.exp(zi) * mpmath.e1(zi))
+        assert abs(gi - ref) <= 2e-14 * abs(ref)
 
 
 def test_fit_meta(kernel):
-    assert kernel.meta == {"beta": 1.0, "omega": 1.0, "k_max": 4000}
+    assert kernel.meta == {"beta": 1.0, "omega": 1.0}
 
 
 def test_mixture_rejects_non_decaying_terms(model):
@@ -416,7 +467,7 @@ def test_fit_pole_collision():
     beta = 2.0 * (637.0 * math.pi + 1.5e-6)
     spec = LorentzDrudeBath(omega_c=1.0, beta=beta)
     with pytest.raises(PoleCollisionError):
-        fit_exponential_mixture(spec, k_max=700)
+        fit_exponential_mixture(spec)
 
 
 def test_discrete_kernel_single_mode_closed_form():
@@ -448,7 +499,7 @@ def test_discrete_half_fourier_abel_and_resonance():
 def test_resonance_guard_is_relative_to_each_term():
     # the slow cutoff pole of a small-omega_c continuum kernel sits next
     # to Matsubara rates ~1e4, and is not resonant with a small splitting
-    k = fit_exponential_mixture(LorentzDrudeBath(omega_c=3e-6, beta=1.0), k_max=4000)
+    k = fit_exponential_mixture(LorentzDrudeBath(omega_c=3e-6, beta=1.0))
     eps = 1e-6
     assert np.isfinite(k.half_fourier(eps))
     assert np.all(np.isfinite(bath.TailKernel(k, eps)([0.0, 1.0])))

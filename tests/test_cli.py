@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from redfield_slippage.cli import _dump_json, main
 from redfield_slippage.config import (
     DEFAULTS,
     MAX_GRID_N,
-    MAX_K_MAX,
     MAX_ORACLE_MODES,
     ConfigError,
     RunConfig,
@@ -114,7 +114,6 @@ SIZE_BOUNDS = {
     "propagation.n_points": (2, MAX_POINTS),
     "oracle.n_times": (1, MAX_POINTS),
     "scan.grid_n": (3, MAX_GRID_N),
-    "bath.matsubara_k_max": (1, MAX_K_MAX),
     "oracle.n_modes": (1, MAX_ORACLE_MODES),
 }
 
@@ -126,7 +125,7 @@ SIZE_BOUNDS = {
         st.integers().map(str),
         st.sampled_from(
             [10**300, -(10**300), MAX_POINTS + 1, MAX_GRID_N + 2]
-            + [MAX_K_MAX + 1, MAX_ORACLE_MODES + 1]
+            + [MAX_ORACLE_MODES + 1]
         ).map(str),
         st.floats().map(repr),
     ),
@@ -172,8 +171,6 @@ def test_cli_bath_correlation_table(tmp_path):
             "--out",
             str(tmp_path),
             "--set",
-            "bath.matsubara_k_max=400",
-            "--set",
             "quadrature.n_points=12",
             "--set",
             "quadrature.t_min=0.01",
@@ -191,9 +188,10 @@ def test_cli_bath_correlation_table(tmp_path):
     assert max(float(r[5]) for r in rows) < 1e-8
     meta = _read_json(tmp_path / "bath_correlation_meta.json")
     assert meta["command"] == "bath-correlation"
-    assert meta["kernel"]["k_max"] == 400
-    assert meta["remainder_bound"] > 0.0
-    assert meta["config"]["bath.matsubara_k_max"] == 400
+    assert meta["kernel"] == {"beta": 1.0, "omega": 1.0}
+    # the certified error of the compressed Matsubara series
+    assert 0.0 < meta["remainder_bound"] <= 1e-12
+    assert "bath.matsubara_k_max" not in meta["config"]
     # the quadrature's own certificate, like tcl2_err_est for propagate
     assert meta["quadrature_converged"] is True
     assert 0.0 < meta["quadrature_err_est"] < 1e-12
@@ -283,9 +281,24 @@ def test_cli_small_cutoff_is_no_pole_collision(tmp_path):
         assert rows and all(np.isfinite(float(v)) for r in rows for v in r)
 
 
+def test_cli_bath_correlation_converges_at_a_large_cutoff(tmp_path):
+    # the contour rule covers [-X, X] with X = 40 / beta, which does not
+    # grow with omega_c: with X = 30 omega_c this command took 13.8 s and
+    # did not converge; it takes under a second
+    start = time.perf_counter()
+    argv = ["bath-correlation", "--out", str(tmp_path), "--set", "bath.omega_cutoff=400"]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 10.0
+    meta = _read_json(tmp_path / "bath_correlation_meta.json")
+    assert meta["quadrature_converged"] is True
+    _, rows = _read_csv(tmp_path / "bath_correlation.csv")
+    assert max(float(r[5]) for r in rows) < 1e-11
+
+
 def test_cli_propagate_at_a_non_contracting_matsubara_tail(tmp_path):
-    # at beta = 1e300 the Matsubara remainder bound is infinite, which
-    # the markov propagation does not read; the run warns about nothing
+    # at beta = 1e300 more Matsubara frequencies lie below the cutoff than
+    # the fit sums, so its remainder bound is infinite, which the markov
+    # propagation does not read; the run warns about nothing
     argv = ["propagate", "--out", str(tmp_path), "--set", "bath.beta=1e300"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -391,8 +404,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=1e300"],
         # Im C(t) = -(pi/2) omega_c^2 e^{-omega_c t} overflows
         ["diagnose", "--set", "bath.omega_cutoff=1e300"],
-        # exp(t G) overflows: NaN and inf rows, refused before either file
-        ["propagate", "--set", "propagation.t_end=1e300"],
+        # exp(t G) overflows where the generator's zero eigenvalue rounds
+        # above 0 (3.7e-18 at beta = 2; exactly 0 at the defaults, whose
+        # trajectory ends in the stationary state): NaN and inf rows,
+        # refused before either file
+        ["propagate", "--set", "propagation.t_end=1e300", "--set", "bath.beta=2.0"],
         ["propagate", "--mode", "tcl2", "--kappa", "1e308"],
         # 8 epsilon overflows: the sup search step is 0
         ["diagnose", "--set", "model.epsilon=1.7976931348623157e308"],
@@ -600,21 +616,51 @@ def test_cli_markov_n_points_exit_codes(n):
 @example(n=MAX_POINTS)
 def test_cli_bath_correlation_n_points_exit_codes(n):
     # at t = 1000 the quadrature's bound underflows, so every point is an
-    # exact 0 at no cost, and 65 kernel terms keep the series cheap
-    argv = ["bath-correlation", "--set", "bath.matsubara_k_max=64"]
+    # exact 0 at no cost, and the compressed kernel keeps the series cheap
+    argv = ["bath-correlation"]
     _assert_exit_contract(argv, {"quadrature.t_min": 1e3, "quadrature.t_max": 1e3, "quadrature.n_points": n})
 
 
-# kernel sizes the commands run at once, and sizes that validation refuses
-# before a kernel is fitted
-K_MAX_VALUES = st.sampled_from([-1, 0, 1, 2, 64, MAX_K_MAX + 1, 10**13, 2**64])
-
-
-@settings(max_examples=20, deadline=None)
-@given(command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]), k_max=K_MAX_VALUES)
-@example(command=["diagnose"], k_max=10**13)
+@settings(max_examples=10, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"], ["bath-correlation"]]),
+    k_max=st.sampled_from([-1, 0, 1, 64, 4000, 10**13, 2**64]),
+)
 def test_cli_matsubara_k_max_exit_codes(command, k_max):
-    _assert_exit_contract(command, {"bath.matsubara_k_max": k_max})
+    # the series is summed in full: the former truncation depth is an
+    # unknown key, refused before anything runs
+    rc, files = _assert_exit_contract(command, {"bath.matsubara_k_max": k_max})
+    assert rc == 2 and not files
+
+
+# bath extremes whose fit is refused at once or costs a few ms: values a
+# factor 1e3 or so inside the boundaries, the boundaries themselves, and
+# values that validation refuses
+CUTOFF_EXTREMES = st.sampled_from(
+    [5e-324, 1e-300, 1e-160, 1e-6, 0.3, 1.0, 40.0, 1e150, 1.3e154, 1e300, sys.float_info.max,
+     0.0, -1.0, math.inf, math.nan]
+)
+BETA_EXTREMES = st.sampled_from(
+    [5e-324, 1e-300, 1e-9, 0.01, 1.0, 30.0, 6e8, 1e9, 1e300, sys.float_info.max, 0.0, -1.0, math.inf]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from([["diagnose"], ["propagate", "--mode", "markov"]]),
+    omega_c=CUTOFF_EXTREMES,
+    beta=BETA_EXTREMES,
+)
+@example(command=["propagate", "--mode", "markov"], omega_c=1.0, beta=6e8)
+@example(command=["propagate", "--mode", "markov"], omega_c=1e-160, beta=1e160)
+def test_cli_kernel_fit_exit_codes_at_extreme_baths(command, omega_c, beta):
+    # every pair the command accepts fits a kernel of a bounded number of
+    # terms: at most 2 log4 of MAX_BELOW_CUTOFF blocks of MAX_NODES below
+    # the cutoff and as many above
+    rc, _ = _assert_exit_contract(command, {"bath.omega_cutoff": omega_c, "bath.beta": beta})
+    if rc == 0:
+        kernel = RunConfig.load(None, [f"bath.omega_cutoff={omega_c!r}", f"bath.beta={beta!r}"]).kernel()
+        assert kernel.g.size <= 2000
 
 
 BATH_FUZZ_KEYS = ("bath.beta", "bath.omega_cutoff", "quadrature.t_min", "quadrature.t_max")
@@ -685,6 +731,8 @@ TCL2_SHORT = ["propagate", "--mode", "tcl2", "--set", "propagation.n_points=5"]
     ),
 )
 @example(command=TCL2_SHORT, modes=[(sys.float_info.max, 0.1)])
+# a memory time of 1 / 1.8e308: the sup grid's first node is subnormal
+@example(command=["diagnose"], modes=[(sys.float_info.max, 0.0)])
 def test_cli_discrete_modes_exit_codes_at_extreme_values(command, modes):
     text = ",".join(f"{w!r}:{nu!r}" for w, nu in modes)
     _assert_exit_contract(command + ["--set", "bath.type=discrete", "--set", f"bath.modes={text}"], {})

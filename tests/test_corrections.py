@@ -63,10 +63,9 @@ def test_phi_array():
 def test_i_coefficients_against_quadrature(model):
     # the closed form must equal the double integral
     #   I_{s's''}(t) = int_0^t du e^{i s' eps u} int_0^inf dw C(u+w) e^{-i s'' eps w}
-    # for any exponential mixture; a small k_max keeps the tensor
-    # quadrature cheap without weakening the identity
+    # for any exponential mixture
     spec = LorentzDrudeBath(omega_c=1.0, beta=1.0)
-    kernel = fit_exponential_mixture(spec, k_max=200)
+    kernel = fit_exponential_mixture(spec)
     t = 1.7
     eps = model.epsilon
 
@@ -105,7 +104,7 @@ def _i_phi_series(kernel, eps, t):
     )
 
 
-_CONTINUUM = fit_exponential_mixture(LorentzDrudeBath(omega_c=1.0, beta=1.0), k_max=64)
+_CONTINUUM = fit_exponential_mixture(LorentzDrudeBath(omega_c=1.0, beta=1.0))
 _DISCRETE = discrete_kernel(DiscreteModes(((0.3, 0.4), (1.5, 0.3), (2.2, 0.1)), beta=2.0))
 _times = st.one_of(
     st.just(0.0),
@@ -241,6 +240,22 @@ def test_slipped_initial_condition(model, kernel):
     assert rep.err_est >= 0.0
     with pytest.raises(TypeError):
         slipped_initial_condition(model, kernel, 0.5, rho, "product")
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.4, -2.0])
+def test_err_est_bounds_the_slippage_of_the_full_series(model, kernel, kappa):
+    # the slipped state against delta_rho1[inf] of the untruncated
+    # Matsubara series, I(inf) = -S(0) in mpmath: within err_est
+    import matsubara_reference
+
+    rho = bloch_to_density((0.3, -0.5, 0.6))
+    lam, eps = 0.5, model.epsilon
+    rep = slipped_initial_condition(model, kernel, lam, rho, NaturalFamily(kappa=kappa))
+    s0 = np.array([matsubara_reference.slippage_s0(1.0, 1.0, eps, sp, sq) for sp, sq in PAIRS])
+    psi = 0.25 * np.tensordot(-s0, corrections.pair_commutators(rho), axes=1)
+    exact = rho + (1.0 + NATURAL_SIGN * kappa) * lam * lam * (psi + psi.conj().T)
+    assert 0.0 < rep.err_est <= 1e-11
+    assert np.max(np.abs(rep.slipped - exact)) <= rep.err_est
 
 
 def test_natural_start_computes_delta_rho1_once(model, kernel, monkeypatch):

@@ -99,10 +99,12 @@ def test_bench_names_resolve(module, dotted):
 
 
 def test_config_kernel_exposes_its_rates():
+    from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
     from redfield_slippage.config import RunConfig
 
-    kernel = RunConfig.load(None, ["bath.matsubara_k_max=8"]).kernel()
-    assert kernel.g.size == 9
+    kernel = RunConfig.load(None, ["bath.beta=2.0"]).kernel()
+    assert kernel is fit_exponential_mixture(LorentzDrudeBath(omega_c=1.0, beta=2.0))
+    assert kernel.real_rates and kernel.g[0] == 1.0
 
 
 # `bench/tracing.py` counts the time points passed to these layers by

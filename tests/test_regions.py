@@ -75,7 +75,7 @@ def test_d_integrals_against_quadrature(model):
     #   int_0^t ds [C(s) e^{i s'' eps s} + conj C(s) e^{i s' eps s}] Phi(s'+s'', t-s)
     # where Phi is the elementary phase integral over the remaining leg
     spec = LorentzDrudeBath(omega_c=1.0, beta=1.0)
-    kernel = fit_exponential_mixture(spec, k_max=200)
+    kernel = fit_exponential_mixture(spec)
     tables = VariationalTables(model, kernel)
     t, eps = 2.3, model.epsilon
     _, d_vals = tables.tables(t)
@@ -284,7 +284,7 @@ def _full_sum_tables(kernel, eps, t):
     z=0.775109314334929,
 )
 def test_b_a_term_cutoff_is_certified(model, kernel, u, r, x, y, z):
-    # the kept terms reproduce the full 4001-term sums to 1e-14 relative
+    # the kept terms reproduce the sums over every term to 1e-14 relative
     # (absolute below 1) anywhere on the sup search window; at the example
     # |A| is about 34 and the sums differ by 2 ulp
     tables = VariationalTables(model, kernel)
@@ -324,7 +324,8 @@ def test_region_scan_smoke(model, kernel):
     assert meta["n_in_u_prime"] > 0
     assert meta["n_in_n"] > 0
     assert meta["natural_sign"] == NATURAL_SIGN
-    assert meta["kernel"]["k_max"] == 4000
+    assert meta["kernel"] == {"beta": 1.0, "omega": 1.0}
+    assert meta["kernel_terms"] == kernel.g.size
     # row-major ordering, y slowest
     assert res.table[0, :3].tolist() == [-1.0, -1.0, 0.0]
     assert res.table[1, 0] == pytest.approx(-0.9)
