@@ -14,14 +14,16 @@ one kernel type: the cutoff pole and the infinite Matsubara series,
 summed by Gauss rules on blocks of Matsubara indices with a certified
 error (fit_exponential_mixture); small discrete
 mode sets, used by the exact reference dynamics, are exponential sums
-with purely imaginary decay rates. Every downstream time integral is
-closed form and reduces to sums sum_k a_k exp(-g_k t) over rows of
-amplitudes a, which TermSums alone evaluates over arrays of times: the
-finite-memory rates F_sigma (TailKernel) and the slippage integrals I
-(SlippageIntegrals), from which the regions module also assembles its
-variational D. Half-range integrals divide by g_k - i omega, and
-ExponentialSum.denominators is the one place that refuses a resonant
-term.
+with purely imaginary decay rates. C(t) itself and every downstream
+time integral, each closed form, are sums sum_k a_k exp(-g_k t) over
+rows of amplitudes a, which TermSums alone evaluates over arrays of
+times, each time by a product of its own, so that no value of a time
+depends on the other times of its call: C (ExponentialSum.evaluate),
+the finite-memory rates F_sigma (TailKernel) and the slippage
+integrals I (SlippageIntegrals), from which the regions module also
+assembles its variational D. Half-range integrals divide by
+g_k - i omega, and ExponentialSum.denominators is the one place that
+refuses a resonant term.
 
 correlation_quadrature is the independent check of the pole series: it
 integrates the frequency representation of C(t) on a contour shifted
@@ -61,7 +63,6 @@ INTEGRABILITY_FLOOR = 1e-12
 TERM_CUTOFF = 40.0
 # largest (times x terms) block of exponentials evaluated at once
 EXP_BLOCK = 2**16
-SERIES_BLOCK = 2**20  # in ExponentialSum.evaluate (16 MB): 200 times x every term is one block
 # contour quadrature: 16-point Gauss-Legendre panel rule, default
 # relative tolerance between passes and the most panel bisections after
 # the first
@@ -208,19 +209,13 @@ class ExponentialSum:
         slowest = float(np.min(rates))
         return 1.0 / slowest if slowest > 0.0 else math.inf
 
+    @cached_property
+    def _series(self):
+        return TermSums(self, self.c)
+
     def evaluate(self, t):
-        """C(t), from exponentials formed SERIES_BLOCK (time x term) at a
-        time, real ones where every rate is real."""
-        t = np.asarray(t, dtype=float)
-        step = max(1, SERIES_BLOCK // self.g.size)
-        parts = np.split(t.ravel(), range(step, t.size, step))
-        g = self.g.real if self.real_rates else self.g
-        sums = []
-        for u in parts:
-            e = np.exp(-np.multiply.outer(u, g))
-            # two matrix-vector products: a time's sum does not depend on its block
-            sums.append(e @ self.c.real + 1j * (e @ self.c.imag) if self.real_rates else e @ self.c)
-        return np.concatenate(sums).reshape(t.shape)
+        """C(t), shaped like t: the TermSums row of the amplitudes c."""
+        return self._series(t)[..., 0]
 
     def denominators(self, omega):
         """g_k - i omega for each frequency in omega, of shape
@@ -250,15 +245,13 @@ class TermSums:
     Every time integral of the kernel reduces to such sums. Terms are
     sorted by Re g, and each time keeps only the leading terms that
     term_groups selects for it. Exponentials are formed in blocks of at
-    most EXP_BLOCK (time x term) entries, and each block is summed from
-    its smallest (fastest-decaying) term up in one matrix product, which
-    keeps the rounding error of the continuum sums near 1e-16.
-    Kernels with real decay rates use real exponentials. A matrix
-    product may round a time's sums differently with the number of
-    times in its block; a call with row_exact sums each time by a
-    product of its own, so that its sums do not depend on the other
-    times of the call. Where few terms are kept that costs several
-    times a matrix product, and less than the exponentials.
+    most EXP_BLOCK (time x term) entries, and each time is summed from
+    its smallest (fastest-decaying) term up by a product of its own,
+    which keeps the rounding error of the continuum sums near 1e-16.
+    Kernels with real decay rates use real exponentials. One matrix
+    product for a block would round a time's sums differently with the
+    number of times in the block; a product per time makes every sum of
+    a time independent of the other times of the call.
     """
 
     def __init__(self, kernel, amp):
@@ -277,7 +270,7 @@ class TermSums:
             self._gneg = -g
             self._amp = np.ascontiguousarray(a.T)
 
-    def __call__(self, t, row_exact=False):
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         out = np.empty((flat.size, self._rows), dtype=complex)
@@ -289,7 +282,7 @@ class TermSums:
             for lo in range(0, idx.size, step):
                 part = idx[lo : lo + step]
                 e = np.exp(np.multiply.outer(flat[part], self._gneg[k]))
-                v = (e[:, None, :] @ self._amp[k])[:, 0] if row_exact else e @ self._amp[k]
+                v = (e[:, None, :] @ self._amp[k])[:, 0]
                 out[part] = v[:, : self._rows] + 1j * v[:, self._rows :] if self._real_g else v
         return out.reshape(t.shape + (self._rows,))
 

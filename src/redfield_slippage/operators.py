@@ -101,10 +101,15 @@ class Superoperator:
 
     Wraps a d^2 x d^2 complex matrix and caches its eigendecomposition
     so that exp(t S) can be applied repeatedly at different times for
-    the cost of a couple of small matrix products. Defective or badly
-    conditioned generators fall back to scipy's expm on each call;
-    scipy.linalg is imported on the first such fallback, so the
-    diagonalizable path never loads it.
+    the cost of a couple of small matrix products. The eigenvalue
+    nearest 0 is set to exactly 0 when it lies within 16 eps ||S|| of
+    it: a trace-preserving generator has an exact zero eigenvalue, and
+    the sign it would round to would decide whether exp(t S) at a long
+    time t overflows or loses the stationary part.
+    Defective or badly conditioned generators fall back to scipy's expm
+    on each call; scipy.linalg is imported on the first such fallback,
+    so the diagonalizable path never loads it. expm_action_many is the
+    one evaluation path; expm_action is its column for one time.
     """
 
     # diagonalization is trusted only below this eigenvector condition number
@@ -121,6 +126,10 @@ class Superoperator:
         """(eigenvalues, V, V^-1, diagonalizable) with a one-time residual check."""
         if self._eig is None:
             w, v = np.linalg.eig(self.matrix)
+            norm = float(np.linalg.norm(self.matrix))
+            near = int(np.argmin(np.abs(w)))
+            if abs(w[near]) <= 16.0 * np.finfo(float).eps * norm:
+                w[near] = 0.0
             ok = False
             vinv = None
             try:
@@ -128,28 +137,24 @@ class Superoperator:
                 if np.isfinite(cond) and cond < self._COND_CAP:
                     vinv = np.linalg.inv(v)
                     recon = (v * w) @ vinv
-                    scale = max(1.0, float(np.linalg.norm(self.matrix)))
-                    ok = np.linalg.norm(recon - self.matrix) < 1e-9 * scale
+                    ok = np.linalg.norm(recon - self.matrix) < 1e-9 * max(1.0, norm)
             except np.linalg.LinAlgError:
                 ok = False
             self._eig = (w, v, vinv, ok)
         return self._eig
 
     def expm_action(self, t, v_in):
-        """Apply exp(t * self) to a vectorized state."""
+        """Apply exp(t * self) to a vectorized state: the one-start,
+        one-time column of expm_action_many."""
         if not np.isfinite(t):
             raise ValueError("time must be finite")
-        w, v, vinv, ok = self.eigensystem()
-        if ok:
-            return v @ (np.exp(w * t) * (vinv @ v_in))
-        from scipy.linalg import expm
-
-        return expm(self.matrix * t) @ v_in
+        return self.expm_action_many(np.array([t]), np.asarray(v_in)[None])[:, 0]
 
     def expm_action_many(self, times, v_in):
         """Column k of the result is exp(times[k] * self) applied to v_in,
         or to v_in[k] for one start per time (n, d^2). Those take stacked
-        mat-vecs, bit for bit expm_action's; one matrix product would not."""
+        mat-vecs, so that each column has the bits of a call for its time
+        alone; one matrix product would not."""
         times = np.asarray(times, dtype=float)
         w, v, vinv, ok = self.eigensystem()
         if not ok:

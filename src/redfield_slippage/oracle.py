@@ -5,7 +5,9 @@ here against brute-force linear algebra: the two-level system plus a
 handful of truncated oscillator modes is diagonalized exactly, the
 correlated initial states are materialized as matrices, and the
 first-order correction integrals are evaluated term by term in the
-energy eigenbasis. No kernel closed forms are reused on this side.
+energy eigenbasis. No kernel closed forms are reused on this side. The
+correlated part is linear in the sign convention, so one evaluation of
+the corrections tests the cancellation identity for both signs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .bath import (
     recurrence_estimate,
 )
 from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1
-from .master import SystemModel, build_redfield_generator, trajectory_from_states
+from .master import SystemModel, build_redfield_generator, propagate_markovian, trajectory_from_states
 from .operators import SM, SP, SX, trace_distance, unvec, vec
 
 DIM_CAP = 4096
@@ -155,8 +157,9 @@ def build_total_hamiltonian(model: SystemModel, bath: TruncatedBath, lam: float)
     return h
 
 
-def _natural_q(model, bath, rho_s, lam, kappa, sign) -> np.ndarray:
-    """First-order correlated part of the kappa-family total state.
+def _natural_q(model, bath, rho_s, lam, kappa) -> np.ndarray:
+    """First-order correlated part of the kappa-family total state, for
+    the sign convention +1; NATURAL_SIGN times it is the state's part.
 
     Sector by sector, each rotating term of the interaction picks up
     its Abel-regularized half-range phase integral i/a; resonant modes
@@ -194,7 +197,7 @@ def _natural_q(model, bath, rho_s, lam, kappa, sign) -> np.ndarray:
     w_mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
     for s_op, b_sum in zip((SP, SM), bath_sum):
         w_mat += np.kron(s_op @ rho_s, b_sum * p) - np.kron(rho_s @ s_op, p[:, None] * b_sum)
-    return sign * 1j * lam * kappa * w_mat
+    return 1j * lam * kappa * w_mat
 
 
 def hamiltonian_blocks(h) -> list:
@@ -250,8 +253,7 @@ def thermal_total_state(model, bath, rho_s, correlation, lam) -> np.ndarray:
     if isinstance(correlation, Product):
         return p0
     if isinstance(correlation, NaturalFamily):
-        q = _natural_q(model, bath, rho_s, lam, correlation.kappa, NATURAL_SIGN)
-        out = p0 + q
+        out = p0 + NATURAL_SIGN * _natural_q(model, bath, rho_s, lam, correlation.kappa)
         drift = np.linalg.norm(out - out.conj().T)
         if drift > 1e-12 * max(1.0, np.linalg.norm(out)):
             raise OracleConsistencyError(f"correlated state lost Hermiticity ({drift:g})")
@@ -287,9 +289,11 @@ def evolve_exact(h_total, rho_total0, times):
     `rho_total0` is one state (dim, dim), giving a Trajectory, or a stack
     (n, dim, dim) of starts that share the diagonalization, giving a list
     of n Trajectories. Times run in blocks of TIME_BLOCK, so memory is
-    O(n dim^2 + TIME_BLOCK dim) for any number of times. The purity of
-    the total state, (|P|^2 |r0|^2) . |P|^2, is checked at every time as
-    an integration invariant.
+    O(n dim^2 + TIME_BLOCK dim) for any number of times. Every reduced
+    state is checked against its start, to 1e-10: its trace, which
+    sum_a G_aa = 1 keeps exact, so that a wrong block pairing or
+    partner mask shows, and its Hermiticity. A time that is not finite
+    fails the check.
     """
     h_total = np.asarray(h_total)
     rho = np.asarray(rho_total0, dtype=complex)
@@ -307,15 +311,6 @@ def evolve_exact(h_total, rho_total0, times):
     for rows, cols in pairs:
         r0[:, cols] = v[rows, cols].conj().T @ rho_v[:, rows]
     del rho_v
-    abs_r0 = np.abs(r0) ** 2
-    purity0 = np.sum(abs_r0, axis=(1, 2))
-    t_blocks = _time_blocks(times.size)
-    for blk in t_blocks:
-        p2 = np.abs(np.exp(-1j * np.outer(times[blk], w))) ** 2
-        purity = np.sum((p2 @ abs_r0) * p2, axis=2)
-        if np.any(np.abs(purity - purity0[:, None]) > 1e-10 * np.maximum(purity0[:, None], 1e-30)):
-            raise OracleConsistencyError("total-state purity drifted during evolution")
-
     # block label of every eigenvector column and of every basis state
     col_label = np.repeat(np.arange(len(pairs)), [rows.size for rows, _ in pairs])
     label = np.empty(dim, dtype=int)
@@ -330,10 +325,14 @@ def evolve_exact(h_total, rho_total0, times):
             # start by start, so that one start alone gives the same bits
             for i, r0_i in enumerate(r0):
                 h_ab = g_ab * r0_i[cols][:, need]
-                for blk in t_blocks:
+                for blk in _time_blocks(times.size):
                     ph_k = np.exp(-1j * np.outer(times[blk], w[cols]))
                     ph_l = np.exp(-1j * np.outer(times[blk], w[need]))
                     red[i, blk, a, b] += np.sum((ph_k @ h_ab) * ph_l.conj(), axis=1)
+    trace_err = np.abs(np.trace(red, axis1=2, axis2=3) - np.trace(starts, axis1=1, axis2=2)[:, None])
+    herm_err = np.max(np.abs(red - np.conj(np.swapaxes(red, 2, 3))), axis=(2, 3))
+    if not np.all((trace_err <= 1e-10) & (herm_err <= 1e-10)):
+        raise OracleConsistencyError("a reduced state lost the trace or the Hermiticity of its start")
     trajs = [trajectory_from_states(times, list(states)) for states in red]
     return trajs[0] if rho.ndim == 2 else trajs
 
@@ -431,37 +430,36 @@ def _relative_residuals(d1, d2):
     return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
 
 
-def cancellation_test(model, bath, rho_s, lam, sign, times):
-    """Residuals of delta_rho1 + delta_rho2 for the kappa = 1 state.
+def cancellation_test(model, bath, rho_s, lam, times):
+    """Residuals of delta_rho1 + delta_rho2 for the kappa = 1 state, for
+    both sign conventions: a report per sign, -1 first.
 
-    With the correct sign convention the two corrections cancel
-    identically at every time; with the wrong one they add, leaving a
-    relative residual of 2.
+    delta_rho2 is linear in the correlated part q, so the sign -1 takes
+    the negated delta_rho2 of q(+1), which is what q(-1) = -q(+1) gives
+    bit for bit. With the correct sign convention the two corrections
+    cancel identically at every time; with the wrong one they add,
+    leaving a relative residual of 2.
     """
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
-    kern = truncated_kernel(bath)
-    q = _natural_q(model, bath, rho_s, lam, 1.0, sign)
-    residuals = _relative_residuals(
-        delta_rho1(model, kern, lam, rho_s, times), delta_rho2_direct(model, bath, q, lam, times)
-    )
-    return {
-        "sign": int(sign),
-        "times": times.tolist(),
-        "residuals": residuals.tolist(),
-        "max_residual": float(np.max(residuals)),
-    }
+    d1 = delta_rho1(model, truncated_kernel(bath), lam, rho_s, times)
+    d2 = delta_rho2_direct(model, bath, _natural_q(model, bath, rho_s, lam, 1.0), lam, times)
+    reports = {}
+    for sign in (-1, 1):
+        residuals = _relative_residuals(d1, sign * d2)
+        reports[sign] = {
+            "sign": sign,
+            "times": times.tolist(),
+            "residuals": residuals.tolist(),
+            "max_residual": float(np.max(residuals)),
+        }
+    return reports
 
 
 def pin_natural_sign(model, bath, rho_s, lam, times):
     """Decide the sign convention empirically and fail hard on ambiguity."""
-    results = {}
-    passing = []
-    for sign in (-1, 1):
-        res = cancellation_test(model, bath, rho_s, lam, sign, times)
-        results[sign] = res
-        if res["max_residual"] < CANCELLATION_TOL:
-            passing.append(sign)
+    results = cancellation_test(model, bath, rho_s, lam, times)
+    passing = [sign for sign, res in results.items() if res["max_residual"] < CANCELLATION_TOL]
     if len(passing) != 1:
         raise OracleConsistencyError(
             "cancellation identity selected "
@@ -539,12 +537,9 @@ def short_time_markovianity(model, bath, rho_s, lam, times):
     one diagonalization of the total Hamiltonian."""
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
-    kern = truncated_kernel(bath)
-    gen = build_redfield_generator(model, kern, lam)
+    gen = build_redfield_generator(model, truncated_kernel(bath), lam)
     h = build_total_hamiltonian(model, bath, lam)
-    # one start per time, so that each state is bit for bit expm_action's
-    v0 = np.broadcast_to(vec(rho_s), times.shape + (4,))
-    markov = unvec(gen.liouvillian.expm_action_many(times, v0).T)
+    markov = propagate_markovian(gen, rho_s, times).states
     starts = {"product": Product(), "natural": NaturalFamily(1.0)}
     rho_t0 = np.stack([thermal_total_state(model, bath, rho_s, c, lam) for c in starts.values()])
     out = {"times": times.tolist()}

@@ -121,9 +121,9 @@ class VariationalTables:
         """(I, D), each of shape times.shape + (4,)."""
         return self._i_d(np.asarray(times, dtype=float))[:2]
 
-    def _i_d(self, times, row_exact=False):
-        """I, D, dI/dt and dD/dt at times (bath.TermSums for row_exact)."""
-        both = self._sums(times, row_exact)
+    def _i_d(self, times):
+        """I, D, dI/dt and dD/dt at times."""
+        both = self._sums(times)
         sums, slopes = both[..., :4], both[..., 4:]
         phase = np.exp(1j * self.eps * times)
         esp = sign_phases(phase, PAIR_SP)
@@ -154,8 +154,7 @@ class VariationalTables:
         e^-40 * sum |amp| over the dropped terms, and that of the slopes
         likewise with the amplitudes g_k w_k.
         """
-        # time by time: a state's sup does not depend on its batch
-        i_vals, d_vals, di, dd = self._i_d(np.asarray(t, dtype=float), row_exact=True)
+        i_vals, d_vals, di, dd = self._i_d(np.asarray(t, dtype=float))
         b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))
         a = 0.25 * np.real(np.sum(d_vals * m, axis=-1))
         db = 0.5 * np.real(np.sum(di * n, axis=-1))

@@ -106,21 +106,21 @@ def test_correlation_frozen_value(ld_spec, kernel):
 def test_series_forms_exponentials_in_blocks(kernel):
     # 100000 times x the kernel's terms at once would be over 100 MB of
     # exponentials (bath-correlation at quadrature.n_points=100000 and
-    # 4001 terms ran out of memory); blocks of times hold two complex
-    # blocks and the sums, and leave every sum as it was: real rates take
-    # real exponentials, summed against the real and imaginary amplitudes
+    # 4001 terms ran out of memory); blocks of at most EXP_BLOCK
+    # exponentials leave memory to the per-time arrays, and every sum as
+    # it is for its time alone
     k = kernel
     t = np.geomspace(1e-3, 50.0, 100_000)
+    k.evaluate(t[:1])  # builds the kernel's TermSums outside the trace
     tracemalloc.start()
     try:
         series = k.evaluate(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 16 * bath.SERIES_BLOCK
-    first = bath.SERIES_BLOCK // k.g.size
-    e = np.exp(-np.multiply.outer(t[:first], k.g.real))
-    assert np.array_equal(series[:first], e @ k.c.real + 1j * (e @ k.c.imag))
+    assert peak < 16 * (2 * bath.EXP_BLOCK + 8 * t.size)
+    for i in (0, 1, 4097, 50_000, 99_999):
+        assert series[i] == k.evaluate(t[i])
 
 
 def test_imaginary_part_is_exact_at_any_truncation():
@@ -357,6 +357,30 @@ def test_tail_kernel_blocks_match_full_sum(kernel, taus):
             terms = np.exp(-t * den) * (kernel.c / den)
             full = complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert abs(value - full) < 1e-14
+
+
+_MODES_KERNEL = discrete_kernel(DiscreteModes(((0.3, 0.2), (0.9, 0.1), (1.7, 0.3)), beta=12.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    taus=st.lists(
+        st.one_of(st.just(0.0), st.floats(-6.0, 2.0).map(lambda e: 10.0**e)),
+        min_size=1,
+        max_size=60,
+    ),
+    modes=st.booleans(),
+    eps=st.sampled_from((0.5, 1.0, 2.3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_kernel_sum_of_a_time_is_independent_of_its_batch(kernel, taus, modes, eps, seed):
+    # C, F_sigma, I and any TermSums row give each time of a batch the
+    # bits of a call for that time alone
+    k = _MODES_KERNEL if modes else kernel
+    amp = np.random.default_rng(seed).normal(size=(3, k.g.size, 2)) @ np.array([1.0, 1j])
+    t = np.array(taus)
+    for f in (bath.TermSums(k, amp), k.evaluate, bath.TailKernel(k, eps), bath.SlippageIntegrals(k, eps)):
+        assert np.array_equal(f(t), np.stack([f(x) for x in t]))
 
 
 def test_tail_kernel_sigma_pairs_and_shapes(kernel):

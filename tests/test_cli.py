@@ -26,7 +26,7 @@ from redfield_slippage.config import (
     RunConfig,
 )
 from redfield_slippage.corrections import NaturalFamily, perturbative_solution
-from redfield_slippage.master import MAX_POINTS
+from redfield_slippage.master import MAX_POINTS, build_redfield_generator, stationary_state
 from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.oracle import OracleConsistencyError
 
@@ -404,11 +404,9 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["propagate", "--mode", "tcl2", "--set", "propagation.t_end=1e300"],
         # Im C(t) = -(pi/2) omega_c^2 e^{-omega_c t} overflows
         ["diagnose", "--set", "bath.omega_cutoff=1e300"],
-        # exp(t G) overflows where the generator's zero eigenvalue rounds
-        # above 0 (3.7e-18 at beta = 2; exactly 0 at the defaults, whose
-        # trajectory ends in the stationary state): NaN and inf rows,
+        # the coherence phase epsilon t of exp(t G) overflows: NaN rows,
         # refused before either file
-        ["propagate", "--set", "propagation.t_end=1e300", "--set", "bath.beta=2.0"],
+        ["propagate", "--set", "propagation.t_end=1e308", "--set", "model.epsilon=2"],
         ["propagate", "--mode", "tcl2", "--kappa", "1e308"],
         # 8 epsilon overflows: the sup search step is 0
         ["diagnose", "--set", "model.epsilon=1.7976931348623157e308"],
@@ -790,6 +788,23 @@ def test_cli_propagate_markov(tmp_path):
     assert meta["initial"] == [1.0, 0.0, 0.0]
     assert meta["version"] == __version__
     assert meta["natural_sign"] == -1
+
+
+@pytest.mark.parametrize("bath_set", [[], ["bath.omega_cutoff=2"], ["bath.beta=2.0"]])
+def test_cli_propagate_markov_far_end_is_stationary(tmp_path, bath_set):
+    # eig rounds the generator's zero eigenvalue to within +-4e-17 of 0 at
+    # these baths; a positive rounding would overflow exp(t G) at t = 1e300
+    # and a negative one would drop the stationary part
+    overrides = ["propagation.t_end=1e300", *bath_set]
+    argv = ["propagate", "--out", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    _, rows = _read_csv(tmp_path / "trajectory.csv")
+    cfg = RunConfig.load(None, overrides)
+    gen = build_redfield_generator(cfg.model(), cfg.kernel(), float(cfg["lambda"]))
+    rho_ss = bloch_to_density(tuple(float(v) for v in rows[-1][1:4]))
+    assert np.max(np.abs(rho_ss - stationary_state(gen))) < 1e-12
 
 
 def test_cli_propagate_free_precession_preserves_z(tmp_path):

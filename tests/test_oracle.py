@@ -190,12 +190,13 @@ def test_evolve_exact_free_precession(model, oracle_bath):
 
 def test_cancellation_residuals(model, oracle_bath):
     rho_s = bloch_to_density((0.6, 0.0, 0.2))
-    good = cancellation_test(model, oracle_bath, rho_s, 0.1, -1, CANCEL_TIMES)
-    assert good["sign"] == -1
+    reports = cancellation_test(model, oracle_bath, rho_s, 0.1, CANCEL_TIMES)
+    assert list(reports) == [-1, 1]
+    good, bad = reports[-1], reports[1]
+    assert good["sign"] == -1 and bad["sign"] == 1
     assert good["max_residual"] < 1e-8
     assert len(good["residuals"]) == len(CANCEL_TIMES)
     # the wrong sign doubles the first-order term instead of removing it
-    bad = cancellation_test(model, oracle_bath, rho_s, 0.1, 1, CANCEL_TIMES)
     assert bad["max_residual"] == pytest.approx(2.0, abs=0.05)
 
 
@@ -375,7 +376,28 @@ def test_evolve_exact_time_blocks(model, monkeypatch):
     assert np.max(np.abs(blocked - ref)) < 1e-12
 
 
-def _natural_q_dense(model, bath, rho_s, lam, kappa, sign):
+def test_evolve_exact_refuses_a_broken_reduction(model, monkeypatch):
+    # each reduced state keeps the trace and Hermiticity of its start: a
+    # NaN time and a wrong block pairing both break its trace
+    bath = _small_bath((0.7, 1.9), (0.4, 0.3), 2)
+    h = build_total_hamiltonian(model, bath, 0.3)
+    rho0 = thermal_total_state(model, bath, bloch_to_density((0.5, 0.2, 0.1)), Product(), 0.3)
+    with pytest.raises(OracleConsistencyError, match="trace"):
+        evolve_exact(h, rho0, [0.5, np.nan])
+    eigh_blocks = oracle._eigh_blocks
+
+    def swapped(h_total):
+        # the two parity sectors, each paired with the other's columns
+        w, v, pairs = eigh_blocks(h_total)
+        (rows_a, cols_a), (rows_b, cols_b) = pairs
+        return w, v, [(rows_a, cols_b), (rows_b, cols_a)]
+
+    monkeypatch.setattr(oracle, "_eigh_blocks", swapped)
+    with pytest.raises(OracleConsistencyError, match="trace"):
+        evolve_exact(h, rho0, [0.5, 1.0])
+
+
+def _natural_q_dense(model, bath, rho_s, lam, kappa):
     eps = model.epsilon
     p0 = np.kron(rho_s, bath.rho_r)
     w_mat = np.zeros_like(p0)
@@ -390,7 +412,7 @@ def _natural_q_dense(model, bath, rho_s, lam, kappa, sign):
             (np.kron(SM, bop), eps + om),
         ):
             w_mat += (nu / 2.0) * (1j / freq) * (op @ p0 - p0 @ op)
-    return sign * 1j * lam * kappa * w_mat
+    return 1j * lam * kappa * w_mat
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,15 +422,14 @@ def _natural_q_dense(model, bath, rho_s, lam, kappa, sign):
     seed=SEEDS,
     lam=st.floats(0.01, 0.5),
     kappa=st.floats(0.0, 1.0),
-    sign=st.sampled_from((-1, 1)),
 )
-def test_natural_q_matches_dense_kron(bath, eps, seed, lam, kappa, sign):
+def test_natural_q_matches_dense_kron(bath, eps, seed, lam, kappa):
     # keep every sector frequency well away from resonance
     assume(np.min(np.abs(bath.frequencies - eps)) > 0.05)
     model = SystemModel(epsilon=eps)
     rho_s = _random_density(np.random.default_rng(seed), 2)
-    got = _natural_q(model, bath, rho_s, lam, kappa, sign)
-    ref = _natural_q_dense(model, bath, rho_s, lam, kappa, sign)
+    got = _natural_q(model, bath, rho_s, lam, kappa)
+    ref = _natural_q_dense(model, bath, rho_s, lam, kappa)
     assert np.max(np.abs(got - ref)) < 1e-12
 
 

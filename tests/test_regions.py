@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage import master, regions
@@ -25,6 +25,7 @@ from redfield_slippage.regions import (
 
 # scan table columns mirror the CSV header
 COL_P0, COL_BOUND, COL_IN_U, COL_IN_N = 3, 4, 5, 6
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 def ground_pair(rho):
@@ -101,18 +102,27 @@ def test_d_integrals_against_quadrature(model):
         assert abs(d_vals[idx] - np.sum(s_w * integrand)) < 1e-9
 
 
-def test_b_equals_projected_correction(model, kernel):
-    # B(t) is the phi0 expectation of delta_rho1 stripped of lam^2
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(_unit, _unit, _unit),
+    st.floats(0.0, 1.0),
+    st.lists(st.floats(-3.0, 2.0), min_size=1, max_size=50),
+)
+@example(direction=(0.6, 0.1, 0.2), radius=1.0, log_times=[-0.5, 0.3, 1.2])
+@example(direction=(0.0, 0.0, -1.0), radius=0.5, log_times=[-0.5, 0.3, 1.2])
+def test_b_equals_projected_correction(model, kernel, direction, radius, log_times):
+    # B(t) is the phi0 expectation of delta_rho1 stripped of lam^2: the
+    # U' bound and the slippage correction are one kernel sum
+    v = np.array(direction)
+    assume(np.linalg.norm(v) > 1e-3)
+    rho = bloch_to_density(tuple(radius * v / np.linalg.norm(v)))
     lam = 0.37
-    tables = VariationalTables(model, kernel)
-    for bloch in ((0.6, 0.1, 0.2), (0.0, 0.0, -0.5), (0.9, 0.0, 0.0)):
-        rho = bloch_to_density(bloch)
-        _, phi0 = ground_pair(rho)
-        for t in (0.3, 2.0, 15.0):
-            b, _ = b_a_of_state(tables, rho, t)
-            d1 = delta_rho1(model, kernel, lam, rho, t)
-            proj = float(np.real(phi0.conj() @ d1 @ phi0)) / lam**2
-            assert b == pytest.approx(proj, abs=1e-12)
+    t = 10.0 ** np.array(log_times)
+    b, _ = b_a_of_state(VariationalTables(model, kernel), rho, t)
+    d1 = delta_rho1(model, kernel, lam, rho, t)
+    phi0 = ground_pair(rho)[1]
+    proj = np.real(np.einsum("i,tij,j->t", phi0.conj(), d1, phi0)) / lam**2
+    assert np.all(np.abs(b - proj) <= 1e-10 * np.max(np.abs(b)) + 1e-15)
 
 
 def test_variational_form_vertex(model, kernel):
@@ -175,7 +185,6 @@ def test_u_prime_sup_stable_under_grid_refinement(model, kernel, monkeypatch):
     assert dense.sup_value[0] == pytest.approx(base.sup_value, rel=1e-6)
 
 
-_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=25, deadline=None)
