@@ -388,15 +388,17 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Traj
 
 
 def stationary_state(generator: RedfieldGenerator) -> np.ndarray:
-    """Null state of the generator, normalized; errors out when the zero
-    eigenspace is degenerate."""
+    """Null state of the generator, normalized: the eigenvector of the
+    eigenvalue that eigensystem set to 0. Errors out when the zero
+    eigenspace is degenerate or no eigenvalue was set to 0."""
     w, v, _, _ = generator.liouvillian.eigensystem()
     scale = max(float(np.max(np.abs(w))), 1e-30)
-    null_idx = np.flatnonzero(np.abs(w) < 1e-10 * scale)
-    if len(null_idx) > 1:
+    if np.count_nonzero(np.abs(w) < 1e-10 * scale) > 1:
         raise ValueError("stationary state is not unique (degenerate zero eigenspace)")
-    idx = null_idx[0] if len(null_idx) == 1 else int(np.argmin(np.abs(w)))
-    rho = unvec(v[:, idx])
+    zero = np.flatnonzero(w == 0.0)
+    if len(zero) != 1:
+        raise ValueError("the generator has no zero eigenvalue")
+    rho = unvec(v[:, zero[0]])
     rho = 0.5 * (rho + rho.conj().T)
     tr = complex(np.trace(rho)).real
     if abs(tr) < 1e-12:
@@ -462,8 +464,9 @@ class PositivityScanner:
                 f"the positivity scan needs lam^2 Re Gamma > 0, got lam = {generator.lam:g}"
             )
         self._v_ss = 0.5 * (1.0 - float(np.linalg.norm(bloch_xyz(stationary_state(generator)))))
-        # the three decaying modes: the z relaxation and the x-y pair
-        decay = np.delete(w, np.argmin(np.abs(w)))
+        # the three decaying modes: the z relaxation and the x-y pair;
+        # stationary_state above found exactly one zero eigenvalue
+        decay = w[w != 0.0]
         omega = float(np.max(np.abs(decay.imag)))
         k = float(np.min(-decay.real))
         # while the x-y pair is complex, k = g1 / 2: this is 2 Omega >= g1

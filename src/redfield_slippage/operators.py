@@ -102,10 +102,11 @@ class Superoperator:
     Wraps a d^2 x d^2 complex matrix and caches its eigendecomposition
     so that exp(t S) can be applied repeatedly at different times for
     the cost of a couple of small matrix products. The eigenvalue
-    nearest 0 is set to exactly 0 when it lies within 16 eps ||S|| of
-    it: a trace-preserving generator has an exact zero eigenvalue, and
-    the sign it would round to would decide whether exp(t S) at a long
-    time t overflows or loses the stationary part.
+    nearest 0 is set to exactly 0 within 16 eps ||S||, about eig's own
+    rounding, and is the null eigenvalue that stationary_state and
+    PositivityScanner select: a trace-preserving generator has an exact
+    zero eigenvalue, and the sign it would round to would decide whether
+    exp(t S) at a long time t overflows or loses the stationary part.
     Defective or badly conditioned generators fall back to scipy's expm
     on each call; scipy.linalg is imported on the first such fallback,
     so the diagonalizable path never loads it. expm_action_many is the

@@ -509,7 +509,7 @@ def validate_scaling(
         rho_t0 = thermal_total_state(model, bath, rho_s, Product(), float(lam))
         exact = evolve_exact(h, rho_t0, [t_star]).states[0]
         d1 = delta_rho1(model, kern, float(lam), rho_s, t_star)
-        pred = unvec(gen.liouvillian.expm_action(t_star, vec(rho_s + d1)))
+        pred = unvec(gen.liouvillian.expm_action_many([t_star], vec(rho_s + d1)[None])[:, 0])
         errors.append(trace_distance(exact, pred))
     lam_arr = np.asarray(lambdas, dtype=float)
     err_arr = np.asarray(errors, dtype=float)

@@ -205,6 +205,17 @@ def test_stationary_state_degenerate_raises(model, kernel):
         stationary_state(gen)
 
 
+def test_stationary_state_takes_the_eigenvalue_set_to_zero(model, kernel):
+    # the null eigenvalue is the one eigensystem set to exactly 0; a
+    # spectrum without it is refused rather than taking its nearest
+    gen = build_redfield_generator(model, kernel, lam=0.5)
+    w, v, vinv, ok = gen.liouvillian.eigensystem()
+    assert np.count_nonzero(w == 0.0) == 1
+    gen.liouvillian._eig = (np.where(w == 0.0, 1e-13, w), v, vinv, ok)
+    with pytest.raises(ValueError, match="no zero eigenvalue"):
+        stationary_state(gen)
+
+
 def test_positivity_scanner_diagnostics(model):
     # discrete modes never relax: a kernel diagnostic, not a bad value;
     # a coupling whose square underflows has no relaxation at all
