@@ -620,17 +620,25 @@ def fit_exponential_mixture(spec: LorentzDrudeBath) -> ExponentialSum:
     return _fit_cached(float(spec.omega_c), float(spec.beta))
 
 
-def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
-    """Exact finite-sum kernel with untruncated thermal occupations,
+def mode_kernel(frequencies, couplings, up, down, meta) -> ExponentialSum:
+    """Kernel of a finite set of modes with occupations up_r (emission)
+    and down_r (absorption),
 
-        C(t) = sum_r nu_r^2 [ (nbar_r + 1) e^{-i w_r t} + nbar_r e^{+i w_r t} ].
+        C(t) = sum_r nu_r^2 [ up_r e^{-i w_r t} + down_r e^{+i w_r t} ].
     """
+    nu2 = couplings**2
+    c = np.concatenate((nu2 * up, nu2 * down)).astype(complex)
+    g = np.concatenate((1j * frequencies, -1j * frequencies))
+    return ExponentialSum(c, g, meta=meta)
+
+
+def discrete_kernel(spec: DiscreteModes) -> ExponentialSum:
+    """Exact finite-sum kernel with untruncated thermal occupations:
+    mode_kernel with up = nbar + 1 and down = nbar, the Bose factors."""
     w = spec.frequencies
-    nu2 = spec.couplings**2
     nbar = bose_occupation(spec.beta, w)
-    c = np.concatenate((nu2 * (nbar + 1.0), nu2 * nbar)).astype(complex)
-    g = np.concatenate((1j * w, -1j * w))
-    return ExponentialSum(c, g, meta={"beta": spec.beta, "n_modes": len(spec.modes)})
+    meta = {"beta": spec.beta, "n_modes": len(spec.modes)}
+    return mode_kernel(w, spec.couplings, nbar + 1.0, nbar, meta)
 
 
 def _exp1_scaled(z):

@@ -389,12 +389,16 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Traj
 
 def stationary_state(generator: RedfieldGenerator) -> np.ndarray:
     """Null state of the generator, normalized: the eigenvector of the
-    eigenvalue that eigensystem set to 0. Errors out when the zero
-    eigenspace is degenerate or no eigenvalue was set to 0."""
+    eigenvalue that eigensystem set to 0. Errors out when the slowest
+    decay rate is below 1e-10 of the spectral scale max |w| (the null
+    state is not resolved) or no eigenvalue was set to 0."""
     w, v, _, _ = generator.liouvillian.eigensystem()
     scale = max(float(np.max(np.abs(w))), 1e-30)
     if np.count_nonzero(np.abs(w) < 1e-10 * scale) > 1:
-        raise ValueError("stationary state is not unique (degenerate zero eigenspace)")
+        raise ValueError(
+            "stationary state is not resolved: the slowest decay rate is below "
+            "1e-10 of the spectral scale"
+        )
     zero = np.flatnonzero(w == 0.0)
     if len(zero) != 1:
         raise ValueError("the generator has no zero eigenvalue")

@@ -48,9 +48,12 @@ class BlochVector:
 
 
 def bloch_to_density(v) -> np.ndarray:
-    if not isinstance(v, BlochVector):
-        v = BlochVector(*v)
-    return 0.5 * I2 + v.x * SX + v.y * SY + v.z * SZ
+    """States (..., 2, 2) of Bloch vectors v: a BlochVector, an (x, y, z)
+    tuple or an array (..., 3)."""
+    if isinstance(v, BlochVector):
+        v = (v.x, v.y, v.z)
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)[..., None, None]
+    return 0.5 * I2 + x * SX + y * SY + z * SZ
 
 
 def bloch_xyz(rho):

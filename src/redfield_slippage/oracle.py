@@ -22,6 +22,7 @@ from .bath import (
     KernelNotIntegrableError,
     LorentzDrudeBath,
     discretize_spectral_density,
+    mode_kernel,
     recurrence_estimate,
 )
 from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1
@@ -118,17 +119,12 @@ class TruncatedBath:
 
 
 def truncated_kernel(bath: TruncatedBath) -> ExponentialSum:
-    """Kernel whose half-range integrals match the truncated reservoir,
-
-        C(t) = sum_r nu_r^2 [ a_r e^{-i w_r t} + n_r e^{+i w_r t} ],
-
-    with a_r, n_r the truncated occupation moments (not the untruncated
-    Bose factors). Equals Tr[rho_R Y(t) Y(0)] identically."""
+    """Kernel whose half-range integrals match the truncated reservoir:
+    bath.mode_kernel with the truncated occupation moments (not the
+    untruncated Bose factors). Equals Tr[rho_R Y(t) Y(0)] identically."""
     up, down = bath.occupation_moments()
-    nu2 = bath.couplings**2
-    c = np.concatenate((nu2 * up, nu2 * down)).astype(complex)
-    g = np.concatenate((1j * bath.frequencies, -1j * bath.frequencies))
-    return ExponentialSum(c, g, meta={"beta": bath.spec.beta, "n_modes": bath.n_modes})
+    meta = {"beta": bath.spec.beta, "n_modes": bath.n_modes}
+    return mode_kernel(bath.frequencies, bath.couplings, up, down, meta)
 
 
 def default_oracle_bath(

@@ -52,14 +52,7 @@ from .master import (
     golden_min,
     lowest_per_cell,
 )
-from .operators import (
-    DEGENERACY_TOL,
-    I2,
-    SX,
-    SY,
-    SZ,
-    check_density,
-)
+from .operators import DEGENERACY_TOL, I2, bloch_to_density, check_density
 
 # below this, A is treated as zero and the ratio is excluded from the sup
 A_FLOOR = 1e-14
@@ -73,7 +66,7 @@ HEAD_RATIO = 1.2
 # 26 % at epsilon 0.5 to 3
 SUP_RIVAL = 0.5
 # max_radial_depth: directions on the unit circle and the bisection
-# tolerance on the membership boundary
+# tolerance on the U' boundary
 N_DIRECTIONS = 16
 R_TOL = 1e-5
 # cells per batch of region_scan and per worker task: a 31 x 31 scan is one
@@ -338,8 +331,7 @@ class RegionScanResult:
 
 def _scan_block(tables, scanner, lam, xyz):
     """Scan table columns p0 to witness_t (k, 6) at Bloch points xyz (k, 3), as one batch."""
-    x, y, z = xyz.T[:, :, None, None]
-    rhos = 0.5 * I2 + x * SX + y * SY + z * SZ
+    rhos = bloch_to_density(xyz)
     u = _u_prime_many(tables, lam, rhos)
     nm = scanner.evaluate_many(rhos)
     return np.column_stack(
@@ -403,52 +395,37 @@ def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResu
 
 
 def max_radial_depth(model, kernel, lam):
-    """Deepest inward reach of the membership region from the unit
-    circle of the z = 0 slice, over N_DIRECTIONS equally spaced directions.
+    """Deepest inward reach of U' from the unit circle of the z = 0
+    slice, over N_DIRECTIONS equally spaced directions.
 
-    Each direction whose pure state (r = 1) is a member is walked inward
-    on the ladder r = 1 - 0.02, r - 0.02, ... to its first non-member,
-    and the membership boundary is then bisected to R_TOL between that
-    rung and the one above it; the returned depth is max over directions
-    of 1 - r_boundary, with the angle of the first deepest direction. A
-    direction that is a member down to the axis has depth 1. The ladders
-    of all directions are one batch of _u_prime_many, and so is each
-    bisection step of all directions still bracketing.
+    rho_S is in U' when lam^2 > lam_c^2 = p0 / S, where
+    S = sup_t B^2 / (4 A) does not depend on lam. Along every direction
+    p0 / S does not fall as r falls
+    (test_u_prime_threshold_is_monotone_along_each_ray), so U' meets the
+    ray in (r_b, 1], and one bisection in r finds r_b: the pure state at
+    r = 1 is a member (else the depth is 0) and the axis r = 0 brackets
+    it from inside. All directions are bisected as one batch of
+    _u_prime_many per step, to R_TOL. r = 0 itself is never probed: the
+    maximally mixed state's phi0 is arbitrary (degenerate_p0). The depth
+    is 1 - r_b, or 1 where no probe was outside U', and the angle is
+    that of the first deepest direction.
     """
     tables = VariationalTables(model, kernel)
-    n_dir = N_DIRECTIONS
-    theta = 2.0 * np.pi * np.arange(n_dir) / n_dir
-    cth, sth = np.cos(theta), np.sin(theta)
+    theta = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
+    rays = np.column_stack((np.cos(theta), np.sin(theta), np.zeros(N_DIRECTIONS)))
 
-    def member(r, k):
-        """in_u_prime of the states at radii r along directions k."""
-        x, y = r * cth[k], r * sth[k]
-        rhos = 0.5 * I2 + x[:, None, None] * SX + y[:, None, None] * SY
-        return _u_prime_many(tables, lam, rhos).in_u_prime
+    def member(r):
+        """in_u_prime of the state at radius r[k] on each direction k."""
+        return _u_prime_many(tables, lam, bloch_to_density(r[:, None] * rays)).in_u_prime
 
-    step = 0.02
-    ladder = [1.0]
-    r = 1.0 - step
-    while r > 0.0:
-        ladder.append(r)
-        r -= step
-    ladder = np.array(ladder)
-    inside = member(np.tile(ladder, n_dir), np.repeat(np.arange(n_dir), ladder.size))
-    inside = inside.reshape(n_dir, ladder.size)
-    # the first non-member rung of each direction (ladder.size if none)
-    first_out = np.where(inside.all(axis=1), ladder.size, np.argmin(inside, axis=1))
-    depth = np.zeros(n_dir)
-    depth[inside[:, 0] & (first_out == ladder.size)] = 1.0
-    live = np.flatnonzero(inside[:, 0] & (first_out < ladder.size))
-    lo = ladder[first_out[live]]
-    hi = ladder[first_out[live] - 1]
-    todo = hi - lo > R_TOL
-    while todo.any():
-        mid = 0.5 * (lo[todo] + hi[todo])
-        now_in = member(mid, live[todo])
-        hi[todo] = np.where(now_in, mid, hi[todo])
-        lo[todo] = np.where(now_in, lo[todo], mid)
-        todo = hi - lo > R_TOL
-    depth[live] = 1.0 - 0.5 * (lo + hi)
+    lo, hi = np.zeros(N_DIRECTIONS), np.ones(N_DIRECTIONS)
+    pure_in = member(hi)
+    while np.max(hi - lo) > R_TOL:
+        mid = 0.5 * (lo + hi)
+        now_in = member(mid)
+        hi = np.where(now_in, mid, hi)
+        lo = np.where(now_in, lo, mid)
+    depth = np.where(lo > 0.0, 1.0 - 0.5 * (lo + hi), 1.0)
+    depth[~pure_in] = 0.0
     k = int(np.argmax(depth))
     return float(depth[k]), float(theta[k])

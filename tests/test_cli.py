@@ -384,8 +384,11 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         ["bath-correlation", "--set", "bath.beta=1e-4"],
         # lam^2 underflows: the N scan sees no relaxation
         ["region-scan", "--set", "lambda=1e-200", "--set", "scan.grid_n=5"],
-        # the generator's zero eigenspace is degenerate
+        # the slowest decay rate is below 1e-10 of the spectral scale, so
+        # the stationary state is not resolved: |w| = 0, 0.864, 1.7e12,
+        # 1.7e12 at lambda = 1e6 and 0, 1.7e-12, 1, 1 at lambda = 1e-6
         ["region-scan", "--set", "lambda=1e6", "--set", "scan.grid_n=5"],
+        ["region-scan", "--set", "lambda=1e-6"],
         # lam^2 overflows: the bound is -inf and the slippage NaN
         ["diagnose", "--set", "lambda=1e200"],
         # the sup search grid would need ~3e301 nodes
@@ -450,6 +453,7 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "quadrature_panel_budget",
         "region_scan_lambda_underflow",
         "region_scan_degenerate_stationary_state",
+        "region_scan_lambda_tiny_stationary_state_unresolved",
         "diagnose_non_finite_report",
         "diagnose_sup_grid_epsilon",
         "diagnose_sup_grid_beta",

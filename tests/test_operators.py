@@ -34,6 +34,7 @@ def test_spin_algebra():
 
 
 def test_bloch_round_trip(rng):
+    vs = []
     for _ in range(20):
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 1.0) / np.linalg.norm(v)
@@ -41,11 +42,16 @@ def test_bloch_round_trip(rng):
         assert np.allclose(bloch_xyz(rho), v, atol=1e-14)
         assert abs(np.trace(rho) - 1.0) < 1e-14
         assert np.allclose(rho, rho.conj().T)
+        vs.append(v)
+    # an array (..., 3) gives the stack of the one-vector states, bit for bit
+    stack = bloch_to_density(np.reshape(vs, (4, 5, 3)))
+    assert np.array_equal(stack.reshape(20, 2, 2), [bloch_to_density(tuple(v)) for v in vs])
 
 
 def test_bloch_vector_p0():
     assert bloch_to_density((0, 0, 0))[0, 0] == pytest.approx(0.5)
     v = BlochVector(0.6, 0.0, 0.8)
+    assert np.array_equal(bloch_to_density(v), bloch_to_density((0.6, 0.0, 0.8)))
     assert v.norm() == pytest.approx(1.0)
     assert v.is_physical()
     assert not BlochVector(1.1, 0.0, 0.0).is_physical()

@@ -495,3 +495,38 @@ def test_max_radial_depth_brackets_the_boundary(model, kernel, coarse_depth):
     for r, inside in ((r_b + r_tol, True), (r_b - r_tol, False)):
         rho = bloch_to_density((r * np.cos(theta), r * np.sin(theta), 0.0))
         assert u_prime_membership(model, kernel, 0.5, rho).in_u_prime == inside
+
+
+def _ray_states(theta, r):
+    """States at radii r (n,) on the z = 0 directions theta (k,), (k, n, 2, 2)."""
+    x = np.cos(theta)[:, None] * r
+    y = np.sin(theta)[:, None] * r
+    return bloch_to_density(np.stack((x, y, np.zeros_like(x)), axis=-1))
+
+
+def test_u_prime_threshold_is_monotone_along_each_ray(model, kernel):
+    # U' is lam^2 > p0 / S with S = sup_t B^2 / (4A) free of lam; p0 / S
+    # does not fall as r falls on any ray, so U' meets each ray in one
+    # interval (r_b, 1], the premise of max_radial_depth's bisection
+    tables = VariationalTables(model, kernel)
+    theta = 2.0 * np.pi * np.arange(regions.N_DIRECTIONS) / regions.N_DIRECTIONS
+    r = np.linspace(0.0, 1.0, 401)[1:]
+    res = _u_prime_many(tables, 0.5, _ray_states(theta, r).reshape(-1, 2, 2))
+    threshold = (res.p0 / res.sup_value).reshape(theta.size, r.size)
+    assert np.all(np.diff(threshold, axis=1) <= 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_max_radial_depth_is_the_outermost_crossing(model, kernel, coarse_depth, lam):
+    # the bisected boundary of the deepest direction is the outermost
+    # U' crossing of a dense radial sample, to within its spacing plus
+    # R_TOL; at lam = 3 the maximally mixed state reads as a member, so
+    # a probe of r = 0 would report depth 1
+    depth, theta = max_radial_depth(model, kernel, lam)
+    r = np.linspace(0.0, 1.0, 1001)[1:]
+    rhos = _ray_states(np.array([theta]), r)[0]
+    inside = _u_prime_many(VariationalTables(model, kernel), lam, rhos).in_u_prime
+    assert inside[-1]
+    r_out = r[np.flatnonzero(~inside)[-1]]
+    assert abs((1.0 - depth) - r_out) <= (r[1] - r[0]) + regions.R_TOL
+    assert depth < 1.0
