@@ -34,7 +34,7 @@ from .bath import (
     fit_exponential_mixture,
 )
 from .config import ConfigError, RunConfig
-from .corrections import NATURAL_SIGN, NaturalFamily, Product, slipped_initial_condition
+from .corrections import NATURAL_SIGN, Product, slipped_initial_condition
 from .master import (
     TCL2_TOL,
     build_redfield_generator,

@@ -25,25 +25,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import PAIRS, KernelNotIntegrableError, SlippageIntegrals
+from .bath import PAIR_SP, PAIR_SQ, KernelNotIntegrableError, SlippageIntegrals
 from .master import build_redfield_generator, trajectory_from_states
 from .operators import SM, SP, unvec, vec
 
 NATURAL_SIGN = -1
 
-# S^{+1} = S^+, S^{-1} = S^-
-S_OPS = {1: SP, -1: SM}
+# S^{s'} and S^{s''} of the four PAIRS, each stacked (4, 2, 2), with
+# S^{+1} = S^+ and S^{-1} = S^-
+S_LEFT = np.where(PAIR_SP[:, None, None] > 0.0, SP, SM)
+S_RIGHT = np.where(PAIR_SQ[:, None, None] > 0.0, SP, SM)
 
 
 def pair_commutators(rho):
     """[S^{s'}, S^{s''} rho] of the four PAIRS, shape (..., 4, 2, 2) for
     states rho (..., 2, 2). The S^s have 0/1 entries, so every product is
     exact."""
-    ops = []
-    for sp, sq in PAIRS:
-        b_rho = S_OPS[sq] @ rho
-        ops.append(S_OPS[sp] @ b_rho - b_rho @ S_OPS[sp])
-    return np.stack(ops, axis=-3)
+    s_rho = S_RIGHT @ np.asarray(rho)[..., None, :, :]
+    return S_LEFT @ s_rho - s_rho @ S_LEFT
 
 
 @dataclass(frozen=True)

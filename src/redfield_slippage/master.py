@@ -33,25 +33,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .bath import KernelNotIntegrableError, TailKernel
 from .operators import (
-    I2,
-    SM,
-    SP,
     SX,
     SZ,
     BlochVector,
     Superoperator,
     bloch_xyz,
     check_density,
-    commutator_superoperator,
+    superoperator,
     unvec,
     vec,
-    vectorize_superoperator,
 )
 
 POSITIVITY_TOL = 1e-12
@@ -170,17 +166,25 @@ class SystemModel:
         return SX
 
 
-def _dissipator(theta, lam) -> np.ndarray:
-    """lam^2 ( [X, theta rho] - [X, rho theta^dag] ) as a matrix on vec(rho)."""
-    x = SX
-    td = theta.conj().T
-    s = (
-        vectorize_superoperator(x @ theta, I2)
-        - vectorize_superoperator(theta, x)
-        - vectorize_superoperator(x, td)
-        + vectorize_superoperator(I2, td @ x)
-    )
-    return s * (lam * lam)
+def _theta(f_plus, f_minus) -> np.ndarray:
+    """Theta = (1/2)(S^+ F_- + S^- F_+) over stacks (..., 2, 2) of the
+    arrays f_plus, f_minus. Its two entries are set, not summed, so an
+    infinite F stays in its own entry instead of making 0 * inf = NaN in
+    the other."""
+    f_plus = np.asarray(f_plus)
+    theta = np.zeros(f_plus.shape + (2, 2), dtype=complex)
+    theta[..., 0, 1] = 0.5 * f_minus
+    theta[..., 1, 0] = 0.5 * f_plus
+    return theta
+
+
+def _dissipate(theta, rho) -> np.ndarray:
+    """[X, theta rho] - [X, rho theta^dag] over broadcast stacks (..., 2, 2):
+    the dissipator Lambda / lam^2 on Theta = Gamma, and the finite-memory
+    Lambda_t / lam^2 on Theta_t."""
+    a = theta @ rho
+    b = rho @ np.conj(np.swapaxes(theta, -1, -2))
+    return (SX @ a - a @ SX) - (SX @ b - b @ SX)
 
 
 class RedfieldGenerator:
@@ -196,12 +200,13 @@ class RedfieldGenerator:
         eps = model.epsilon
         self.gamma_plus = kernel.half_fourier(eps)
         self.gamma_minus = kernel.half_fourier(-eps)
-        self.theta = 0.5 * (SP * self.gamma_minus + SM * self.gamma_plus)
-        self.lambda0 = _dissipator(self.theta, self.lam)
+        self.theta = _theta(self.gamma_plus, self.gamma_minus)
+        self.lambda0 = superoperator(partial(_dissipate, self.theta)) * (self.lam * self.lam)
         if not np.all(np.isfinite(self.lambda0)):
             raise ValueError(f"the dissipator lam^2 Gamma is not finite at lam = {self.lam:g}")
+        h = model.hamiltonian
         self.liouvillian = Superoperator(
-            -1j * commutator_superoperator(model.hamiltonian) - self.lambda0
+            -1j * superoperator(lambda rho: h @ rho - rho @ h) - self.lambda0
         )
 
     @cached_property
@@ -212,8 +217,7 @@ class RedfieldGenerator:
 
     def theta_tail(self, t: float) -> np.ndarray:
         """Theta_t = (1/2)(S^+ F_-(t) + S^- F_+(t)); theta_tail(0) == theta."""
-        f_plus, f_minus = self.f_sigma(np.array([float(t)]))[0]
-        return 0.5 * (SP * f_minus + SM * f_plus)
+        return _theta(*self.f_sigma(np.array([float(t)]))[0])
 
 
 def build_redfield_generator(model: SystemModel, kernel, lam: float) -> RedfieldGenerator:
@@ -260,24 +264,13 @@ def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory
 
 def _tcl2_drive(generator, rho0, tau):
     """e^{i tau L_S} Lambda_tau e^{-i tau L_S} rho0 at times tau (n,),
-    as vectorized states (n, 4)."""
-    f_plus, f_minus = generator.f_sigma(tau).T
-    ph = np.exp(-1j * generator.model.epsilon * tau)
-    n = tau.size
-    rf = np.empty((n, 2, 2), dtype=complex)
-    rf[:, 0, 0] = rho0[0, 0]
-    rf[:, 0, 1] = rho0[0, 1] * ph
-    rf[:, 1, 0] = rho0[1, 0] * np.conj(ph)
-    rf[:, 1, 1] = rho0[1, 1]
-    th = np.zeros((n, 2, 2), dtype=complex)
-    th[:, 0, 1] = 0.5 * f_minus
-    th[:, 1, 0] = 0.5 * f_plus
-    a = th @ rf
-    b = rf @ np.conj(np.swapaxes(th, 1, 2))
-    m = (SX @ a - a @ SX) - (SX @ b - b @ SX)
-    m[:, 0, 1] *= np.conj(ph)
-    m[:, 1, 0] *= ph
-    return generator.lam * generator.lam * vec(m)
+    as vectorized states (n, 4). e^{-i tau L_S} is the entrywise factor
+    P(tau): e^{-i eps tau} at [0, 1], its conjugate at [1, 0], 1 else."""
+    p = np.ones((tau.size, 2, 2), dtype=complex)
+    p[:, 0, 1] = np.exp(-1j * generator.model.epsilon * tau)
+    p[:, 1, 0] = np.conj(p[:, 0, 1])
+    theta = _theta(*generator.f_sigma(tau).T)
+    return generator.lam * generator.lam * vec(_dissipate(theta, rho0 * p) * np.conj(p))
 
 
 def _split_panels(edges, parts):

@@ -9,12 +9,12 @@ column stacking, fixed project wide:
 Spin operators use the spin-1/2 convention (S^z eigenvalues +-1/2), so
 S^+- = S^x +- i S^y have unit matrix elements.
 
-Superoperators are plain d^2 x d^2 matrices on vec(rho). Superoperator
-wraps only a generator that is exponentiated: it caches the
-eigendecomposition of the Liouvillian for exp(t G). Eigenvectors of
-states come straight from numpy.linalg.eigh, with no phase convention:
-everything built from them (the variational moments of the regions
-module) is invariant under their phase.
+Superoperators are matrices on vec(rho), built by superoperator() from
+the action of their map. Superoperator wraps only a generator that is
+exponentiated: it caches the eigendecomposition of the Liouvillian for
+exp(t G). Eigenvectors of states come straight from numpy.linalg.eigh,
+with no phase convention: everything built from them (the variational
+moments of the regions module) is invariant under their phase.
 """
 
 from __future__ import annotations
@@ -172,18 +172,8 @@ class Superoperator:
         return np.matmul(v, (np.exp(np.outer(times, w)) * y0)[:, :, None])[:, :, 0].T
 
 
-def vectorize_superoperator(left, right) -> np.ndarray:
-    """Matrix of rho -> left @ rho @ right on vec(rho)."""
-    left = np.asarray(left, dtype=complex)
-    right = np.asarray(right, dtype=complex)
-    if left.shape != right.shape or left.shape[0] != left.shape[1]:
-        raise ValueError("left and right factors must be square and same size")
-    return np.kron(right.T, left)
-
-
-def commutator_superoperator(h) -> np.ndarray:
-    """Matrix of rho -> [h, rho] on vec(rho)."""
-    h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0])
-    return np.kron(eye, h) - np.kron(h.T, eye)
-
+def superoperator(action) -> np.ndarray:
+    """Matrix on vec(rho) of the linear map `action` on 2 x 2 matrices,
+    which takes a stack (n, 2, 2): column k is vec(action(E_k)), for the
+    matrix units E_k = unvec(e_k) passed as one (4, 2, 2) stack."""
+    return vec(action(unvec(np.eye(4)))).T

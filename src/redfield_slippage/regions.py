@@ -41,7 +41,7 @@ from functools import partial
 import numpy as np
 
 from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, TermSums, sign_phases
-from .corrections import NATURAL_SIGN, S_OPS
+from .corrections import NATURAL_SIGN, S_LEFT, S_RIGHT
 from .master import (
     GOLDEN_ITERS,
     MAX_POINTS,
@@ -155,10 +155,8 @@ class VariationalTables:
         return b, a, db, da
 
 
-# S^{s'}, S^{s''} and S^{s'} S^{s''} of the PAIRS, each stacked (4, 2, 2)
-_S_LEFT = np.array([S_OPS[sp] for sp, _ in PAIRS])
-_S_RIGHT = np.array([S_OPS[sq] for _, sq in PAIRS])
-_S_BOTH = _S_LEFT @ _S_RIGHT
+# S^{s'} S^{s''} of the PAIRS, stacked (4, 2, 2)
+_S_BOTH = S_LEFT @ S_RIGHT
 
 
 def state_moments(rho_s, phi0):
@@ -180,7 +178,7 @@ def state_moments(rho_s, phi0):
         return np.einsum("...pi,...ij,...pj->...p", bra, rho_s, ket)
 
     unit = np.broadcast_to(I2, _S_BOTH.shape)
-    return form(_S_LEFT, _S_RIGHT), form(_S_BOTH, unit) - form(_S_RIGHT, _S_LEFT)
+    return form(S_LEFT, S_RIGHT), form(_S_BOTH, unit) - form(S_RIGHT, S_LEFT)
 
 
 def default_time_grid(model, kernel, t_window=T_WINDOW):
@@ -249,17 +247,13 @@ def _grid_peaks(tables, m, n):
     return coarse, idx, *np.nonzero(peak)
 
 
-def _u_prime_many(tables, lam, rhos) -> VariationalResult:
-    """VariationalResult of the states rhos (k, 2, 2), all at once.
-
-    sup_t B^2 / (4A) is the maximum on the grid of tables, then one
-    batched slope search (golden_min), in s = log t where the geometric
-    parts of the grid are uniform, of the bracket around every local
-    maximum of the grid within SUP_RIVAL of it: a peak that falls
-    between nodes can lose a good part of its height to sampling.
-    """
-    w, v = np.linalg.eigh(rhos)
-    m, n = state_moments(rhos, v[:, :, 0])
+def _sup(tables, m, n):
+    """sup_t B^2 / (4A) of the states with moments m, n (k, 4) and its
+    time (NaN where the sup is 0): the maximum on the grid of tables,
+    then one batched slope search (golden_min), in s = log t where the
+    geometric parts of the grid are uniform, of the bracket around every
+    local maximum of the grid within SUP_RIVAL of it, as a peak between
+    nodes can lose a good part of its height to sampling."""
     grid = tables.grid
     coarse, idx, node, cell = _grid_peaks(tables, m, n)
     lo = np.log(grid[np.maximum(node - 1, 0)])
@@ -286,6 +280,28 @@ def _u_prime_many(tables, lam, rhos) -> VariationalResult:
     up = -neg[pick] > coarse[hit]
     sup[hit[up]] = -neg[pick[up]]
     t_star[hit[up]] = np.exp(s_ref[pick[up]])
+    return sup, t_star
+
+
+def _u_prime_many(tables, lam, rhos) -> VariationalResult:
+    """VariationalResult of the states rhos (k, 2, 2), all at once.
+
+    A degenerate p0 (rho_S = I / 2) takes the larger sup of |up> and
+    |down>, the second in extra rows at the end of the batch: there M
+    and N depend on phi0 only through n_z = <phi0| sigma_z |phi0>
+    (S^+- S^+- = 0, S^+ S^- = |up><up|, [S^+, S^-] = sigma_z), B is
+    linear in n_z and A affine, so B^2 / (4A) is convex in n_z where
+    A > 0.
+    """
+    w, v = np.linalg.eigh(rhos)
+    degenerate = w[:, 1] - w[:, 0] < DEGENERACY_TOL
+    k, cells = len(rhos), np.flatnonzero(degenerate)
+    phi0 = np.where(degenerate[:, None], I2[0], v[:, :, 0])
+    kets = np.concatenate((phi0, np.broadcast_to(I2[1], (cells.size, 2))))
+    sup, t_star = _sup(tables, *state_moments(np.concatenate((rhos, rhos[cells])), kets))
+    beats = np.flatnonzero(sup[k:] > sup[cells])
+    sup[cells[beats]], t_star[cells[beats]] = sup[k + beats], t_star[k + beats]
+    sup, t_star = sup[:k], t_star[:k]
     bound = w[:, 0] - lam * lam * sup
     return VariationalResult(
         p0=w[:, 0],
@@ -293,7 +309,7 @@ def _u_prime_many(tables, lam, rhos) -> VariationalResult:
         t_star=t_star,
         bound=bound,
         in_u_prime=bound < 0.0,
-        degenerate_p0=w[:, 1] - w[:, 0] < DEGENERACY_TOL,
+        degenerate_p0=degenerate,
     )
 
 
@@ -405,8 +421,9 @@ def max_radial_depth(model, kernel, lam):
     ray in (r_b, 1], and one bisection in r finds r_b: the pure state at
     r = 1 is a member (else the depth is 0) and the axis r = 0 brackets
     it from inside. All directions are bisected as one batch of
-    _u_prime_many per step, to R_TOL. r = 0 itself is never probed: the
-    maximally mixed state's phi0 is arbitrary (degenerate_p0). The depth
+    _u_prime_many per step, to R_TOL. r = 0 itself is never probed: S
+    there jumps from about 4e-33 (phi0 on the equator, n_z = 0) to its
+    n_z = +-1 value (degenerate_p0; 0.0935 at the defaults). The depth
     is 1 - r_b, or 1 where no probe was outside U', and the angle is
     that of the first deepest direction.
     """

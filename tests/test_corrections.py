@@ -28,7 +28,7 @@ from redfield_slippage.corrections import (
     slipped_initial_condition,
 )
 from redfield_slippage.master import build_redfield_generator, propagate_tcl2
-from redfield_slippage.operators import bloch_to_density, trace_distance
+from redfield_slippage.operators import SM, SP, bloch_to_density, trace_distance
 from redfield_slippage.oracle import phi
 
 
@@ -256,6 +256,17 @@ def test_err_est_bounds_the_slippage_of_the_full_series(model, kernel, kappa):
     exact = rho + (1.0 + NATURAL_SIGN * kappa) * lam * lam * (psi + psi.conj().T)
     assert 0.0 < rep.err_est <= 1e-11
     assert np.max(np.abs(rep.slipped - exact)) <= rep.err_est
+
+
+def test_pair_commutators_of_a_stack_are_the_stack_of_calls(rng):
+    rhos = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    stacked = corrections.pair_commutators(rhos)
+    assert stacked.shape == (5, 4, 2, 2)
+    for rho, ops in zip(rhos, stacked):
+        assert np.array_equal(ops, corrections.pair_commutators(rho))
+        s_op = {1: SP, -1: SM}
+        ref = [s_op[sp] @ (s_op[sq] @ rho) - (s_op[sq] @ rho) @ s_op[sp] for sp, sq in PAIRS]
+        assert np.array_equal(ops, np.array(ref))
 
 
 def test_natural_start_computes_delta_rho1_once(model, kernel, monkeypatch):

@@ -16,8 +16,9 @@ from redfield_slippage.bath import (
 from redfield_slippage import master
 from redfield_slippage.master import (
     PositivityScanner,
-    _dissipator,
     SystemModel,
+    _dissipate,
+    _tcl2_drive,
     build_redfield_generator,
     golden_min,
     propagate_markovian,
@@ -34,6 +35,7 @@ from redfield_slippage.operators import (
     BlochVector,
     bloch_xyz,
     bloch_to_density,
+    superoperator,
     trace_distance,
     unvec,
     vec,
@@ -121,14 +123,41 @@ def test_lambda_scaling_is_quadratic(model, kernel):
     assert np.allclose(4.0 * g1.lambda0, g2.lambda0, atol=1e-15)
 
 
+def _lambda_t(generator, t):
+    """Lambda_t, the dissipator built on Theta_t, as a matrix on vec(rho)."""
+    theta = generator.theta_tail(t)
+    return superoperator(lambda rho: _dissipate(theta, rho)) * generator.lam**2
+
+
 def test_lambda_t_limits(generator):
-    # Lambda_t is the dissipator built on Theta_t: it starts at Lambda_0
-    # and dies out on the kernel memory scale
-    lam0 = _dissipator(generator.theta_tail(0.0), generator.lam)
-    assert np.max(np.abs(lam0 - generator.lambda0)) < 1e-12
+    # Lambda_t starts at Lambda_0 and dies out on the kernel memory scale
+    assert np.max(np.abs(_lambda_t(generator, 0.0) - generator.lambda0)) < 1e-12
     tau = generator.kernel.tau_r_estimate
-    late = _dissipator(generator.theta_tail(40.0 * tau), generator.lam)
+    late = _lambda_t(generator, 40.0 * tau)
     assert np.linalg.norm(late, 2) < 1e-8 * np.linalg.norm(generator.lambda0, 2)
+
+
+def test_tcl2_drive_is_the_rotated_kron_dissipator(model, generator, rng):
+    # R(tau)^dag Lambda_tau R(tau) vec(rho0), R(tau) = e^{-i tau [H_S, .]},
+    # with Lambda_tau assembled from kron products on theta_tail(tau)
+    h = model.hamiltonian
+    x = model.coupling
+    l_s = np.kron(np.eye(2), h) - np.kron(h.T, np.eye(2))
+    rho0 = bloch_to_density((0.3, -0.4, 0.5))
+    taus = rng.uniform(0.0, 6.0, size=7)
+    drive = _tcl2_drive(generator, rho0, taus)
+    for tau, d in zip(taus, drive):
+        theta = generator.theta_tail(tau)
+        td = theta.conj().T
+        lam_tau = generator.lam**2 * (
+            np.kron(np.eye(2), x @ theta)
+            - np.kron(x.T, theta)
+            - np.kron(td.T, x)
+            + np.kron((td @ x).T, np.eye(2))
+        )
+        r = np.diag(np.exp(-1j * tau * np.diag(l_s)))
+        ref = r.conj().T @ lam_tau @ r @ vec(rho0)
+        assert np.max(np.abs(d - ref)) < 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_lambda_t_against_quadrature(model, kernel, generator):

@@ -17,11 +17,10 @@ from redfield_slippage.operators import (
     bloch_to_density,
     check_density,
     bloch_xyz,
-    commutator_superoperator,
+    superoperator,
     trace_distance,
     unvec,
     vec,
-    vectorize_superoperator,
 )
 
 
@@ -79,20 +78,16 @@ def test_vec_unvec_column_stacking():
     assert np.allclose(unvec(v), rho)
 
 
-def test_vectorize_superoperator_matches_direct(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    sop = vectorize_superoperator(a, b)
-    assert np.allclose(unvec(sop @ vec(rho)), a @ rho @ b)
-
-
-def test_commutator_superoperator(rng):
-    h = rng.normal(size=(2, 2))
-    h = h + h.T
-    rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    sop = commutator_superoperator(h)
-    assert np.allclose(unvec(sop @ vec(rho)), h @ rho - rho @ h)
+def test_superoperator_matches_kron_identities(rng):
+    # kron is the reference: vec(a rho b) = kron(b.T, a) vec(rho), and
+    # [h, .] is kron(I, h) - kron(h.T, I)
+    a, b, h, rho = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
+    sandwich = superoperator(lambda r: a @ r @ b)
+    assert sandwich.shape == (4, 4)
+    assert np.allclose(sandwich, np.kron(b.T, a), rtol=0.0, atol=1e-14)
+    assert np.allclose(unvec(sandwich @ vec(rho)), a @ rho @ b, rtol=0.0, atol=1e-13)
+    comm = superoperator(lambda r: h @ r - r @ h)
+    assert np.allclose(comm, np.kron(I2, h) - np.kron(h.T, I2), rtol=0.0, atol=1e-14)
 
 
 def test_expm_action_semigroup(rng):
@@ -184,7 +179,7 @@ def test_vec_of_a_stack_is_the_stack_of_vecs(rng):
 
 
 def test_expm_action_on_states():
-    liou = commutator_superoperator(np.asarray(SZ))
+    liou = superoperator(lambda r: SZ @ r - r @ SZ)
     sop = Superoperator(-1j * liou)
     rho0 = bloch_to_density((1.0, 0.0, 0.0))
     rho_t = unvec(sop.expm_action(np.pi, vec(rho0)))

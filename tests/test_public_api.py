@@ -191,3 +191,29 @@ def test_every_definition_has_a_production_caller():
             if not any(r == name and id(n) not in inside for r, n in refs):
                 unreached.append(qualname)
     assert not unreached
+
+
+def test_every_import_is_read():
+    # a name that a module imports and never reads is dead weight, or a
+    # leftover of deleted code that still loads its module. Exempt are the
+    # re-exports of __init__.py and `from __future__ import annotations`
+    src = Path(redfield_slippage.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}: {name}")
+    assert not unread

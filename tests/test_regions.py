@@ -183,6 +183,15 @@ def test_u_prime_degenerate_flag(model, kernel):
     assert res.degenerate_p0
     res = u_prime_membership(model, kernel, 0.5, bloch_to_density((0.4, 0.0, 0.0)))
     assert not res.degenerate_p0
+    # a degenerate p0 takes the larger sup of the S^z eigenstates, whatever
+    # eigenvector eigh returns: for this tilt, far below DEGENERACY_TOL, it
+    # returns an equatorial phi0, whose sup is about 4e-33
+    mixed = u_prime_membership(model, kernel, 0.5, bloch_to_density((0.0, 0.0, 0.0)))
+    tilted = u_prime_membership(model, kernel, 0.5, bloch_to_density((1e-13, 0.0, 0.0)))
+    assert tilted.degenerate_p0
+    assert abs(np.linalg.eigh(bloch_to_density((1e-13, 0.0, 0.0)))[1][0, 0]) < 0.8
+    assert mixed.sup_value > 0.09
+    assert tilted.sup_value == pytest.approx(mixed.sup_value, rel=1e-9)
 
 
 def test_u_prime_sup_stable_under_grid_refinement(model, kernel, monkeypatch):
@@ -246,6 +255,25 @@ def test_sup_is_never_below_a_dense_brute_force(dense_window, points):
     live = a > regions.A_FLOOR
     brute = np.max(np.where(live, b * b / (4.0 * np.where(live, a, 1.0)), 0.0), axis=0)
     assert np.all(res.sup_value >= brute * (1.0 - 1e-9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_unit, _unit, _unit, _unit), min_size=1, max_size=16))
+def test_degenerate_p0_sup_bounds_every_phi0(dense_window, amplitudes):
+    # every phi0 is an eigenvector of the degenerate p0 of rho = I / 2, and
+    # B^2 / (4A) is convex in n_z = <phi0| sigma_z |phi0>: no phi0 has a
+    # sup above the one _u_prime_many reports, that of |up> or |down>
+    tables = dense_window[0]
+    phis = np.array([[a + 1j * b, c + 1j * d] for a, b, c, d in amplitudes])
+    norms = np.linalg.norm(phis, axis=1)
+    assume(np.all(norms > 1e-3))
+    phis /= norms[:, None]
+    mixed = bloch_to_density((0.0, 0.0, 0.0))
+    res = _u_prime_many(tables, 0.5, mixed[None])
+    assert res.degenerate_p0[0]
+    rhos = np.broadcast_to(mixed, (len(phis), 2, 2))
+    sups, _ = regions._sup(tables, *state_moments(rhos, phis))
+    assert np.all(sups <= res.sup_value[0] * (1.0 + 1e-9))
 
 
 def test_b_a_slopes_match_central_differences(model, kernel, rng):
