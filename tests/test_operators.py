@@ -78,16 +78,21 @@ def test_vec_unvec_column_stacking():
     assert np.allclose(unvec(v), rho)
 
 
-def test_superoperator_matches_kron_identities(rng):
-    # kron is the reference: vec(a rho b) = kron(b.T, a) vec(rho), and
-    # [h, .] is kron(I, h) - kron(h.T, I)
-    a, b, h, rho = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
+def test_vectorize_superoperator_matches_direct(rng):
+    # kron is the reference: vec(a rho b) = kron(b.T, a) vec(rho)
+    a, b, rho = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
     sandwich = superoperator(lambda r: a @ r @ b)
     assert sandwich.shape == (4, 4)
     assert np.allclose(sandwich, np.kron(b.T, a), rtol=0.0, atol=1e-14)
     assert np.allclose(unvec(sandwich @ vec(rho)), a @ rho @ b, rtol=0.0, atol=1e-13)
+
+
+def test_commutator_superoperator(rng):
+    # [h, .] is kron(I, h) - kron(h.T, I)
+    h, rho = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
     comm = superoperator(lambda r: h @ r - r @ h)
     assert np.allclose(comm, np.kron(I2, h) - np.kron(h.T, I2), rtol=0.0, atol=1e-14)
+    assert np.allclose(unvec(comm @ vec(rho)), h @ rho - rho @ h, rtol=0.0, atol=1e-13)
 
 
 def test_expm_action_semigroup(rng):
