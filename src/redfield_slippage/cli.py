@@ -95,6 +95,8 @@ def _parse_bloch(text) -> BlochVector:
         v = BlochVector(*(float(p) for p in parts))
     except ValueError as exc:
         raise ConfigError(f"--initial expects three floats, got {text!r}") from exc
+    if not np.all(np.isfinite((v.x, v.y, v.z))):
+        raise ConfigError(f"initial Bloch vector components must be finite, got {text!r}")
     if not v.is_physical():
         raise ConfigError(f"initial Bloch vector has norm {v.norm():g} > 1")
     return v

@@ -150,8 +150,6 @@ class Superoperator:
     def expm_action(self, t, v_in):
         """Apply exp(t * self) to a vectorized state: the one-start,
         one-time column of expm_action_many."""
-        if not np.isfinite(t):
-            raise ValueError("time must be finite")
         return self.expm_action_many(np.array([t]), np.asarray(v_in)[None])[:, 0]
 
     def expm_action_many(self, times, v_in):
@@ -160,6 +158,8 @@ class Superoperator:
         mat-vecs, so that each column has the bits of a call for its time
         alone; one matrix product would not."""
         times = np.asarray(times, dtype=float)
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         w, v, vinv, ok = self.eigensystem()
         if not ok:
             from scipy.linalg import expm

@@ -433,6 +433,9 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
          "--set", "bath.modes=1.7976931348623157e308:0.1"],
         # lam^2 Gamma overflows at the second coupling of the scaling fit
         ["oracle", "--set", "oracle.lambdas=1e154,1.7976931348623157e308"],
+        # a non-finite component, refused as such rather than by its norm
+        ["propagate", "--initial=nan,0,0"],
+        ["diagnose", "--initial=0,inf,0"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -478,11 +481,16 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "oracle_cancellation_lambda_underflow",
         "tcl2_mode_frequency_overflow",
         "oracle_scaling_lambda_overflow",
+        "initial_nan",
+        "initial_inf",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if argv[-1].startswith("--initial="):
+        assert "components must be finite" in err
     assert not any(tmp_path.iterdir())
 
 

@@ -217,3 +217,26 @@ def test_every_import_is_read():
                     if name not in read:
                         unread.append(f"{path.name}: {name}")
     assert not unread
+
+
+def test_every_module_constant_is_read():
+    # an upper-case module-level constant that no package code reads
+    # configures nothing: the leftover of a deleted loop or option
+    src = Path(redfield_slippage.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    constants = [
+        (name, target.id)
+        for name, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in ast.walk(stmt)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store) and target.id.isupper()
+    ]
+    assert constants
+    assert [f"{name}: {const}" for name, const in constants if const not in read] == []
