@@ -346,7 +346,7 @@ class SlippageIntegrals:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0.0):
-            raise ValueError("t must be non-negative")
+            raise ValueError("t must be in [0, inf]")
         out = np.empty(t.shape + (4,), dtype=complex)
         out[...] = -self.s0
         out[t == 0.0] = 0.0

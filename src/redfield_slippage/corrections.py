@@ -147,6 +147,8 @@ def perturbative_solution(model, kernel, lam, rho_s, correlation, times):
     """
     rho_s = np.asarray(rho_s, dtype=complex)
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     gen = build_redfield_generator(model, kernel, lam)
     d1 = delta_rho1(model, kernel, lam, rho_s, times)
     starts = rho_s + d1 + delta_rho2(correlation, d1)

@@ -24,6 +24,13 @@ that comes within SUP_RIVAL of a state's grid maximum, and likewise for
 the positivity dips. Batch results are arrays over the states, and a
 scan is one float table in the column order of its CSV, NaN where a
 field is empty.
+Scans evaluate half of the disk. The system is eps S^z with coupling
+S^x, and the rotation by pi about z maps S^x to -S^x and leaves eps S^z
+alone; the coupling enters B, A and the generator at second order, so
+U' and N are invariant under (x, y, z) -> (-x, -y, z) at every z, lam
+and bath. Each scan axis is (i - c) / c with c = (grid_n - 1) // 2,
+symmetric bit for bit, and a cell past the centre takes the fields of
+its mirror.
 A negative value of the expression above puts rho_S in U': no member
 of the variational family of correlated total states built on rho_S is
 positive, so rho_S has no naturally correlated partner of that family.
@@ -355,29 +362,51 @@ def _scan_block(tables, scanner, lam, xyz):
     )
 
 
+def _scan_axis(grid_n):
+    """The grid_n nodes (i - c) / c of a scan axis, c = (grid_n - 1) // 2:
+    exact integers over c, so node grid_n - 1 - i is -node i bit for bit,
+    which np.linspace(-1, 1, grid_n) is not."""
+    c = (grid_n - 1) // 2
+    return (np.arange(grid_n) - c) / c
+
+
 def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResult:
     """Joint membership scan over the x-y slice of the Bloch disk.
 
     Rows are emitted in row-major order, y varying slowest, both axes
-    ascending over [-1, 1] with grid_n nodes. Points outside the unit
-    ball are flagged unphysical (empty fields), not evaluated. Blocks
-    of up to SCAN_BLOCK physical cells, in row-major order, are the unit
-    of batched evaluation and of the work handed to each of the jobs
-    worker processes, so the output is deterministic and independent of
-    jobs. N membership samples one period of the memoryless trajectory
-    and compares it with the stationary limit (master.PositivityScanner),
-    so its cost does not depend on lam.
+    ascending over [-1, 1] with the grid_n nodes (i - c) / c of
+    _scan_axis, c = (grid_n - 1) // 2. Points outside the unit ball are
+    flagged unphysical (empty fields), not evaluated.
+
+    Only the cells of flat index k <= grid_n^2 // 2 are evaluated: the
+    rows with y < 0, the left half of the y = 0 row and the centre.
+    Every other cell is the mirror (-x, -y) of cell grid_n^2 - 1 - k
+    and takes its fields bit for bit. The rotation by pi about z maps
+    S^x to -S^x and leaves eps S^z alone; the coupling S^x enters B, A,
+    the generator and so the U' sup and the N scan only at second
+    order, so all of them are invariant under (x, y, z) -> (-x, -y, z)
+    at every z, lam and bath. The axes are symmetric bit for bit, so
+    the mirror of a physical cell is physical.
+
+    Blocks of up to SCAN_BLOCK evaluated cells, in row-major order, are
+    the unit of batched evaluation and of the work handed to each of
+    the jobs worker processes, so the output is deterministic and
+    independent of jobs. N membership samples one period of the
+    memoryless trajectory and compares it with the stationary limit
+    (master.PositivityScanner), so its cost does not depend on lam.
     """
     grid_n = int(grid_n)
     if grid_n < 3 or grid_n % 2 == 0:
         raise ValueError("grid_n must be an odd integer >= 3")
     if lam <= 0.0:
         raise ValueError("region scans need lam > 0")
-    xs = ys = np.linspace(-1.0, 1.0, grid_n)
+    xs = ys = _scan_axis(grid_n)
     x, y = (a.ravel() for a in np.meshgrid(xs, ys))
     z = float(z)
     table = np.column_stack((x, y, np.full(x.size, z), np.full((x.size, 6), np.nan)))
-    cells = np.flatnonzero(x * x + y * y + z * z <= 1.0 + 1e-12)
+    physical = x * x + y * y + z * z <= 1.0 + 1e-12
+    # the evaluated half: cells up to the centre, grid_n^2 // 2, included
+    cells = np.flatnonzero(physical[: x.size // 2 + 1])
     points = [table[cells[i : i + SCAN_BLOCK], :3] for i in range(0, cells.size, SCAN_BLOCK)]
     tables = VariationalTables(model, kernel)
     scanner = PositivityScanner(build_redfield_generator(model, kernel, lam))
@@ -391,6 +420,7 @@ def region_scan(model, kernel, lam, grid_n=201, z=0.0, jobs=1) -> RegionScanResu
         results = [scan(p) for p in points]
     # no blocks where the slice misses the ball (|z| > 1)
     table[cells, 3:] = np.concatenate([np.empty((0, 6)), *results])
+    table[x.size - 1 - cells, 3:] = table[cells, 3:]
     meta = {
         "grid_n": grid_n,
         "z": z,
@@ -420,22 +450,26 @@ def max_radial_depth(model, kernel, lam):
     (test_u_prime_threshold_is_monotone_along_each_ray), so U' meets the
     ray in (r_b, 1], and one bisection in r finds r_b: the pure state at
     r = 1 is a member (else the depth is 0) and the axis r = 0 brackets
-    it from inside. All directions are bisected as one batch of
-    _u_prime_many per step, to R_TOL. r = 0 itself is never probed: S
-    there jumps from about 4e-33 (phi0 on the equator, n_z = 0) to its
-    n_z = +-1 value (degenerate_p0; 0.0935 at the defaults). The depth
-    is 1 - r_b, or 1 where no probe was outside U', and the angle is
-    that of the first deepest direction.
+    it from inside. The N_DIRECTIONS / 2 directions theta in [0, pi)
+    are bisected as one batch of _u_prime_many per step, to R_TOL; the
+    ray of theta + pi is minus the ray of theta, the mirror (-x, -y) of
+    region_scan, so it has the same depth. r = 0 itself is never
+    probed: S there jumps from about 4e-33 (phi0 on the equator,
+    n_z = 0) to its n_z = +-1 value (degenerate_p0; 0.0935 at the
+    defaults). The depth is 1 - r_b, or 1 where no probe was outside
+    U', and the angle is that of the first deepest direction, which
+    lies in [0, pi).
     """
     tables = VariationalTables(model, kernel)
-    theta = 2.0 * np.pi * np.arange(N_DIRECTIONS) / N_DIRECTIONS
-    rays = np.column_stack((np.cos(theta), np.sin(theta), np.zeros(N_DIRECTIONS)))
+    half = N_DIRECTIONS // 2
+    theta = 2.0 * np.pi * np.arange(half) / N_DIRECTIONS
+    rays = np.column_stack((np.cos(theta), np.sin(theta), np.zeros(half)))
 
     def member(r):
         """in_u_prime of the state at radius r[k] on each direction k."""
         return _u_prime_many(tables, lam, bloch_to_density(r[:, None] * rays)).in_u_prime
 
-    lo, hi = np.zeros(N_DIRECTIONS), np.ones(N_DIRECTIONS)
+    lo, hi = np.zeros(half), np.ones(half)
     pure_in = member(hi)
     while np.max(hi - lo) > R_TOL:
         mid = 0.5 * (lo + hi)

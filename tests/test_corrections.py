@@ -136,10 +136,9 @@ def test_delta_rho1_time_arrays(model, kernel):
     assert np.all(d[0, 0] == 0.0)
     for t, dt in zip(times.ravel(), d.reshape(-1, 2, 2)):
         assert np.max(np.abs(dt - delta_rho1(model, kernel, 0.5, rho, t))) < 1e-16
-    with pytest.raises(ValueError):
-        delta_rho1(model, kernel, 0.5, rho, -1.0)
-    with pytest.raises(ValueError):
-        delta_rho1(model, kernel, 0.5, rho, np.nan)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match=r"t must be in \[0, inf\]"):
+            delta_rho1(model, kernel, 0.5, rho, bad)
     assert delta_rho2(Product(), d).shape == (2, 2, 2, 2)
 
 
@@ -286,6 +285,15 @@ def test_natural_start_computes_delta_rho1_once(model, kernel, monkeypatch):
     assert len(built) == 1
     perturbative_solution(model, kernel, 0.5, rho, family, np.array([0.0, 1.0, 5.0]))
     assert len(built) == 2
+
+
+def test_perturbative_solution_refuses_non_finite_times(model, kernel):
+    # a NaN time is refused as non-finite, as an infinite one is, and
+    # not as a negative one
+    rho = bloch_to_density((0.4, -0.3, 0.2))
+    for bad in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            perturbative_solution(model, kernel, 0.5, rho, NaturalFamily(0.0), np.array(bad))
 
 
 def test_correction_report_json(model, kernel):

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from redfield_slippage import master, regions
 from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
-from redfield_slippage.master import PositivityScanner
+from redfield_slippage.master import PositivityScanner, build_redfield_generator
 from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.regions import (
     PAIRS,
     RegionScanResult,
     VariationalTables,
+    _scan_axis,
     _scan_block,
     _u_prime_many,
     default_time_grid,
@@ -386,6 +387,11 @@ def test_region_scan_smoke(model, kernel):
     assert np.isnan(res.table[0, COL_P0:]).all()
     assert np.array_equal(np.isnan(res.table[:, COL_P0]), unphysical)
     assert meta["n_unphysical"] == int(unphysical.sum())
+    # each cell past the centre is the mirror (-x, -y) of cell
+    # n^2 - 1 - k and holds its fields bit for bit
+    mirror = res.table[::-1]
+    assert np.array_equal(mirror[:, :2], -res.table[:, :2])
+    assert np.array_equal(mirror[:, 2:].view(np.int64), res.table[:, 2:].view(np.int64))
     # flags are 1 or 0 on the disk
     flags = res.table[~unphysical][:, [COL_IN_U, COL_IN_N]]
     assert np.isin(flags, (0.0, 1.0)).all()
@@ -400,6 +406,41 @@ def test_region_scan_smoke(model, kernel):
         y0, y1 = max(iy - 1, 0), min(iy + 2, n)
         x0, x1 = max(ix - 1, 0), min(ix + 2, n)
         assert in_u[y0:y1, x0:x1].any()
+
+
+def test_scan_axis_is_symmetric_bit_for_bit():
+    # every node is an exact integer over c, so the mirror (-x, -y) of a
+    # grid node is a grid node, bit for bit
+    for n in range(3, 2002, 2):
+        xs, c = _scan_axis(n), (n - 1) // 2
+        assert xs.size == n
+        assert np.array_equal(xs[::-1], -xs)
+        assert xs[c] == 0.0
+        assert xs[0] == -1.0 and xs[-1] == 1.0
+        assert np.all(np.diff(xs) > 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lam=st.floats(0.05, 3.0),
+    z=st.floats(-0.9, 0.9),
+    grid_n=st.sampled_from([3, 5, 7, 9, 11]),
+)
+def test_region_scan_mirror_matches_direct_evaluation(model, kernel, lam, z, grid_n):
+    # region_scan evaluates half of the cells and mirrors the rest through
+    # (x, y) -> (-x, -y); every physical cell evaluated directly, in one
+    # batch, must agree with it
+    res = region_scan(model, kernel, lam, grid_n=grid_n, z=z)
+    cells = np.flatnonzero(~np.isnan(res.table[:, COL_P0]))
+    scanner = PositivityScanner(build_redfield_generator(model, kernel, lam))
+    direct = _scan_block(VariationalTables(model, kernel), scanner, lam, res.table[cells, :3])
+    scanned = res.table[cells, 3:]
+    flags = [COL_IN_U - 3, COL_IN_N - 3]
+    assert np.array_equal(scanned[:, flags], direct[:, flags])
+    # p0, bound and min_eig to rounding, witness_t to the dip search
+    np.testing.assert_allclose(scanned[:, [0, 1, 4]], direct[:, [0, 1, 4]], rtol=0.0, atol=1e-12)
+    assert np.array_equal(np.isnan(scanned[:, 5]), np.isnan(direct[:, 5]))
+    np.testing.assert_allclose(scanned[:, 5], direct[:, 5], rtol=0.0, atol=1e-7)
 
 
 def test_region_scan_csv_and_determinism(model, kernel):
@@ -479,8 +520,9 @@ def test_region_scan_blocks_jobs_identical(model, kernel, monkeypatch):
 
 @pytest.mark.parametrize("block", [regions.SCAN_BLOCK, 100])
 def test_region_scan_refines_once_per_block(model, kernel, monkeypatch, block):
-    # one golden-section search per block for U' and one for N, each over
-    # a non-empty batch: no per-row searches and none on an empty row
+    # one golden-section search per block of evaluated cells for U' and
+    # one for N, each over a non-empty batch: no per-row searches and
+    # none on an empty row
     monkeypatch.setattr(regions, "SCAN_BLOCK", block)
     sizes = {regions: [], master: []}
     for module in sizes:
@@ -491,9 +533,11 @@ def test_region_scan_refines_once_per_block(model, kernel, monkeypatch, block):
 
         monkeypatch.setattr(module, "golden_min", counted)
     res = region_scan(model, kernel, 0.5, grid_n=31)
-    physical = res.metadata["grid_n"] ** 2 - res.metadata["n_unphysical"]
+    # only the physical cells up to the centre are evaluated
+    evaluated = int(np.sum(~np.isnan(res.table[: 31 * 31 // 2 + 1, COL_P0])))
+    assert evaluated == (31 * 31 - res.metadata["n_unphysical"] + 1) // 2
     for seen in sizes.values():
-        assert len(seen) == math.ceil(physical / block)
+        assert len(seen) == math.ceil(evaluated / block)
         assert min(seen) > 0
 
 
@@ -519,10 +563,14 @@ def test_max_radial_depth_brackets_the_boundary(model, kernel, coarse_depth):
     # just outside it from non-members just inside, to within R_TOL
     r_tol = regions.R_TOL
     depth, theta = max_radial_depth(model, kernel, 0.5)
+    assert 0.0 <= theta < np.pi
     r_b = 1.0 - depth
     for r, inside in ((r_b + r_tol, True), (r_b - r_tol, False)):
-        rho = bloch_to_density((r * np.cos(theta), r * np.sin(theta), 0.0))
-        assert u_prime_membership(model, kernel, 0.5, rho).in_u_prime == inside
+        # and so does the direction theta + pi, which is not bisected
+        for sign in (1.0, -1.0):
+            xy = sign * r * np.cos(theta), sign * r * np.sin(theta)
+            rho = bloch_to_density((*xy, 0.0))
+            assert u_prime_membership(model, kernel, 0.5, rho).in_u_prime == inside
 
 
 def _ray_states(theta, r):
