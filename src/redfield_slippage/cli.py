@@ -56,16 +56,6 @@ from .regions import region_scan, u_prime_membership
 SEED_ENV = "REDFIELD_SLIPPAGE_SEED"
 
 
-def _base_metadata(cfg: RunConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "config": cfg.to_metadata(),
-        "natural_sign": NATURAL_SIGN,
-        "seed_env": os.environ.get(SEED_ENV),
-        "version": __version__,
-    }
-
-
 def _dump_json(obj) -> str:
     """Strict JSON of a report: a non-finite number is a ConfigError,
     never NaN or Infinity in the file."""
@@ -81,10 +71,26 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def _out_dir(cfg, args):
-    d = args.out if args.out else str(cfg["output.directory"])
-    os.makedirs(d, exist_ok=True)
-    return d
+def _finish(cfg: RunConfig, args, stem: str, fields: dict, table=None) -> int:
+    """Write `<stem>.csv` from table() and `<stem>_meta.json`, or `<stem>.json`;
+    the report is checked before the table is formatted or a directory made."""
+    meta = {
+        "command": args.command,
+        "config": cfg.to_metadata(),
+        "natural_sign": NATURAL_SIGN,
+        "seed_env": os.environ.get(SEED_ENV),
+        "version": __version__,
+        **fields,
+    }
+    text = _dump_json(meta)
+    out = args.out if args.out else str(cfg["output.directory"])
+    os.makedirs(out, exist_ok=True)
+    if table is None:
+        _write(os.path.join(out, f"{stem}.json"), text)
+    else:
+        _write(os.path.join(out, f"{stem}.csv"), table())
+        _write(os.path.join(out, f"{stem}_meta.json"), text)
+    return 0
 
 
 def _parse_bloch(text) -> BlochVector:
@@ -116,19 +122,16 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     if not np.all(np.isfinite(cols)):
         raise ConfigError("the kernel table is not finite at this configuration")
     header = "t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"
-    meta = _base_metadata(cfg, "bath-correlation")
-    meta["kernel"] = dict(kernel.meta)
-    meta["remainder_bound"] = kernel.remainder_bound
     # largest estimated relative error of the quadrature column; rows
     # that underflow to an exact 0 carry an error of 0
     q_rel = np.divide(q_err, np.abs(quadr), out=np.zeros_like(q_err), where=q_err > 0.0)
-    meta["quadrature_err_est"] = float(q_rel.max())
-    meta["quadrature_converged"] = bool(q_rel.max() <= bath.QUAD_REL_TOL)
-    meta_text = _dump_json(meta)  # checked before either file is written
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "bath_correlation.csv"), csv_table(header, cols))
-    _write(os.path.join(out, "bath_correlation_meta.json"), meta_text)
-    return 0
+    fields = {
+        "kernel": dict(kernel.meta),
+        "remainder_bound": kernel.remainder_bound,
+        "quadrature_err_est": float(q_rel.max()),
+        "quadrature_converged": bool(q_rel.max() <= bath.QUAD_REL_TOL),
+    }
+    return _finish(cfg, args, "bath_correlation", fields, lambda: csv_table(header, cols))
 
 
 def cmd_region_scan(cfg: RunConfig, args) -> int:
@@ -140,12 +143,7 @@ def cmd_region_scan(cfg: RunConfig, args) -> int:
         z=float(cfg["scan.z"]),
         jobs=int(args.jobs),
     )
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "region_scan.csv"), result.to_csv())
-    meta = _base_metadata(cfg, "region-scan")
-    meta["scan"] = result.metadata
-    _write(os.path.join(out, "region_scan_meta.json"), _dump_json(meta))
-    return 0
+    return _finish(cfg, args, "region_scan", {"scan": result.metadata}, result.to_csv)
 
 
 def cmd_propagate(cfg: RunConfig, args) -> int:
@@ -164,18 +162,15 @@ def cmd_propagate(cfg: RunConfig, args) -> int:
     # min_eig is finite only where x, y and z are; the times are validated
     if not np.all(np.isfinite((traj.min_eigenvalues, traj.trace_errors))):
         raise ConfigError("the trajectory is not finite at this configuration")
-    meta = _base_metadata(cfg, "propagate")
-    meta["initial"] = [float(p) for p in args.initial.split(",")]
-    meta["mode"] = args.mode
-    meta["kappa"] = float(args.kappa)
+    fields = {
+        "initial": [float(p) for p in args.initial.split(",")],
+        "mode": args.mode,
+        "kappa": float(args.kappa),
+    }
     if args.mode == "tcl2":
-        meta["tcl2_err_est"] = traj.err_est
-        meta["tcl2_converged"] = traj.err_est < TCL2_TOL
-    meta_text = _dump_json(meta)  # checked before either file is written
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "trajectory.csv"), traj.to_csv())
-    _write(os.path.join(out, "trajectory_meta.json"), meta_text)
-    return 0
+        fields["tcl2_err_est"] = traj.err_est
+        fields["tcl2_converged"] = traj.err_est < TCL2_TOL
+    return _finish(cfg, args, "trajectory", fields, traj.to_csv)
 
 
 def cmd_diagnose(cfg: RunConfig, args) -> int:
@@ -186,22 +181,17 @@ def cmd_diagnose(cfg: RunConfig, args) -> int:
     rho = bloch_to_density(bloch)
     res = u_prime_membership(model, kernel, lam, rho)
     report = slipped_initial_condition(model, kernel, lam, rho, Product())
-    obj = _base_metadata(cfg, "diagnose")
-    obj.update(
-        {
-            "initial": {"x": bloch.x, "y": bloch.y, "z": bloch.z},
-            "p0": res.p0,
-            "sup_value": res.sup_value,
-            "t_star": res.t_star,
-            "bound": res.bound,
-            "in_U_prime": res.in_u_prime,
-            "degenerate_p0": res.degenerate_p0,
-            "slipped": report.to_dict(),
-        }
-    )
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "diagnose.json"), _dump_json(obj))
-    return 0
+    fields = {
+        "initial": {"x": bloch.x, "y": bloch.y, "z": bloch.z},
+        "p0": res.p0,
+        "sup_value": res.sup_value,
+        "t_star": res.t_star,
+        "bound": res.bound,
+        "in_U_prime": res.in_u_prime,
+        "degenerate_p0": res.degenerate_p0,
+        "slipped": report.to_dict(),
+    }
+    return _finish(cfg, args, "diagnose", fields)
 
 
 def cmd_oracle(cfg: RunConfig, args) -> int:
@@ -232,19 +222,14 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     markov = short_time_markovianity(
         model, bath, rho_s, 0.2, np.linspace(0.25, 2.0, 8)
     )
-    obj = _base_metadata(cfg, "oracle")
-    obj.update(
-        {
-            "pinned_sign": sign,
-            "cancellation": {str(k): v for k, v in details.items()},
-            "scaling": scaling,
-            "markovianity": markov,
-            "total_dimension": 2 * bath.dim_bath,
-        }
-    )
-    out = _out_dir(cfg, args)
-    _write(os.path.join(out, "oracle_report.json"), _dump_json(obj))
-    return 0
+    fields = {
+        "pinned_sign": sign,
+        "cancellation": {str(k): v for k, v in details.items()},
+        "scaling": scaling,
+        "markovianity": markov,
+        "total_dimension": 2 * bath.dim_bath,
+    }
+    return _finish(cfg, args, "oracle_report", fields)
 
 
 # built once per process: argparse copies the --set list before appending

@@ -457,6 +457,9 @@ class PositivityScanner:
         decay = w[w != 0.0]
         omega = float(np.max(np.abs(decay.imag)))
         k = float(np.min(-decay.real))
+        # a large Lamb shift can make a mode grow (lambda = 0.5 at omega_c = 200)
+        if not k > 0.0:
+            raise ValueError(f"the positivity scan needs every mode to decay, got a slowest rate of {k:g}")
         # while the x-y pair is complex, k = g1 / 2: this is 2 Omega >= g1
         if omega >= k:
             dt = (2.0 * np.pi / generator.model.epsilon) / 24.0

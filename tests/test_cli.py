@@ -389,6 +389,9 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         # 1.7e12 at lambda = 1e6 and 0, 1.7e-12, 1, 1 at lambda = 1e-6
         ["region-scan", "--set", "lambda=1e6", "--set", "scan.grid_n=5"],
         ["region-scan", "--set", "lambda=1e-6"],
+        # the Lamb shift at this cutoff makes one generator eigenvalue
+        # positive (+0.34): the N scan has no stationary limit to reach
+        ["region-scan", "--set", "bath.omega_cutoff=1000"],
         # lam^2 overflows: the bound is -inf and the slippage NaN
         ["diagnose", "--set", "lambda=1e200"],
         # the sup search grid would need ~3e301 nodes
@@ -457,6 +460,7 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "region_scan_lambda_underflow",
         "region_scan_degenerate_stationary_state",
         "region_scan_lambda_tiny_stationary_state_unresolved",
+        "region_scan_growing_mode",
         "diagnose_non_finite_report",
         "diagnose_sup_grid_epsilon",
         "diagnose_sup_grid_beta",
@@ -486,7 +490,8 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    # --out names a directory that does not exist: a refusal makes none
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error:" in err
     if argv[-1].startswith("--initial="):
@@ -534,7 +539,7 @@ def test_cli_overflowing_coupling_is_named(tmp_path, capsys, argv):
     ],
 )
 def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "kernel diagnostic:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
@@ -544,6 +549,8 @@ EXTREME_FLOATS = st.sampled_from(
     [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-309,
      sys.float_info.max, math.inf, -math.inf, math.nan, 0.5, 1.0]
 ) | st.floats()
+# physical magnitudes, log-uniform over the ranges of the bath and model keys
+LOG_UNIFORM = st.floats(-3.0, 5.0).map(lambda e: 10.0**e)
 
 
 def _assert_finite_outputs(out):
@@ -585,13 +592,16 @@ def test_cli_exit_codes_at_extreme_values(command, values):
 
 # odd and even sizes up to 41 x 41, and sizes outside [3, MAX_GRID_N]
 GRID_NS = st.integers(1, 41) | st.sampled_from([-3, 0, MAX_GRID_N + 1, MAX_GRID_N + 2, 2**64])
+SCAN_FUZZ_KEYS = ("lambda", "scan.z", "bath.omega_cutoff", "bath.beta", "model.epsilon")
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    values=st.dictionaries(st.sampled_from(("lambda", "scan.z")), EXTREME_FLOATS | st.floats(0.0, 1.0)),
+    values=st.dictionaries(st.sampled_from(SCAN_FUZZ_KEYS), EXTREME_FLOATS | st.floats(0.0, 1.0) | LOG_UNIFORM),
     grid_n=GRID_NS,
 )
+# a growing mode of the generator, which the N scan refuses
+@example(values={"bath.omega_cutoff": 1000.0}, grid_n=5)
 def test_cli_region_scan_exit_codes_at_extreme_values(values, grid_n):
     # the N scan's cost does not grow as lambda shrinks, so a 41 x 41 scan
     # is cheap at any coupling; two worker processes write the same bytes

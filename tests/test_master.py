@@ -257,6 +257,18 @@ def test_positivity_scanner_diagnostics(model):
             PositivityScanner(build_redfield_generator(model, ld, lam))
 
 
+@pytest.mark.parametrize("omega_c", [200.0, 1000.0])
+def test_positivity_scanner_refuses_a_growing_mode(model, omega_c):
+    # at lambda = 0.5 the Lamb shift of a large cutoff makes one generator
+    # eigenvalue positive (+0.0023 at 200, +0.34 at 1000): the one-period
+    # window pi / omega would have omega near 0
+    kernel = fit_exponential_mixture(LorentzDrudeBath(omega_c=omega_c, beta=1.0))
+    gen = build_redfield_generator(model, kernel, 0.5)
+    assert np.max(gen.liouvillian.eigensystem()[0].real) > 0.0
+    with pytest.raises(ValueError, match="every mode to decay"):
+        PositivityScanner(gen)
+
+
 def test_tcl2_kappa_one_equals_markovian(model, kernel, generator):
     # kappa = 1 cancels the memory drive exactly, so the two
     # propagators agree to integration tolerance, not just O(lam^3)

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import redfield_slippage
+from redfield_slippage import cli
 
 BENCH_NAMES = {
     "bath": ["fit_exponential_mixture", "correlation_quadrature"],
@@ -92,10 +93,23 @@ def test_all_names_import(name):
     "module, dotted", [(m, n) for m, names in BENCH_NAMES.items() for n in names]
 )
 def test_bench_names_resolve(module, dotted):
+    # `tracing.Patches.wrap` replaces vars(owner)[name]: a name that is
+    # only inherited or reached through getattr would silently leave its
+    # metrics absent
     obj = importlib.import_module(f"redfield_slippage.{module}")
     for part in dotted.split("."):
-        obj = getattr(obj, part)
+        assert part in vars(obj), f"{part} is not in vars() of {obj!r}"
+        obj = vars(obj)[part]
     assert obj is not None
+
+
+# `bench/worker.py` appends `--out DIR --jobs 1` to every command it runs,
+# so every subcommand parses both, even those that ignore --jobs: the
+# option is not dead on them
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_parses_the_bench_arguments(command):
+    args = cli.build_parser().parse_args([command, "--out", "d", "--jobs", "1"])
+    assert (args.command, args.out, args.jobs) == (command, "d", 1)
 
 
 def test_config_kernel_exposes_its_rates():
