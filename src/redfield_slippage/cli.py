@@ -73,7 +73,8 @@ def _write(path, text):
 
 def _finish(cfg: RunConfig, args, stem: str, fields: dict, table=None) -> int:
     """Write `<stem>.csv` from table() and `<stem>_meta.json`, or `<stem>.json`;
-    the report is checked before the table is formatted or a directory made."""
+    the report is checked before the table is formatted or a directory made,
+    and an output path that cannot be made or written is a ConfigError."""
     meta = {
         "command": args.command,
         "config": cfg.to_metadata(),
@@ -84,12 +85,15 @@ def _finish(cfg: RunConfig, args, stem: str, fields: dict, table=None) -> int:
     }
     text = _dump_json(meta)
     out = args.out if args.out else str(cfg["output.directory"])
-    os.makedirs(out, exist_ok=True)
-    if table is None:
-        _write(os.path.join(out, f"{stem}.json"), text)
-    else:
-        _write(os.path.join(out, f"{stem}.csv"), table())
-        _write(os.path.join(out, f"{stem}_meta.json"), text)
+    try:
+        os.makedirs(out, exist_ok=True)
+        if table is None:
+            _write(os.path.join(out, f"{stem}.json"), text)
+        else:
+            _write(os.path.join(out, f"{stem}.csv"), table())
+            _write(os.path.join(out, f"{stem}_meta.json"), text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to the output directory {out!r}: {exc}") from exc
     return 0
 
 
@@ -118,8 +122,8 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
     quadr, q_err = bath.correlation_quadrature(spec, times)
     # abs of each numpy complex scalar: the array abs differs in last digits
     resid = [abs(cs - cq) / max(abs(cs), abs(cq), 1e-300) for cs, cq in zip(series, quadr)]
-    cols = (times, series.real, series.imag, quadr.real, quadr.imag, resid)
-    if not np.all(np.isfinite(cols)):
+    table = np.column_stack((times, series.real, series.imag, quadr.real, quadr.imag, resid))
+    if not np.all(np.isfinite(table)):
         raise ConfigError("the kernel table is not finite at this configuration")
     header = "t,re_c_series,im_c_series,re_c_quadrature,im_c_quadrature,rel_residual"
     # largest estimated relative error of the quadrature column; rows
@@ -131,7 +135,7 @@ def cmd_bath_correlation(cfg: RunConfig, args) -> int:
         "quadrature_err_est": float(q_rel.max()),
         "quadrature_converged": bool(q_rel.max() <= bath.QUAD_REL_TOL),
     }
-    return _finish(cfg, args, "bath_correlation", fields, lambda: csv_table(header, cols))
+    return _finish(cfg, args, "bath_correlation", fields, lambda: csv_table(header, table))
 
 
 def cmd_region_scan(cfg: RunConfig, args) -> int:

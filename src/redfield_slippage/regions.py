@@ -55,6 +55,7 @@ from .master import (
     POSITIVITY_TOL,
     PositivityScanner,
     build_redfield_generator,
+    csv_table,
     first_entry,
     golden_min,
     lowest_per_cell,
@@ -333,7 +334,6 @@ def u_prime_membership(model, kernel, lam, rho_s) -> VariationalResult:
 
 # the columns of a scan table and of its CSV; flags are 1.0 / 0.0
 SCAN_HEADER = "x,y,z,p0,bound,in_U_prime,in_N,min_eig,witness_t"
-_FLAG_TEXT = {"nan": "", "1.0": "1", "0.0": "0"}
 
 
 @dataclass
@@ -342,14 +342,11 @@ class RegionScanResult:
     metadata: dict
 
     def to_csv(self) -> str:
-        """Row by row: the strings of all cells at once would double the memory."""
-        lines = [SCAN_HEADER]
-        for row in self.table:
-            fields = list(map(repr, row.tolist()))
-            fields[5], fields[6] = _FLAG_TEXT[fields[5]], _FLAG_TEXT[fields[6]]
-            # repr gives "nan" only for NaN, which is an empty field
-            lines.append(",".join(fields).replace("nan", ""))
-        return "\n".join(lines) + "\n"
+        """The table through master.csv_table, in_U_prime and in_N as 1 / 0.
+        Within a block of rows the grid nodes, the cells of unphysical
+        points and the mirrored cells of the centre block repeat bit
+        patterns, and each pattern is formatted once."""
+        return csv_table(SCAN_HEADER, self.table, flags=(5, 6))
 
 
 def _scan_block(tables, scanner, lam, xyz):

@@ -186,6 +186,9 @@ def test_cli_bath_correlation_table(tmp_path):
     assert float(rows[-1][0]) == pytest.approx(20.0)
     # the two evaluation routes agree everywhere on the grid
     assert max(float(r[5]) for r in rows) < 1e-8
+    # every field is the repr of its double, as the former row-by-row
+    # formatter wrote it
+    assert [",".join(repr(float(v)) for v in r) for r in rows] == [",".join(r) for r in rows]
     meta = _read_json(tmp_path / "bath_correlation_meta.json")
     assert meta["command"] == "bath-correlation"
     assert meta["kernel"] == {"beta": 1.0, "omega": 1.0}
@@ -542,6 +545,33 @@ def test_cli_kernel_diagnostic_exit3(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert "kernel diagnostic:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# a cheap successful run of each command
+FAST_RUNS = {
+    "bath-correlation": ["--set", "quadrature.n_points=12"],
+    "region-scan": ["--set", "scan.grid_n=5"],
+    "propagate": [],
+    "diagnose": [],
+    "oracle": ["--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6",
+               "--set", "oracle.n_times=8", "--set", "oracle.lambdas=0.08,0.16"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("command", sorted(FAST_RUNS))
+def test_cli_output_path_at_a_file_exit2(tmp_path, capsys, command, under):
+    # an output directory that is a file, or lies under one, is refused
+    # with the usual line, given through --out or output.directory
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = str(blocker / "out" if under else blocker)
+    for where in (["--out", out], ["--set", f"output.directory={out}"]):
+        assert main([command, *FAST_RUNS[command], *where]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {command}: cannot write to the output directory")
+    assert blocker.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 FUZZ_KEYS = ("lambda", "model.epsilon", "bath.beta", "bath.omega_cutoff", "propagation.t_end", "scan.z")

@@ -420,6 +420,21 @@ def test_trajectory_csv():
     assert second[0] == "1.0" and second[2] == "0.5"
 
 
+@pytest.mark.parametrize("mode", ["markov", "tcl2"])
+def test_trajectory_csv_matches_row_wise_repr(generator, mode):
+    # a real trajectory, whose columns repeat values (the t = 0 row, the
+    # zero trace errors): the text of the former row-by-row formatter
+    times = np.linspace(0.0, 20.0, 200)
+    rho0 = bloch_to_density((0.0, 0.8, 0.1))
+    if mode == "markov":
+        traj = propagate_markovian(generator, rho0, times)
+    else:
+        traj = propagate_tcl2(generator, rho0, times, kappa=0.3)
+    cols = (traj.times, *bloch_xyz(traj.states), traj.min_eigenvalues, traj.trace_errors)
+    rows = [",".join(map(repr, row)) for row in np.column_stack(cols).tolist()]
+    assert traj.to_csv() == "\n".join(["t,x,y,z,min_eig,trace_err"] + rows) + "\n"
+
+
 _finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 

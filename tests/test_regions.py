@@ -496,6 +496,36 @@ def test_scan_csv_matches_per_cell_formatter(cells):
     assert res.to_csv() == _reference_csv(table)
 
 
+# a small pool, so bit patterns repeat within a block: both zeros, NaNs
+# of three bit patterns, the infinities and the extreme doubles
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+_pool_value = st.sampled_from(
+    [0.0, -0.0, math.nan, -math.nan, _NAN_PAYLOAD, 1.0, -1.0, 0.1, 0.30000000000000004,
+     math.inf, -math.inf, 5e-324, -1.7976931348623157e308]
+)
+_pool_flag = st.sampled_from([0.0, -0.0, 1.0, math.nan])
+_pool_row = st.tuples(*(_pool_value,) * 5, _pool_flag, _pool_flag, _pool_value, _pool_value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pool_row, max_size=40), st.integers(1, 8))
+def test_scan_csv_blocks_match_per_cell_formatter(rows, block):
+    # blocks of 1 to 8 rows: the tables span up to 40 blocks, and each
+    # block formats its own distinct patterns
+    table = np.array(rows, dtype=float).reshape(-1, 9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(master, "CSV_BLOCK", block)
+        assert RegionScanResult(table=table, metadata={}).to_csv() == _reference_csv(table)
+
+
+def test_mirrored_scan_csv_matches_per_cell_formatter(model, kernel):
+    # a real scan: mirrored cells, axis nodes and unphysical cells repeat
+    # bit patterns within the blocks
+    res = region_scan(model, kernel, 0.5, grid_n=31, z=0.0123)
+    assert np.isnan(res.table[:, COL_P0]).any()
+    assert res.to_csv() == _reference_csv(res.table)
+
+
 def test_region_scan_jobs_identical(model, kernel):
     one = region_scan(model, kernel, 0.5, grid_n=11, jobs=1).to_csv()
     two = region_scan(model, kernel, 0.5, grid_n=11, jobs=2).to_csv()
