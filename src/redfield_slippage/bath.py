@@ -142,7 +142,8 @@ class DiscreteModes:
 
 
 def spectral_density(spec: LorentzDrudeBath, w):
-    w = np.asarray(w, dtype=float)
+    """J(w), at real w and on the shifted contour at complex w."""
+    w = np.asarray(w)
     return w * spec.omega_c**2 / (w * w + spec.omega_c**2)
 
 
@@ -713,7 +714,7 @@ def _shifted_integrand(spec, x, c):
     """f(w) = J(w)(1 + nbar(w)) on w = x - i c, nbar(w) = 1 / (e^{beta w} - 1),
     in a form that neither overflows nor cancels on either side of 0."""
     z = x - 1j * c
-    j = z * spec.omega_c**2 / (z * z + spec.omega_c**2)
+    j = spectral_density(spec, z)
     occ = np.empty_like(z)
     pos = x >= 0.0
     occ[pos] = -1.0 / np.expm1(-spec.beta * z[pos])

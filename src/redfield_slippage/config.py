@@ -97,7 +97,9 @@ class RunConfig:
 
     @classmethod
     def load(cls, path=None, overrides=()):
-        values = {}
+        # (prefix of its errors, format of the message without "=", text)
+        # per item: the file's non-blank lines, then the --set items
+        items = []
         if path is not None:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
@@ -106,22 +108,17 @@ class RunConfig:
                 raise ConfigError(f"cannot read config file {path}: {exc}") from exc
             for lineno, raw in enumerate(text.splitlines(), start=1):
                 line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, _, val = line.partition("=")
-                key = key.strip()
-                if key not in DEFAULTS:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
-                values[key] = _coerce(key, val)
-        for item in overrides:
+                if line:
+                    items.append((f"{path}:{lineno}: ", "expected key = value", line))
+        items += [("", "--set expects key=value, got {!r}", item) for item in overrides]
+        values = {}
+        for prefix, message, item in items:
             if "=" not in item:
-                raise ConfigError(f"--set expects key=value, got {item!r}")
+                raise ConfigError(prefix + message.format(item))
             key, _, val = item.partition("=")
             key = key.strip()
             if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key: {key}")
+                raise ConfigError(f"{prefix}unknown config key: {key}")
             values[key] = _coerce(key, val)
         return cls(values)
 

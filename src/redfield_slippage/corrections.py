@@ -27,7 +27,7 @@ import numpy as np
 
 from .bath import PAIR_SP, PAIR_SQ, KernelNotIntegrableError, SlippageIntegrals
 from .master import build_redfield_generator, trajectory_from_states
-from .operators import SM, SP, unvec, vec
+from .operators import SM, SP
 
 NATURAL_SIGN = -1
 
@@ -152,5 +152,4 @@ def perturbative_solution(model, kernel, lam, rho_s, correlation, times):
     gen = build_redfield_generator(model, kernel, lam)
     d1 = delta_rho1(model, kernel, lam, rho_s, times)
     starts = rho_s + d1 + delta_rho2(correlation, d1)
-    cols = gen.liouvillian.expm_action_many(times, vec(starts))
-    return trajectory_from_states(times, unvec(cols.T))
+    return trajectory_from_states(times, gen.evolve(times, starts))

@@ -247,6 +247,13 @@ class RedfieldGenerator:
         """Theta_t = (1/2)(S^+ F_-(t) + S^- F_+(t)); theta_tail(0) == theta."""
         return _theta(*self.f_sigma(np.array([float(t)]))[0])
 
+    def evolve(self, times, starts) -> np.ndarray:
+        """States exp(t G) rho (n, 2, 2) at the n times, from one start
+        rho (2, 2) shared by every time or from starts[k] (n, 2, 2) at
+        times[k]. Each state has the bits of a call for its time alone
+        (Superoperator.expm_action_many)."""
+        return unvec(self.liouvillian.expm_action_many(times, vec(starts)).T)
+
 
 def build_redfield_generator(model: SystemModel, kernel, lam: float) -> RedfieldGenerator:
     return RedfieldGenerator(model, kernel, lam)
@@ -286,8 +293,7 @@ def propagate_markovian(generator: RedfieldGenerator, rho0, times) -> Trajectory
     times = np.asarray(times, dtype=float)
     if np.any(times < 0.0):
         raise ValueError("times must be non-negative")
-    cols = generator.liouvillian.expm_action_many(times, vec(rho0))
-    return trajectory_from_states(times, unvec(cols.T))
+    return trajectory_from_states(times, generator.evolve(times, rho0))
 
 
 def _tcl2_drive(generator, rho0, tau):
@@ -351,7 +357,7 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Traj
     t_end = float(times[-1])
     err = 0.0
     if generator.lam == 0.0 or scale == 0.0 or t_end == 0.0:
-        ys = np.broadcast_to(y0, (times.size, 4))
+        ys = y0
     else:
         # base width: no wider than the system period, the slowest kernel
         # decay and the fastest discrete-mode oscillation (over 2 pi)
@@ -395,8 +401,7 @@ def propagate_tcl2(generator: RedfieldGenerator, rho0, times, kappa=0.0) -> Traj
         ys = integrate(_halve_panels(base))
         err = float(np.max(np.linalg.norm(ys - coarse, axis=1)))
 
-    cols = generator.liouvillian.expm_action_many(times, ys)
-    return trajectory_from_states(times, unvec(cols.T), err_est=err)
+    return trajectory_from_states(times, generator.evolve(times, unvec(ys)), err_est=err)
 
 
 def stationary_state(generator: RedfieldGenerator) -> np.ndarray:

@@ -150,24 +150,23 @@ class Superoperator:
     def expm_action(self, t, v_in):
         """Apply exp(t * self) to a vectorized state: the one-start,
         one-time column of expm_action_many."""
-        return self.expm_action_many(np.array([t]), np.asarray(v_in)[None])[:, 0]
+        return self.expm_action_many([t], v_in)[:, 0]
 
     def expm_action_many(self, times, v_in):
-        """Column k of the result is exp(times[k] * self) applied to v_in,
-        or to v_in[k] for one start per time (n, d^2). Those take stacked
-        mat-vecs, so that each column has the bits of a call for its time
-        alone; one matrix product would not."""
+        """Column k of the result is exp(times[k] * self) applied to v_in[k],
+        one start per time (n, d^2), or to v_in, one start (d^2,) shared by
+        every time. A shared start is broadcast to every time, and every
+        time takes its own stacked mat-vecs, so that each column has the
+        bits of a call for its time alone."""
         times = np.asarray(times, dtype=float)
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
+        v_in = np.broadcast_to(v_in, times.shape + np.shape(v_in)[-1:])
         w, v, vinv, ok = self.eigensystem()
         if not ok:
             from scipy.linalg import expm
 
-            starts = np.broadcast_to(v_in, times.shape + v_in.shape[-1:])
-            return np.stack([expm(self.matrix * t) @ y for t, y in zip(times, starts)], axis=1)
-        if v_in.ndim == 1:
-            return v @ (np.exp(np.outer(w, times)) * (vinv @ v_in)[:, None])
+            return np.stack([expm(self.matrix * t) @ y for t, y in zip(times, v_in)], axis=1)
         y0 = np.matmul(vinv, v_in[:, :, None])[:, :, 0]
         return np.matmul(v, (np.exp(np.outer(times, w)) * y0)[:, :, None])[:, :, 0].T
 

@@ -27,7 +27,7 @@ from .bath import (
 )
 from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1
 from .master import SystemModel, build_redfield_generator, propagate_markovian, trajectory_from_states
-from .operators import SM, SP, SX, trace_distance, unvec, vec
+from .operators import SM, SP, SX, trace_distance
 
 DIM_CAP = 4096
 TRUNCATION_TOL = 1e-8
@@ -505,7 +505,7 @@ def validate_scaling(
         rho_t0 = thermal_total_state(model, bath, rho_s, Product(), float(lam))
         exact = evolve_exact(h, rho_t0, [t_star]).states[0]
         d1 = delta_rho1(model, kern, float(lam), rho_s, t_star)
-        pred = unvec(gen.liouvillian.expm_action_many([t_star], vec(rho_s + d1)[None])[:, 0])
+        pred = gen.evolve([t_star], rho_s + d1)[0]
         errors.append(trace_distance(exact, pred))
     lam_arr = np.asarray(lambdas, dtype=float)
     err_arr = np.asarray(errors, dtype=float)

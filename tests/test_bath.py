@@ -267,6 +267,10 @@ def test_quadrature_refuses_a_subnormal_cutoff(child_env):
     )
     assert out.returncode == 0, out.stderr
     assert "too small to shift the contour" in out.stdout
+    # the child has shown that the refusal comes at once: here it runs in
+    # this process too
+    with pytest.raises(ValueError, match="too small to shift the contour"):
+        bath.correlation_quadrature(LorentzDrudeBath(omega_c=5e-324, beta=1.0), [1.0])
 
 
 def golden_rule_rate(spec, w):
@@ -544,6 +548,8 @@ def test_discretize_spectral_density(ld_spec):
     assert recurrence_estimate(modes) == pytest.approx(2.0 * math.pi / 0.6)
     with pytest.raises(ValueError):
         discretize_spectral_density(ld_spec, n_modes=0, omega_max=1.8)
+    with pytest.raises(ValueError, match="omega_max must be positive"):
+        discretize_spectral_density(ld_spec, n_modes=3, omega_max=0.0)
 
 
 def test_discrete_recurrence_is_real(ld_spec):

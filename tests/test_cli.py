@@ -84,6 +84,9 @@ def test_config_rejects_malformed_input(tmp_path):
         RunConfig.load(None, ["nope=3"])
     with pytest.raises(ConfigError, match="expects key=value"):
         RunConfig.load(None, ["lambda0.5"])
+    # RunConfig is built directly too, and checks its keys itself
+    with pytest.raises(ConfigError, match="unknown config key: no_such_key"):
+        RunConfig({"no_such_key": 1})
 
 
 def test_config_validation_bounds():
@@ -442,6 +445,10 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         # a non-finite component, refused as such rather than by its norm
         ["propagate", "--initial=nan,0,0"],
         ["diagnose", "--initial=0,inf,0"],
+        # the contour quadrature is of the continuum bath only
+        ["bath-correlation", "--set", "bath.type=discrete", "--set", "bath.modes=0.5:0.1"],
+        # a bath type that the program does not know
+        ["propagate", "--set", "bath.type=ohmic"],
     ],
     ids=[
         "region_scan_lambda_zero",
@@ -490,6 +497,8 @@ def test_cli_unknown_key_exit2(tmp_path, capsys):
         "oracle_scaling_lambda_overflow",
         "initial_nan",
         "initial_inf",
+        "bath_correlation_discrete_bath",
+        "unknown_bath_type",
     ],
 )
 def test_cli_config_error_exit2(tmp_path, capsys, argv):
@@ -801,6 +810,51 @@ def test_cli_initial_and_kappa_exit_codes_at_extreme_values(command, bloch, kapp
     if command == TCL2_SHORT:
         argv.append(f"--kappa={kappa!r}")
     _assert_exit_contract(argv, {})
+
+
+# small runs of each command, and the float keys each reads; oracle.lambdas
+# is a list of floats, of which the drawn value is the second
+SMALL_RUNS = {
+    "diagnose": ["diagnose"],
+    "markov": ["propagate", "--mode", "markov"],
+    "tcl2": TCL2_SHORT,
+    "region_scan": ["region-scan", "--set", "scan.grid_n=5"],
+    "bath_correlation": ["bath-correlation", "--set", "quadrature.n_points=3"],
+    "oracle": ["oracle", "--set", "oracle.n_modes=1", "--set", "oracle.omega_max=0.6",
+               "--set", "oracle.n_times=2", "--set", "oracle.lambdas=0.08,0.16"],
+}
+FLOAT_KEY_RUNS = {
+    "model.epsilon": ("diagnose", "oracle"),
+    "bath.omega_cutoff": ("bath_correlation", "oracle"),
+    "bath.beta": ("markov", "region_scan"),
+    "lambda": ("region_scan", "tcl2"),
+    "scan.z": ("region_scan",),
+    "propagation.t_end": ("markov", "tcl2"),
+    "quadrature.t_min": ("bath_correlation",),
+    "quadrature.t_max": ("bath_correlation",),
+    "oracle.beta": ("oracle",),
+    "oracle.omega_max": ("oracle",),
+    "oracle.t_star": ("oracle",),
+    "oracle.cancellation_lambda": ("oracle",),
+    "oracle.lambdas": ("oracle",),
+}
+
+
+def test_every_float_key_is_fuzzed():
+    floats = {key for key, default in DEFAULTS.items() if isinstance(default, float)}
+    assert set(FLOAT_KEY_RUNS) == floats | {"oracle.lambdas"}
+
+
+@pytest.mark.parametrize(
+    "key, run",
+    [(key, run) for key, runs in FLOAT_KEY_RUNS.items() for run in runs],
+    ids=[f"{key}-{run}" for key, runs in FLOAT_KEY_RUNS.items() for run in runs],
+)
+@settings(max_examples=25, deadline=None)
+@given(value=EXTREME_FLOATS | LOG_UNIFORM | st.floats(0.0, 1.0))
+def test_cli_exit_codes_at_extreme_float_keys(key, run, value):
+    text = f"0.08,{value!r}" if key == "oracle.lambdas" else repr(value)
+    _assert_exit_contract(SMALL_RUNS[run] + ["--set", f"{key}={text}"], {})
 
 
 def test_dump_json_refuses_non_finite_values(tmp_path, capsys):

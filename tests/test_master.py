@@ -67,6 +67,11 @@ def test_zero_coupling_generator(model, kernel):
     assert b.z == pytest.approx(0.0, abs=1e-12)
 
 
+def test_negative_coupling_is_refused(model, kernel):
+    with pytest.raises(ValueError, match="lam must be non-negative"):
+        build_redfield_generator(model, kernel, lam=-0.1)
+
+
 def test_dissipator_is_traceless(generator, rng):
     for _ in range(5):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -357,6 +362,30 @@ def test_tcl2_one_refinement_meets_the_tolerance(data):
     assert traj.err_est < master.TCL2_TOL
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_state_has_the_bits_of_its_time_alone(data):
+    # exp(tG) has one arithmetic: the state at times[k], from one start
+    # shared by every time, does not change its last bits with the other
+    # times asked for
+    eps = data.draw(st.floats(0.03, 30.0))
+    kernel = _tcl2_kernel(data.draw, eps)
+    gen = build_redfield_generator(SystemModel(eps), kernel, data.draw(st.floats(0.0, 1.0)))
+    v = data.draw(st.tuples(st.floats(-0.57, 0.57), st.floats(-0.57, 0.57), st.floats(-0.57, 0.57)))
+    rho0 = bloch_to_density(v)
+    times = np.array(data.draw(st.lists(st.floats(0.0, 20.0), min_size=2, max_size=12)))
+    sop = gen.liouvillian
+    # a strongly coupled discrete bath can make exp(tG) grow
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = propagate_markovian(gen, rho0, times).states
+        cols = sop.expm_action_many(times, vec(rho0))
+        for k in range(times.size):
+            alone = propagate_markovian(gen, rho0, times[k : k + 1]).states[0]
+            assert np.array_equal(states[k], alone, equal_nan=True)
+            col = sop.expm_action_many(times[k : k + 1], vec(rho0))[:, 0]
+            assert np.array_equal(cols[:, k], col, equal_nan=True)
+
+
 def test_tcl2_does_not_use_the_closed_form_route(model, kernel, monkeypatch):
     # criterion 9 compares the two routes, so the quadrature must not reach
     # the slippage integrals I, the variational D, the corrections built
@@ -399,6 +428,8 @@ def test_tcl2_err_est_and_input_guards(generator, monkeypatch):
     for bad in ([0.0, np.nan], [0.0, np.inf]):
         with pytest.raises(ValueError, match="times must be finite"):
             propagate_markovian(generator, rho0, np.array(bad))
+    with pytest.raises(ValueError, match="times must be non-negative"):
+        propagate_markovian(generator, rho0, np.array([0.0, -1.0]))
     with pytest.raises(ValueError):
         propagate_tcl2(generator, rho0, times, kappa=np.nan)
 

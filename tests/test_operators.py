@@ -169,9 +169,18 @@ def test_expm_action_many_per_time_starts_are_bitwise_single(rng, defective):
     assert cols.shape == (4, 37)
     single = np.stack([sop.expm_action(t, y) for t, y in zip(times, starts)], axis=1)
     assert np.array_equal(cols, single)
-    # one start for every time broadcasts
+    # one start for every time is broadcast: the same bits as one per time
     one = sop.expm_action_many(times, starts[0])
-    assert np.allclose(one, sop.expm_action_many(times, np.tile(starts[0], (37, 1))), atol=1e-13)
+    assert np.array_equal(one, sop.expm_action_many(times, np.tile(starts[0], (37, 1))))
+
+
+def test_non_square_inputs_are_refused():
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        check_density(np.eye(2, 3))
+    with pytest.raises(ValueError, match="not a perfect square"):
+        unvec(np.ones(5))
+    with pytest.raises(ValueError, match="superoperator matrix must be square"):
+        Superoperator(np.ones((4, 3)))
 
 
 def test_vec_of_a_stack_is_the_stack_of_vecs(rng):
