@@ -145,12 +145,18 @@ def default_oracle_bath(
 def build_total_hamiltonian(model: SystemModel, bath: TruncatedBath, lam: float) -> np.ndarray:
     """H = H_S x 1 + 1 x H_R + lam X x Y as a real symmetric matrix:
     H_S = eps S^z, X = S^x and Y have real entries in the number basis,
-    so each eigensolve of the oracle is a real one."""
+    so each eigensolve of the oracle is a real one. Built as the
+    (2, nb, 2, nb) array of its system blocks, H[a, :, b, :] = lam X_ab Y
+    plus (H_S)_ab + delta_ab E_n at each bath-diagonal entry (n, n): the
+    entries and sums of the Kronecker form, without a Kronecker product of
+    the full dimension."""
     nb = bath.dim_bath
-    h = np.kron(model.hamiltonian.real, np.eye(nb))
-    h += np.kron(np.eye(2), np.diag(bath.bath_energies))
-    h += lam * np.kron(model.coupling.real, bath.coupling_operator.real)
-    return h
+    x, y = model.coupling.real, bath.coupling_operator.real
+    h = lam * (x[:, None, :, None] * y[None, :, None, :])
+    # h[:, n, :, n] is the (nb, 2, 2) stack of the diagonal's system blocks
+    n = np.arange(nb)
+    h[:, n, :, n] += model.hamiltonian.real + bath.bath_energies[:, None, None] * np.eye(2)
+    return h.reshape(2 * nb, 2 * nb)
 
 
 def _natural_q(model, bath, rho_s, lam, kappa) -> np.ndarray:
@@ -162,7 +168,8 @@ def _natural_q(model, bath, rho_s, lam, kappa) -> np.ndarray:
     (a = 0) have no such value and are rejected. A sector operator
     S x B acts on p0 = rho_S x rho_R factor by factor,
     (S x B) p0 = (S rho_S) x (B rho_R), so the bath factors are summed
-    per system operator and each commutator costs two Kronecker products.
+    per system operator and each commutator adds (S rho_S)_ab B rho_R -
+    (rho_S S)_ab rho_R B to the system block (a, b) of the state.
     """
     eps = model.epsilon
     rho_s = np.asarray(rho_s, dtype=complex)
@@ -190,10 +197,13 @@ def _natural_q(model, bath, rho_s, lam, kappa) -> np.ndarray:
             bath_sum[s_idx] += (nu / 2.0) * (1j / freq) * b_op
     # rho_R = diag(p) in the number basis: B rho_R scales columns, rho_R B rows
     p = bath.thermal_probs
-    w_mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    w_mat = np.zeros((2, nb, 2, nb), dtype=complex)
     for s_op, b_sum in zip((SP, SM), bath_sum):
-        w_mat += np.kron(s_op @ rho_s, b_sum * p) - np.kron(rho_s @ s_op, p[:, None] * b_sum)
-    return 1j * lam * kappa * w_mat
+        left, right = s_op @ rho_s, rho_s @ s_op
+        b_rho, rho_b = b_sum * p, p[:, None] * b_sum
+        for a, b in np.ndindex(2, 2):
+            w_mat[a, :, b, :] += left[a, b] * b_rho - right[a, b] * rho_b
+    return 1j * lam * kappa * w_mat.reshape(2 * nb, 2 * nb)
 
 
 def hamiltonian_blocks(h) -> list:
@@ -274,22 +284,27 @@ def evolve_exact(h_total, rho_total0, times):
 
         rho_ab(t) = sum_l [(P H_ab) * conj(P)]_{t l},  P_{t k} = e^{-i w_k t}.
 
-    The rows of G_ab in block k's columns are nonzero only in the columns
-    of the blocks that hold the partner states (b, n) of block k's states
-    (a, n), n the bath index, so each block contributes one product over
-    those columns alone. Every step loops once over the blocks, never
-    over pairs of them. Against one dense diagonalization, two sectors
-    cut the eigensolve about fourfold and the products for r0 and G_ab
-    two- and fourfold.
+    G_ab pairs the states (a, n) of a block K only with their partners
+    (b, n), n the bath index, so it is nonzero on the pairs (K, L) of
+    blocks that hold such partners, and only those pairs of r0 are
+    formed: r0_KL = V_K^dag Re(rho_KL) V_L + 1j V_K^dag Im(rho_KL) V_L,
+    for every start at once, then contracted with G_ab restricted to the
+    partner rows in L. For a real H these are two real matrix products
+    per side, half the work of the complex one that V^dag rho V would
+    take; for a complex H the same expression is exact. Against one dense
+    diagonalization, two sectors cut the eigensolve about fourfold and the
+    products for r0 and G_ab two- and fourfold.
 
     `rho_total0` is one state (dim, dim), giving a Trajectory, or a stack
     (n, dim, dim) of starts that share the diagonalization, giving a list
-    of n Trajectories. Times run in blocks of TIME_BLOCK, so memory is
-    O(n dim^2 + TIME_BLOCK dim) for any number of times. Every reduced
-    state is checked against its start, to 1e-10: its trace, which
-    sum_a G_aa = 1 keeps exact, so that a wrong block pairing or
-    partner mask shows, and its Hermiticity. A time that is not finite
-    fails the check.
+    of n Trajectories; each start is contracted alone, so one start gives
+    the bits it has in a stack. Times run in blocks of TIME_BLOCK. Beyond
+    the starts and V, memory is O(n d_K d_L + TIME_BLOCK dim) for the
+    largest pair (K, L) of blocks, n dim^2 / 4 for the two sectors, for
+    any number of times. Every reduced state is checked against its
+    start, to 1e-10: its trace, which sum_a G_aa = 1 keeps exact, so that
+    a wrong block pairing or partner row shows, and its Hermiticity. A
+    time that is not finite fails the check.
     """
     h_total = np.asarray(h_total)
     rho = np.asarray(rho_total0, dtype=complex)
@@ -298,33 +313,31 @@ def evolve_exact(h_total, rho_total0, times):
     nb = dim // 2
     w, v, pairs = _eigh_blocks(h_total)
     starts = rho.reshape(-1, dim, dim)
-    # V is zero outside the blocks: rho V one run of columns at a time,
-    # then V^dag (rho V) one run of rows at a time
-    rho_v = np.empty_like(starts)
-    for rows, cols in pairs:
-        rho_v[:, :, cols] = starts[:, :, rows] @ v[rows, cols]
-    r0 = np.empty_like(starts)
-    for rows, cols in pairs:
-        r0[:, cols] = v[rows, cols].conj().T @ rho_v[:, rows]
-    del rho_v
-    # block label of every eigenvector column and of every basis state
-    col_label = np.repeat(np.arange(len(pairs)), [rows.size for rows, _ in pairs])
     label = np.empty(dim, dtype=int)
-    label[np.concatenate([rows for rows, _ in pairs])] = col_label
+    for k, (rows, _) in enumerate(pairs):
+        label[rows] = k
     red = np.zeros((starts.shape[0], times.size, 2, 2), dtype=complex)
-    for rows, cols in pairs:
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            own = rows[rows // nb == a]
-            partner = own + (b - a) * nb
-            need = np.isin(col_label, label[partner])
-            g_ab = v[own, cols].T @ v[partner][:, need].conj()
-            # start by start, so that one start alone gives the same bits
-            for i, r0_i in enumerate(r0):
-                h_ab = g_ab * r0_i[cols][:, need]
-                for blk in _time_blocks(times.size):
-                    ph_k = np.exp(-1j * np.outer(times[blk], w[cols]))
-                    ph_l = np.exp(-1j * np.outer(times[blk], w[need]))
-                    red[i, blk, a, b] += np.sum((ph_k @ h_ab) * ph_l.conj(), axis=1)
+    for rows_k, cols_k in pairs:
+        sys_k, bath_k = np.divmod(rows_k, nb)
+        # every block L that holds a partner (b, n) of a state (a, n) of K
+        for l in np.unique(label[np.concatenate((bath_k, bath_k + nb))]):
+            rows_l, cols_l = pairs[l]
+            rho_kl = starts[:, rows_k[:, None], rows_l]
+            parts = v[rows_k, cols_k].conj().T @ np.stack((rho_kl.real, rho_kl.imag)) @ v[rows_l, cols_l]
+            r0_kl = parts[0] + 1j * parts[1]
+            del rho_kl, parts
+            g = {}
+            for a, b in np.ndindex(2, 2):
+                own = (sys_k == a) & (label[bath_k + b * nb] == l)
+                if own.any():
+                    g[a, b] = v[rows_k[own], cols_k].T @ v[bath_k[own] + b * nb, cols_l].conj()
+            for blk in _time_blocks(times.size):
+                ph_k = np.exp(-1j * np.outer(times[blk], w[cols_k]))
+                ph_l = np.exp(-1j * np.outer(times[blk], w[cols_l])).conj()
+                for (a, b), g_ab in g.items():
+                    # start by start, so that one start alone gives the same bits
+                    for i, r0_i in enumerate(r0_kl):
+                        red[i, blk, a, b] += np.sum((ph_k @ (g_ab * r0_i)) * ph_l, axis=1)
     trace_err = np.abs(np.trace(red, axis1=2, axis2=3) - np.trace(starts, axis1=1, axis2=2)[:, None])
     herm_err = np.max(np.abs(red - np.conj(np.swapaxes(red, 2, 3))), axis=(2, 3))
     if not np.all((trace_err <= 1e-10) & (herm_err <= 1e-10)):

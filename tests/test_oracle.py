@@ -397,6 +397,21 @@ def test_evolve_exact_refuses_a_broken_reduction(model, monkeypatch):
         evolve_exact(h, rho0, [0.5, 1.0])
 
 
+def test_evolve_exact_refuses_a_non_hermitian_start(model):
+    # one off-diagonal entry without its conjugate keeps the start's trace
+    # but breaks its Hermiticity, which its reduced states then lose too
+    bath = _small_bath((0.7, 1.9), (0.4, 0.3), 2)
+    nb = bath.dim_bath
+    h = build_total_hamiltonian(model, bath, 0.3)
+    rho0 = thermal_total_state(model, bath, bloch_to_density((0.5, 0.2, 0.1)), Product(), 0.3)
+    bad = rho0.copy()
+    bad[0, nb] += 1e-6
+    assert np.trace(bad) == np.trace(rho0)
+    evolve_exact(h, rho0, [0.5, 1.0])
+    with pytest.raises(OracleConsistencyError, match="Hermiticity"):
+        evolve_exact(h, bad, [0.5, 1.0])
+
+
 def _natural_q_dense(model, bath, rho_s, lam, kappa):
     eps = model.epsilon
     p0 = np.kron(rho_s, bath.rho_r)
@@ -431,6 +446,61 @@ def test_natural_q_matches_dense_kron(bath, eps, seed, lam, kappa):
     got = _natural_q(model, bath, rho_s, lam, kappa)
     ref = _natural_q_dense(model, bath, rho_s, lam, kappa)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def _natural_q_kron_sum(model, bath, rho_s, lam, kappa):
+    """The sector sums of `_natural_q`, accumulated through one Kronecker
+    product per system operator and side."""
+    eps = model.epsilon
+    nb = bath.dim_bath
+    bath_sum = np.zeros((2, nb, nb), dtype=complex)
+    for r in range(bath.n_modes):
+        om, nu = bath.frequencies[r], bath.couplings[r]
+        bop = bath.lowering[r]
+        bdag = bop.conj().T
+        for s_idx, b_op, freq in (
+            (0, bdag, -(eps + om)),
+            (0, bop, om - eps),
+            (1, bdag, eps - om),
+            (1, bop, eps + om),
+        ):
+            bath_sum[s_idx] += (nu / 2.0) * (1j / freq) * b_op
+    p = bath.thermal_probs
+    w_mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    for s_op, b_sum in zip((SP, SM), bath_sum):
+        w_mat += np.kron(s_op @ rho_s, b_sum * p) - np.kron(rho_s @ s_op, p[:, None] * b_sum)
+    return 1j * lam * kappa * w_mat
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    bath=small_baths,
+    eps=st.floats(0.2, 3.0),
+    seed=SEEDS,
+    lam=st.floats(0.01, 0.5),
+    kappa=st.floats(0.0, 1.0),
+)
+def test_natural_q_blocks_equal_kron_sum(bath, eps, seed, lam, kappa):
+    # the system blocks hold the entries and sums of the Kronecker form
+    assume(np.min(np.abs(bath.frequencies - eps)) > 0.05)
+    model = SystemModel(epsilon=eps)
+    rho_s = _random_density(np.random.default_rng(seed), 2)
+    got = _natural_q(model, bath, rho_s, lam, kappa)
+    assert np.array_equal(got, _natural_q_kron_sum(model, bath, rho_s, lam, kappa))
+
+
+@settings(max_examples=30, deadline=None)
+@given(bath=small_baths, eps=st.floats(0.2, 3.0), lam=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_total_hamiltonian_blocks_equal_kron(bath, eps, lam):
+    # at lam = 0 every basis state is its own block of H
+    model = SystemModel(epsilon=eps)
+    nb = bath.dim_bath
+    ref = (
+        np.kron(model.hamiltonian.real, np.eye(nb))
+        + np.kron(np.eye(2), np.diag(bath.bath_energies))
+        + lam * np.kron(model.coupling.real, bath.coupling_operator.real)
+    )
+    assert np.array_equal(build_total_hamiltonian(model, bath, lam), ref)
 
 
 def _delta_rho2_all_entries(model, bath, q_corr, lam, times):
