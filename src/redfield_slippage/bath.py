@@ -18,12 +18,13 @@ with purely imaginary decay rates. C(t) itself and every downstream
 time integral, each closed form, are sums sum_k a_k exp(-g_k t) over
 rows of amplitudes a, which TermSums alone evaluates over arrays of
 times, each time by a product of its own, so that no value of a time
-depends on the other times of its call: C (ExponentialSum.evaluate),
-the finite-memory rates F_sigma (TailKernel) and the slippage
-integrals I (SlippageIntegrals), from which the regions module also
-assembles its variational D. Half-range integrals divide by
-g_k - i omega, and ExponentialSum.denominators is the one place that
-refuses a resonant term.
+depends on the other times of its call: C (ExponentialSum.evaluate)
+and, in KernelIntegrals, every integral at the system frequencies
++-eps that the other modules use: the finite-memory rates F_sigma, the
+slippage integrals I and the variational D with their slopes. No
+other module reads TermSums, sign_phases or denominators. Half-range
+integrals divide by g_k - i omega, and ExponentialSum.denominators is
+the one place that refuses a resonant term.
 
 correlation_quadrature is the independent check of the pole series: it
 integrates the frequency representation of C(t) on a contour shifted
@@ -288,26 +289,6 @@ class TermSums:
         return out.reshape(t.shape + (self._rows,))
 
 
-class TailKernel:
-    """F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du in closed form,
-    for sigma = +1 and -1 on a trailing axis of length 2.
-
-    Each term integrates to c exp((i sigma eps - g) tau) / (g - i sigma eps),
-    a TermSums row times the phase exp(i sigma eps tau); both signs share
-    the same exponentials exp(-g tau). Purely oscillatory terms (discrete
-    modes) get the Abel-regularized value, which is what the perturbative
-    formulas require off resonance.
-    """
-
-    def __init__(self, kernel, eps):
-        self._freq = float(eps) * np.array([1.0, -1.0])
-        self._sums = TermSums(kernel, kernel.c / kernel.denominators(self._freq))
-
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        return self._sums(tau) * np.exp(1j * np.multiply.outer(tau, self._freq))
-
-
 def sign_phases(phase, signs):
     """exp(i s eps t) on a trailing axis over signs s = +-1, from the
     one complex exponential per time phase = exp(i eps t)."""
@@ -315,36 +296,71 @@ def sign_phases(phase, signs):
     return np.where(np.asarray(signs) > 0, z, np.conj(z))
 
 
-class SlippageIntegrals:
-    """The integrals I_{s' s''}(t) of the slippage correction,
+class KernelIntegrals:
+    """The time integrals of the kernel at the system frequencies +-eps,
+    over arrays of times, each from TermSums rows; the four pairs
+    (s', s'') of I and D lie on a trailing axis in the order of PAIRS.
 
-        I_{s' s''}(t) = sum_k c_k / (g_k + i s'' eps) phi(i s' eps - g_k, t),
+    F_sigma(tau) = int_tau^inf exp(i sigma eps u) C(u) du, sigma = +-1, is
+    the row c_k / (g_k - i sigma eps) times exp(i sigma eps tau); purely
+    oscillatory terms (discrete modes) get the Abel-regularized value,
+    which the perturbative formulas require off resonance. The slippage
+    integrals, with phi(a, t) = (e^{a t} - 1) / a, are
 
-    phi(a, t) = (e^{a t} - 1) / a, for the four PAIRS on a trailing axis
-    over times t. Each is one TermSums row,
-
-        I(t) = e^{i s' eps t} S(t) - S(0),   S(t) = sum_k w_k e^{-g_k t},
+        I_{s' s''}(t) = sum_k c_k / (g_k + i s'' eps) phi(i s' eps - g_k, t)
+                      = e^{i s' eps t} S(t) - S(0),   S(t) = sum_k w_k e^{-g_k t},
         w_k = c_k / ((g_k + i s'' eps)(i s' eps - g_k)).
 
-    I(0) is exactly zero. At t = inf the decaying part S(t) is gone,
-    which is the limit for integrable kernels only.
+    The amplitudes c_k / ((g_k - i s'' eps)(g_k + i s' eps)) of D are minus
+    those of the pair (-s', -s''), so with Sb_{s' s''}(t) = -S_{-s',-s''}(t),
+
+        D_{s' s''}(t) = Phi_{s'+s''}(t) K_{s' s''} - e^{i (s'+s'') eps t} 2 Re Sb(0)
+                        + e^{i s'' eps t} Sb(t) + e^{i s' eps t} conj Sb(t),
+
+    K_{s' s''} = Gamma(s'' eps) + conj Gamma(-s' eps), Phi_s(t) = int_0^t
+    e^{i s eps u} du. One TermSums, built on first use as K is, evaluates
+    S(t) and dS/dt, rows w_k and -g_k w_k, from the same exponentials, so
+    the slopes of I and D are closed form too; it sums each row on its
+    own, so I has the bits of the w rows alone.
     """
 
     def __init__(self, kernel, eps):
         self.eps = float(eps)
         self._kernel = kernel
+        self._freq = self.eps * np.array([1.0, -1.0])
         # g - i s eps for s = +1, -1, so that w = -c / (den[-s''] den[s'])
-        den = dict(zip((1, -1), kernel.denominators(self.eps * np.array([1.0, -1.0]))))
+        self._den = kernel.denominators(self._freq)
+        den = dict(zip((1, -1), self._den))
         self.w = -kernel.c / np.array([den[-sq] * den[sp] for sp, sq in PAIRS])
         self.s0 = self.w.sum(axis=-1)
+        # PAIRS reversed holds the pair (-s', -s'') of each pair
+        self._two_re_sb0 = 2.0 * np.real(-self.s0[::-1])
+        s_sum = PAIR_SP + PAIR_SQ
+        self._phi_is_t = s_sum == 0.0
+        self._phi_den = np.where(self._phi_is_t, 1.0, 1j * s_sum * self.eps)
 
     @cached_property
-    def sums(self):
-        """S(t) for the four pairs, built on first use: t = inf needs
-        only S(0)."""
-        return TermSums(self._kernel, self.w)
+    def _f_sums(self):
+        return TermSums(self._kernel, self._kernel.c / self._den)
 
-    def __call__(self, t):
+    @cached_property
+    def _sums(self):
+        return TermSums(self._kernel, np.concatenate((self.w, -self._kernel.g * self.w)))
+
+    @cached_property
+    def _k(self):
+        gamma = {s: self._kernel.half_fourier(s * self.eps) for s in (1, -1)}
+        return np.array([gamma[sq] + np.conj(gamma[-sp]) for sp, sq in PAIRS])
+
+    def f_sigma(self, tau):
+        """(F_+, F_-) on a trailing axis of length 2 after the shape of tau."""
+        tau = np.asarray(tau, dtype=float)
+        return self._f_sums(tau) * np.exp(1j * np.multiply.outer(tau, self._freq))
+
+    def slippage(self, t):
+        """I at times t in [0, inf], of shape t.shape + (4,): exactly 0 at
+        t = 0 and -S(0) at t = inf, where the decaying part S(t) is gone,
+        which is the limit for integrable kernels only."""
         t = np.asarray(t, dtype=float)
         if not np.all(t >= 0.0):
             raise ValueError("t must be in [0, inf]")
@@ -353,12 +369,34 @@ class SlippageIntegrals:
         out[t == 0.0] = 0.0
         live = np.isfinite(t) & (t > 0.0)
         if np.any(live):
-            out[live] = self.from_sums(np.exp(1j * self.eps * t[live]), self.sums(t[live]))
+            t_live = t[live]
+            phase = np.exp(1j * self.eps * t_live)
+            out[live] = sign_phases(phase, PAIR_SP) * self._sums(t_live)[..., :4] - self.s0
         return out
 
-    def from_sums(self, phase, sums):
-        """I at finite times t from phase = exp(i eps t) and S(t) = self.sums(t)."""
-        return sign_phases(phase, PAIR_SP) * sums - self.s0
+    def i_d(self, t):
+        """I, D, dI/dt and dD/dt at finite times t, each of shape t.shape + (4,)."""
+        t = np.asarray(t, dtype=float)
+        both = self._sums(t)
+        sums, slopes = both[..., :4], both[..., 4:]
+        phase = np.exp(1j * self.eps * t)
+        esp = sign_phases(phase, PAIR_SP)
+        esq = sign_phases(phase, PAIR_SQ)
+        i_vals = esp * sums - self.s0
+        e_s = esp * esq
+        phi2 = np.where(self._phi_is_t, t[..., None], (e_s - 1.0) / self._phi_den)
+        sb = -sums[..., ::-1]
+        d_vals = phi2 * self._k - e_s * self._two_re_sb0 + esq * sb + esp * np.conj(sb)
+        # d/dt of each factor: e^{i s eps t} gives i s eps, Phi gives e_s
+        isp, isq = 1j * self.eps * PAIR_SP, 1j * self.eps * PAIR_SQ
+        dsb = -slopes[..., ::-1]
+        di = esp * (isp * sums + slopes)
+        dd = (
+            e_s * (self._k - (isp + isq) * self._two_re_sb0)
+            + esq * (isq * sb + dsb)
+            + esp * (isp * np.conj(sb) + np.conj(dsb))
+        )
+        return i_vals, d_vals, di, dd
 
 
 def _gram_rules(n_pts, n):
@@ -609,7 +647,7 @@ def fit_exponential_mixture(spec: LorentzDrudeBath) -> ExponentialSum:
     (_compress_matsubara); every rate is real. remainder_bound bounds the
     sum of the errors of C(t) on [T_MIN_FACTOR / omega_c, inf), of
     Gamma(omega) at two real frequencies and of S(0) of
-    SlippageIntegrals; the rounding of the amplitudes enters it as it
+    KernelIntegrals; the rounding of the amplitudes enters it as it
     reaches C and Gamma, which covers S(0) where eps >= 1 or every rate
     is at least 1. The imaginary part is carried entirely by the cutoff
     pole, so Im C(t) = -(pi/2) omega_c^2 exp(-omega_c t) is exact.

@@ -9,8 +9,8 @@ absorbs the relaxation transient of the memory kernel,
     I_{s' s''}(t) = sum_j c_j / (g_j + i s'' eps) phi(i s' eps - g_j, t),
 
 with phi(a, t) = (exp(a t) - 1)/a and the sums running over s = +-1
-(S^{+1} = S^+, S^{-1} = S^-); bath.SlippageIntegrals evaluates them
-over arrays of times. delta_rho2 absorbs the first-order
+(S^{+1} = S^+, S^{-1} = S^-); bath.KernelIntegrals.slippage evaluates
+them over arrays of times. delta_rho2 absorbs the first-order
 system-reservoir correlation of the initial total state; for the
 one-parameter correlated family it collapses onto -kappa delta_rho1
 because the correlated part free-streams inside the same memory
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import PAIR_SP, PAIR_SQ, KernelNotIntegrableError, SlippageIntegrals
+from .bath import PAIR_SP, PAIR_SQ, KernelIntegrals, KernelNotIntegrableError
 from .master import build_redfield_generator, trajectory_from_states
 from .operators import SM, SP
 
@@ -72,7 +72,7 @@ def delta_rho1(model, kernel, lam, rho_s, t):
             "the t -> infinity slippage needs an integrable kernel; "
             "discrete mode sets never relax"
         )
-    ivals = SlippageIntegrals(kernel, model.epsilon)(t)
+    ivals = KernelIntegrals(kernel, model.epsilon).slippage(t)
     psi = 0.25 * np.tensordot(ivals, pair_commutators(rho_s), axes=1)
     return (lam * lam) * (psi + np.conj(np.swapaxes(psi, -1, -2)))
 

@@ -9,7 +9,7 @@ The memoryless generator is
 
 with Gamma the half-range Fourier transform of the reservoir kernel.
 The finite-memory variant replaces Gamma by the partial integrals
-F_sigma(t) (Lambda_t, evaluated by bath.TailKernel), and
+F_sigma(t) (Lambda_t, from bath.KernelIntegrals.f_sigma), and
 propagate_tcl2 solves the resulting time-local equation with an
 optional initial-correlation counterterm parameterized by kappa. In the
 interaction picture of G its right-hand side does not depend on the
@@ -38,7 +38,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .bath import KernelNotIntegrableError, TailKernel
+from .bath import KernelIntegrals, KernelNotIntegrableError
 from .operators import (
     SX,
     SZ,
@@ -240,8 +240,8 @@ class RedfieldGenerator:
     @cached_property
     def f_sigma(self):
         """Evaluator of the partial half-range integrals F_+(t) and
-        F_-(t), on a trailing axis of length 2 (bath.TailKernel)."""
-        return TailKernel(self.kernel, self.model.epsilon)
+        F_-(t), on a trailing axis of length 2 (bath.KernelIntegrals)."""
+        return KernelIntegrals(self.kernel, self.model.epsilon).f_sigma
 
     def theta_tail(self, t: float) -> np.ndarray:
         """Theta_t = (1/2)(S^+ F_-(t) + S^- F_+(t)); theta_tail(0) == theta."""
@@ -278,12 +278,16 @@ class Trajectory:
 
 def trajectory_from_states(times, states, err_est=0.0) -> Trajectory:
     """Trajectory of states (n, 2, 2); trace_err is the abs of a Python
-    complex, whose last digit numpy's abs does not always reproduce."""
+    complex, whose last digit numpy's abs does not always reproduce, where
+    it is finite. Elsewhere it is numpy's, inf or NaN, as Python's abs
+    can raise OverflowError there."""
     states = np.asarray(states, dtype=complex).reshape(len(states), 2, 2)
     x, y, z = bloch_xyz(states)
     mins = 0.5 * (1.0 - np.sqrt(x * x + y * y + z * z))
-    trace = (states[:, 0, 0] + states[:, 1, 1]).tolist()
-    terr = np.array([abs(c - 1.0) for c in trace], dtype=float)
+    trace = states[:, 0, 0] + states[:, 1, 1] - 1.0
+    terr = np.abs(trace)
+    fits = np.isfinite(terr)
+    terr[fits] = [abs(c) for c in trace[fits].tolist()]
     return Trajectory(np.asarray(times, dtype=float), states, mins, terr, float(err_est))
 
 

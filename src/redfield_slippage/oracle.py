@@ -25,7 +25,7 @@ from .bath import (
     mode_kernel,
     recurrence_estimate,
 )
-from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1
+from .corrections import NATURAL_SIGN, NaturalFamily, Product, delta_rho1, perturbative_solution
 from .master import SystemModel, build_redfield_generator, propagate_markovian, trajectory_from_states
 from .operators import SM, SP, SX, trace_distance
 
@@ -513,12 +513,10 @@ def validate_scaling(
     for lam in lambdas:
         # first, so that a coupling whose lam^2 Gamma overflows is refused
         # before the exact evolution meets it
-        gen = build_redfield_generator(model, kern, float(lam))
+        pred = perturbative_solution(model, kern, float(lam), rho_s, Product(), [t_star]).states[0]
         h = build_total_hamiltonian(model, bath, float(lam))
         rho_t0 = thermal_total_state(model, bath, rho_s, Product(), float(lam))
         exact = evolve_exact(h, rho_t0, [t_star]).states[0]
-        d1 = delta_rho1(model, kern, float(lam), rho_s, t_star)
-        pred = gen.evolve([t_star], rho_s + d1)[0]
         errors.append(trace_distance(exact, pred))
     lam_arr = np.asarray(lambdas, dtype=float)
     err_arr = np.asarray(errors, dtype=float)

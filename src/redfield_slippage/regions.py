@@ -13,10 +13,10 @@ where p0 is the smallest eigenvalue of rho_S with eigenvector phi0 and
     M_{s' s''} = <phi0| S^{s'} rho_S S^{s''} |phi0>,
     N_{s' s''} = <phi0| [S^{s'}, S^{s''} rho_S] |phi0>.
 
-I and D are closed-form double integrals of the reservoir kernel. Both
-are assembled from the four kernel sums of bath.SlippageIntegrals (the
-I of the slippage correction), evaluated over arrays of times by
-bath.TermSums with the terms negligible at each time left out. Scans
+I and D are closed-form double integrals of the reservoir kernel, I
+the slippage integrals of the corrections module. Both come with their
+slopes from bath.KernelIntegrals.i_d over arrays of times, with the
+kernel terms negligible at each time left out. Scans
 evaluate blocks of SCAN_BLOCK cells as batches: one matrix product for
 the sup on the time grid, then one pass of master.golden_min that
 refines, from the closed-form slopes of B and A, every peak of the grid
@@ -47,7 +47,7 @@ from functools import partial
 
 import numpy as np
 
-from .bath import PAIR_SP, PAIR_SQ, PAIRS, SlippageIntegrals, TermSums, sign_phases
+from .bath import KernelIntegrals
 from .corrections import NATURAL_SIGN, S_LEFT, S_RIGHT
 from .master import (
     GOLDEN_ITERS,
@@ -83,21 +83,8 @@ SCAN_BLOCK = 1024
 
 
 class VariationalTables:
-    """I and D over arrays of times, for fast B and A evaluation.
-
-    Both come from the four kernel sums S_{s' s''}(t) behind
-    bath.SlippageIntegrals. The amplitudes b_k = c_k / ((g_k - i s'' eps)
-    (g_k + i s' eps)) of D are those of the pair (-s', -s'') with the sign
-    flipped, so with Sb_{s' s''}(t) = sum_k b_k e^{-g_k t} = -S_{-s',-s''}(t),
-
-        D_{s' s''}(t) = Phi_{s'+s''}(t) K_{s' s''} - e^{i (s'+s'') eps t} 2 Re Sb(0)
-                        + e^{i s'' eps t} Sb(t) + e^{i s' eps t} conj Sb(t),
-
-    where K_{s' s''} = Gamma(s'' eps) + conj Gamma(-s' eps) and Phi_s(t) is
-    int_0^t e^{i s eps u} du. One bath.TermSums evaluates S(t) and its
-    slope dS/dt, amplitude rows w_k and -g_k w_k, from the same
-    exponentials, so the slopes of I and D, and of B and A, are closed
-    form too.
+    """I and D over arrays of times, for fast B and A evaluation, from
+    bath.KernelIntegrals.i_d, with their slopes in closed form.
 
     The sup search grid of default_time_grid and (I, D) on it are built
     once, grid first: its size check refuses an epsilon whose amplitudes
@@ -106,44 +93,12 @@ class VariationalTables:
 
     def __init__(self, model, kernel):
         self.grid = default_time_grid(model, kernel)
-        self.eps = eps = float(model.epsilon)
-        self.integrals = SlippageIntegrals(kernel, eps)
-        w = self.integrals.w
-        self._sums = TermSums(kernel, np.concatenate((w, -kernel.g * w)))
-        gamma = {s: kernel.half_fourier(s * eps) for s in (1, -1)}
-        self._k = np.array([gamma[sq] + np.conj(gamma[-sp]) for sp, sq in PAIRS])
-        self._two_re_sb0 = 2.0 * np.real(-self.integrals.s0[::-1])
-        s_sum = PAIR_SP + PAIR_SQ
-        self._phi_is_t = s_sum == 0.0
-        self._phi_den = np.where(self._phi_is_t, 1.0, 1j * s_sum * eps)
+        self.integrals = KernelIntegrals(kernel, model.epsilon)
         self.grid_tables = self.tables(self.grid)
 
     def tables(self, times):
         """(I, D), each of shape times.shape + (4,)."""
-        return self._i_d(np.asarray(times, dtype=float))[:2]
-
-    def _i_d(self, times):
-        """I, D, dI/dt and dD/dt at times."""
-        both = self._sums(times)
-        sums, slopes = both[..., :4], both[..., 4:]
-        phase = np.exp(1j * self.eps * times)
-        esp = sign_phases(phase, PAIR_SP)
-        esq = sign_phases(phase, PAIR_SQ)
-        i_vals = self.integrals.from_sums(phase, sums)
-        e_s = esp * esq
-        phi2 = np.where(self._phi_is_t, times[..., None], (e_s - 1.0) / self._phi_den)
-        sb = -sums[..., ::-1]
-        d_vals = phi2 * self._k - e_s * self._two_re_sb0 + esq * sb + esp * np.conj(sb)
-        # d/dt of each factor: e^{i s eps t} gives i s eps, Phi gives e_s
-        isp, isq = 1j * self.eps * PAIR_SP, 1j * self.eps * PAIR_SQ
-        dsb = -slopes[..., ::-1]
-        di = esp * (isp * sums + slopes)
-        dd = (
-            e_s * (self._k - (isp + isq) * self._two_re_sb0)
-            + esq * (isq * sb + dsb)
-            + esp * (isp * np.conj(sb) + np.conj(dsb))
-        )
-        return i_vals, d_vals, di, dd
+        return self.integrals.i_d(times)[:2]
 
     def b_a(self, t, m, n):
         """B, A, dB/dt and dA/dt at times t (...) for states with moments
@@ -155,7 +110,7 @@ class VariationalTables:
         e^-40 * sum |amp| over the dropped terms, and that of the slopes
         likewise with the amplitudes g_k w_k.
         """
-        i_vals, d_vals, di, dd = self._i_d(np.asarray(t, dtype=float))
+        i_vals, d_vals, di, dd = self.integrals.i_d(t)
         b = 0.5 * np.real(np.sum(i_vals * n, axis=-1))
         a = 0.25 * np.real(np.sum(d_vals * m, axis=-1))
         db = 0.5 * np.real(np.sum(di * n, axis=-1))

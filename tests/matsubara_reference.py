@@ -60,7 +60,7 @@ def tail_kernel(omega_c, beta, sigma_eps, tau):
 
 
 def slippage_s0(omega_c, beta, eps, sp, sq):
-    """S(0) = -sum_k c_k / ((g_k + i s'' eps)(g_k - i s' eps)) of bath.SlippageIntegrals."""
+    """S(0) = -sum_k c_k / ((g_k + i s'' eps)(g_k - i s' eps)) of bath.KernelIntegrals."""
     w, c0, poles = _cutoff(omega_c, beta)
     z1, z2 = -1j * sq * mp.mpf(eps), 1j * sp * mp.mpf(eps)
     total = c0 / ((w - z1) * (w - z2))

@@ -320,7 +320,7 @@ def test_half_fourier_vs_time_quadrature(kernel):
 
 def test_tail_kernel(kernel):
     eps = 1.0
-    pair = bath.TailKernel(kernel, eps)
+    pair = bath.KernelIntegrals(kernel, eps).f_sigma
     for k, sigma in enumerate((1, -1)):
         def f(tau):
             return complex(pair(tau)[k])
@@ -354,7 +354,7 @@ def test_tail_kernel_blocks_match_full_sum(kernel, taus):
     # the blocked evaluation that drops the terms with Re g * tau > 40
     # reproduces the full sum over every term, here summed exactly (fsum)
     tau = np.array(taus)
-    got = bath.TailKernel(kernel, 1.0)(tau)
+    got = bath.KernelIntegrals(kernel, 1.0).f_sigma(tau)
     for k, s in enumerate((1, -1)):
         den = kernel.g - 1j * s
         for t, value in zip(tau, got[:, k]):
@@ -378,18 +378,23 @@ _MODES_KERNEL = discrete_kernel(DiscreteModes(((0.3, 0.2), (0.9, 0.1), (1.7, 0.3
     seed=st.integers(0, 2**32 - 1),
 )
 def test_every_kernel_sum_of_a_time_is_independent_of_its_batch(kernel, taus, modes, eps, seed):
-    # C, F_sigma, I and any TermSums row give each time of a batch the
-    # bits of a call for that time alone
+    # C, F_sigma, I, (I, D, dI/dt, dD/dt) and any TermSums row give each
+    # time of a batch the bits of a call for that time alone
     k = _MODES_KERNEL if modes else kernel
     amp = np.random.default_rng(seed).normal(size=(3, k.g.size, 2)) @ np.array([1.0, 1j])
     t = np.array(taus)
-    for f in (bath.TermSums(k, amp), k.evaluate, bath.TailKernel(k, eps), bath.SlippageIntegrals(k, eps)):
+    ints = bath.KernelIntegrals(k, eps)
+
+    def i_d(x):
+        return np.stack(ints.i_d(x), axis=-2)
+
+    for f in (bath.TermSums(k, amp), k.evaluate, ints.f_sigma, ints.slippage, i_d):
         assert np.array_equal(f(t), np.stack([f(x) for x in t]))
 
 
 def test_tail_kernel_sigma_pairs_and_shapes(kernel):
     # (F_+, F_-) on a trailing axis after the shape of tau
-    pair = bath.TailKernel(kernel, 1.0)
+    pair = bath.KernelIntegrals(kernel, 1.0).f_sigma
     tau = np.array([[0.0, 0.3], [2.0, 7.0]])
     out = pair(tau)
     assert out.shape == (2, 2, 2)
@@ -426,17 +431,16 @@ def test_fit_within_certified_error_of_full_series(omega_c, beta):
     for t in np.geomspace(bath.T_MIN_FACTOR / omega_c, 50.0 / omega_c, 5):
         assert abs(complex(kernel.evaluate(t)) - matsubara_reference.correlation(omega_c, beta, t)) <= bound
     eps = 1.0
-    tail = bath.TailKernel(kernel, eps)
+    ints = bath.KernelIntegrals(kernel, eps)
     for tau in (0.0, 0.1 * bath.T_MIN_FACTOR / omega_c, 1.0 / omega_c):
-        got = tail(tau)
+        got = ints.f_sigma(tau)
         for k, sigma in enumerate((1, -1)):
             ref = matsubara_reference.tail_kernel(omega_c, beta, sigma * eps, tau)
             assert abs(got[k] - ref) <= bound
             if tau == 0.0:
                 assert abs(kernel.half_fourier(sigma * eps) - ref) <= bound
-    s0 = bath.SlippageIntegrals(kernel, eps).s0
     for k, (sp, sq) in enumerate(bath.PAIRS):
-        assert abs(s0[k] - matsubara_reference.slippage_s0(omega_c, beta, eps, sp, sq)) <= bound
+        assert abs(ints.s0[k] - matsubara_reference.slippage_s0(omega_c, beta, eps, sp, sq)) <= bound
 
 
 def test_default_fit_is_certified_below_1e_12(kernel):
@@ -530,7 +534,7 @@ def test_resonance_guard_is_relative_to_each_term():
     k = fit_exponential_mixture(LorentzDrudeBath(omega_c=3e-6, beta=1.0))
     eps = 1e-6
     assert np.isfinite(k.half_fourier(eps))
-    assert np.all(np.isfinite(bath.TailKernel(k, eps)([0.0, 1.0])))
+    assert np.all(np.isfinite(bath.KernelIntegrals(k, eps).f_sigma([0.0, 1.0])))
     # a mode within 1e-9 of the splitting, relative to either, is refused
     # even next to a much faster mode
     near = discrete_kernel(DiscreteModes(((1.0 + 5e-10, 0.5), (1e4, 0.1)), beta=2.0))

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from redfield_slippage.bath import (
     PAIRS,
     DiscreteModes,
+    KernelIntegrals,
     KernelNotIntegrableError,
     LorentzDrudeBath,
-    SlippageIntegrals,
     discrete_kernel,
     fit_exponential_mixture,
 )
@@ -27,7 +27,7 @@ from redfield_slippage.corrections import (
     perturbative_solution,
     slipped_initial_condition,
 )
-from redfield_slippage.master import build_redfield_generator, propagate_tcl2
+from redfield_slippage.master import build_redfield_generator, propagate_tcl2, trajectory_from_states
 from redfield_slippage.operators import SM, SP, bloch_to_density, trace_distance
 from redfield_slippage.oracle import phi
 
@@ -86,7 +86,7 @@ def test_i_coefficients_against_quadrature(model):
     e_w = np.exp(-np.multiply.outer(w_nodes, kernel.g))
     c_grid = e_u @ (kernel.c[:, None] * e_w.T)
 
-    ivals = SlippageIntegrals(kernel, eps)(t)
+    ivals = KernelIntegrals(kernel, eps).slippage(t)
     for idx, (sp, sq) in enumerate(PAIRS):
         eu = np.exp(1j * sp * eps * u_nodes) * u_w
         ew = np.exp(-1j * sq * eps * w_nodes) * w_w
@@ -120,7 +120,7 @@ def test_i_layer_matches_phi_series(model, times, which):
     t = np.array(times)
     if not kernel.integrable:
         t = t[np.isfinite(t)]
-    got = SlippageIntegrals(kernel, model.epsilon)(t)
+    got = KernelIntegrals(kernel, model.epsilon).slippage(t)
     assert got.shape == t.shape + (4,)
     for tt, row in zip(t, got):
         assert np.max(np.abs(row - _i_phi_series(kernel, model.epsilon, tt))) < 1e-13
@@ -273,18 +273,33 @@ def test_natural_start_computes_delta_rho1_once(model, kernel, monkeypatch):
     # same times, so a natural start builds the slippage integrals once
     built = []
 
-    class Counted(SlippageIntegrals):
+    class Counted(KernelIntegrals):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(corrections, "SlippageIntegrals", Counted)
+    monkeypatch.setattr(corrections, "KernelIntegrals", Counted)
     rho = bloch_to_density((0.4, -0.3, 0.2))
     family = NaturalFamily(kappa=0.6)
     slipped_initial_condition(model, kernel, 0.5, rho, family)
     assert len(built) == 1
     perturbative_solution(model, kernel, 0.5, rho, family, np.array([0.0, 1.0, 5.0]))
     assert len(built) == 2
+
+
+def test_trace_error_where_python_abs_raises(model, kernel):
+    # Python's abs of a complex raises OverflowError where the modulus of
+    # a finite value exceeds the largest double, and on a NaN value when
+    # an earlier overflow left errno at ERANGE (CPython 3.11): there the
+    # trace error is numpy's abs, inf or NaN, and not a traceback
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = trajectory_from_states([1.0], np.diag([1.5e308, 1.5e308j])[None])
+        # lam^2 Gamma is finite, exp(tG) is not
+        rho = bloch_to_density((0.3, 0.0, 0.0))
+        traj = perturbative_solution(model, kernel, 1e154, rho, Product(), [1.0])
+        ref = np.abs(traj.states[:, 0, 0] + traj.states[:, 1, 1] - 1.0)
+    assert big.trace_errors.tolist() == [math.inf]
+    assert np.array_equal(traj.trace_errors, ref, equal_nan=True)
 
 
 def test_perturbative_solution_refuses_non_finite_times(model, kernel):

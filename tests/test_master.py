@@ -398,8 +398,8 @@ def test_tcl2_does_not_use_the_closed_form_route(model, kernel, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("closed-form route called")
 
-    for module in (bath, corrections, regions):
-        monkeypatch.setattr(module, "SlippageIntegrals", boom)
+    for name in ("slippage", "i_d"):
+        monkeypatch.setattr(bath.KernelIntegrals, name, boom)
     monkeypatch.setattr(regions, "VariationalTables", boom)
     for name in ("delta_rho1", "perturbative_solution"):
         monkeypatch.setattr(corrections, name, boom)

@@ -6,12 +6,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from redfield_slippage import master, regions
-from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
+from redfield_slippage.bath import PAIRS, LorentzDrudeBath, fit_exponential_mixture
 from redfield_slippage.corrections import NATURAL_SIGN, delta_rho1
 from redfield_slippage.master import PositivityScanner, build_redfield_generator
 from redfield_slippage.operators import bloch_to_density
 from redfield_slippage.regions import (
-    PAIRS,
     RegionScanResult,
     VariationalTables,
     _scan_axis,
