@@ -329,8 +329,7 @@ class KernelIntegrals:
         self._kernel = kernel
         self._freq = self.eps * np.array([1.0, -1.0])
         # g - i s eps for s = +1, -1, so that w = -c / (den[-s''] den[s'])
-        self._den = kernel.denominators(self._freq)
-        den = dict(zip((1, -1), self._den))
+        den = dict(zip((1, -1), kernel.denominators(self._freq)))
         self.w = -kernel.c / np.array([den[-sq] * den[sp] for sp, sq in PAIRS])
         self.s0 = self.w.sum(axis=-1)
         # PAIRS reversed holds the pair (-s', -s'') of each pair
@@ -341,7 +340,7 @@ class KernelIntegrals:
 
     @cached_property
     def _f_sums(self):
-        return TermSums(self._kernel, self._kernel.c / self._den)
+        return TermSums(self._kernel, self._kernel.c / self._kernel.denominators(self._freq))
 
     @cached_property
     def _sums(self):

@@ -182,12 +182,13 @@ def test_every_definition_has_a_production_caller():
     # a function, class or method of the package that no package code
     # reaches is surface kept alive only by tests, and goes. Exempt are
     # max_radial_depth, the entry point of acceptance criterion 4, and
-    # the three methods that only the benchmark calls; exempting all of
-    # BENCH_NAMES hid that perturbative_solution had no production
-    # caller. A definition counts as reached when any name or attribute
-    # of its name is read outside it, so a parameter or variable of the
-    # same name hides it: a `correlation` parameter hid the former
-    # bath.correlation entry point from this check.
+    # the three methods that only the benchmark calls; the rest of
+    # BENCH_NAMES needs a production caller too, as a benchmark call
+    # would otherwise hide dead code. A definition counts as reached
+    # when any name or attribute of its name is read outside it, so a
+    # parameter or variable of the same name hides it: a `correlation`
+    # parameter hid the former bath.correlation entry point from this
+    # check.
     src = Path(redfield_slippage.__file__).parent
     trees = [ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))]
     refs = [
