@@ -108,16 +108,10 @@ class LorentzDrudeBath:
 
 @dataclass(frozen=True)
 class DiscreteModes:
-    """Finite list of (frequency, coupling) pairs at inverse temperature beta.
-
-    fock_cutoff is the number-state truncation used when the modes are
-    materialized as oscillators, and also fixes the occupation moments
-    entering the truncated-reservoir kernel.
-    """
+    """Finite list of (frequency, coupling) pairs at inverse temperature beta."""
 
     modes: tuple
     beta: float
-    fock_cutoff: int = 5
 
     def __post_init__(self):
         if len(self.modes) == 0:
@@ -130,8 +124,6 @@ class DiscreteModes:
                 raise ValueError("mode couplings must be non-negative")
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise ValueError("beta must be positive and finite")
-        if int(self.fock_cutoff) < 1:
-            raise ValueError("fock_cutoff must be at least 1")
 
     @property
     def frequencies(self):
@@ -368,9 +360,7 @@ class KernelIntegrals:
         out[t == 0.0] = 0.0
         live = np.isfinite(t) & (t > 0.0)
         if np.any(live):
-            t_live = t[live]
-            phase = np.exp(1j * self.eps * t_live)
-            out[live] = sign_phases(phase, PAIR_SP) * self._sums(t_live)[..., :4] - self.s0
+            out[live] = self.i_d(t[live])[0]
         return out
 
     def i_d(self, t):
@@ -902,7 +892,7 @@ def correlation_quadrature(spec: LorentzDrudeBath, t):
     return values, err
 
 
-def discretize_spectral_density(spec: LorentzDrudeBath, n_modes, omega_max, fock_cutoff=5) -> DiscreteModes:
+def discretize_spectral_density(spec: LorentzDrudeBath, n_modes, omega_max) -> DiscreteModes:
     """Uniform-bin midpoint discretization of the continuum reservoir.
 
     Frequencies sit at the midpoints of n_modes equal bins covering
@@ -917,7 +907,7 @@ def discretize_spectral_density(spec: LorentzDrudeBath, n_modes, omega_max, fock
     w = (np.arange(n_modes) + 0.5) * dw
     nu = np.sqrt(spectral_density(spec, w) * dw)
     modes = tuple((float(wi), float(ni)) for wi, ni in zip(w, nu))
-    return DiscreteModes(modes, beta=spec.beta, fock_cutoff=int(fock_cutoff))
+    return DiscreteModes(modes, beta=spec.beta)
 
 
 def recurrence_estimate(spec: DiscreteModes) -> float:

@@ -201,7 +201,7 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     model = cfg.model()
     # the truncated bath refuses a visible thermal tail or an oversized
     # Hilbert space, both set by the oracle.* keys
-    bath = default_oracle_bath(
+    reservoir = default_oracle_bath(
         omega_c=float(cfg["bath.omega_cutoff"]),
         beta=float(cfg["oracle.beta"]),
         n_modes=int(cfg["oracle.n_modes"]),
@@ -212,23 +212,23 @@ def cmd_oracle(cfg: RunConfig, args) -> int:
     n_times = int(cfg["oracle.n_times"])
     times = np.linspace(0.2, 6.0, n_times)
     lam_c = float(cfg["oracle.cancellation_lambda"])
-    sign, details = pin_natural_sign(model, bath, rho_s, lam_c, times)
+    sign, details = pin_natural_sign(model, reservoir, rho_s, lam_c, times)
     scaling = validate_scaling(
         model,
-        bath,
+        reservoir,
         rho_s,
         lambdas=tuple(cfg.oracle_lambdas()),
         t_star=float(cfg["oracle.t_star"]),
     )
     markov = short_time_markovianity(
-        model, bath, rho_s, 0.2, np.linspace(0.25, 2.0, 8)
+        model, reservoir, rho_s, 0.2, np.linspace(0.25, 2.0, 8)
     )
     fields = {
         "pinned_sign": sign,
         "cancellation": {str(k): v for k, v in details.items()},
         "scaling": scaling,
         "markovianity": markov,
-        "total_dimension": 2 * bath.dim_bath,
+        "total_dimension": 2 * reservoir.dim_bath,
     }
     return _finish(cfg, args, "oracle_report", fields)
 

@@ -23,7 +23,7 @@ trajectory over all t >= 0 (the N region). Because the coupling is
 through S^x, one period of the x-y rotation and the stationary limit
 bound it, so the scan's cost does not depend on lam.
 
-golden_min is the one 1-D search of the package, shared by the N dips
+golden_min is the one 1-D search of the package, shared by the N scan
 and the U' sup (regions): its objectives return values with their
 closed-form slopes, and it refines a batch of brackets by cubic
 interpolation of values and slopes, GOLDEN_ITERS steps after the two
@@ -437,8 +437,8 @@ def stationary_state(generator: RedfieldGenerator) -> np.ndarray:
 
 @dataclass
 class NMembership:
-    """Fields are arrays over a batch of states, or Python scalars for
-    one state; witness_time is NaN (None for one state) outside N."""
+    """Fields are arrays over a batch of states; witness_time is NaN
+    outside N."""
 
     in_n: np.ndarray
     witness_time: np.ndarray
@@ -463,15 +463,16 @@ class PositivityScanner:
     (2 pi / eps) / 24. Where the damping is strong (2 Omega < g1) it
     samples instead 24 nodes uniform in s = e^{-k t}, k the slowest
     decay rate, down to s = 1/24 and 24 more geometric in s down to
-    1e-9. evaluate_many() then costs one (n x 4) x (4 x T) product for
-    n initial states, plus one batched slope search (golden_min, from
-    the closed-form slope of |r|) that refines every sampled local
-    minimum and both ends, over all states. As
+    1e-9. evaluate() then costs one (n x 4) x (4 x T) product for n
+    initial states, plus one batched slope search (golden_min, from the
+    closed-form slope of |r|) over the sample intervals that a curvature
+    bound cannot clear, over all states. As
     |r|^2 = sum_jk (b_j . b_k) c_j c_k, c = e^{w t} y0 the eigen-coordinates
     and b the eigenvectors' Bloch images, on [t_i, t_i+1] it stays below
     its larger end value plus K dt^2 / 8, K = sum_jk |b_j . b_k|
-    |w_j + w_k|^2 |c_j(t_i)| |c_k(t_i)|; every interval outside those
-    brackets where this could beat the lowest sample is refined too.
+    |w_j + w_k|^2 |c_j(t_i)| |c_k(t_i)|. The search refines exactly the
+    intervals where this bound lies below the lowest sample: any interval
+    that holds a lower value is one of them, and where K = 0 none is.
     """
 
     def __init__(self, generator: RedfieldGenerator):
@@ -521,7 +522,7 @@ class PositivityScanner:
         slope = np.divide(-r_dr, 2.0 * norm, out=np.zeros_like(norm), where=norm > 0.0)
         return 0.5 * (1.0 - norm), slope
 
-    def evaluate_many(self, rhos) -> NMembership:
+    def evaluate(self, rhos) -> NMembership:
         """NMembership of the initial states rhos (n, 2, 2), all at once."""
         rhos = np.asarray(rhos, dtype=complex)
         y0 = vec(rhos) @ self._vinv.T
@@ -532,24 +533,15 @@ class PositivityScanner:
         coarse = np.argmin(mins, axis=1)
         best_v = mins[cells, coarse]
         best_t = self.times[coarse]
-        # refine every sampled local minimum and both ends
-        dip = np.ones(mins.shape, dtype=bool)
-        dip[:, 1:-1] = (mins[:, 1:-1] <= mins[:, :-2]) & (mins[:, 1:-1] <= mins[:, 2:])
-        cell, i = np.nonzero(dip)
-        lo = self.times[np.maximum(i - 1, 0)]
-        hi = self.times[np.minimum(i + 1, self.times.size - 1)]
-        # and every interval between unrefined samples that may dip lower
+        # refine every sample interval whose bound may beat the lowest sample
         a = np.abs(y0)[:, None, :] * self._decay
         g = (1.0 - 2.0 * np.minimum(mins[:, :-1], mins[:, 1:])) ** 2
         g += np.einsum("nij,jk,nik->ni", a, self._curv, a) * np.diff(self.times) ** 2 / 8.0
-        may_dip = (0.5 * (1.0 - np.sqrt(g)) < best_v[:, None]) & ~dip[:, :-1] & ~dip[:, 1:]
-        more, j = np.nonzero(may_dip)
-        cell = np.concatenate((cell, more))
-        lo = np.concatenate((lo, self.times[j]))
-        hi = np.concatenate((hi, self.times[j + 1]))
+        cell, j = np.nonzero(0.5 * (1.0 - np.sqrt(g)) < best_v[:, None])
+        lo, hi = self.times[j], self.times[j + 1]
         y0_c = y0[cell]
         t_ref, v_ref = golden_min(lambda t: self._min_eig_at(t, y0_c), lo, hi)
-        # lowest refined dip per cell
+        # lowest refined interval per cell
         hit, pick = lowest_per_cell(cell, v_ref)
         lower = v_ref[pick] < best_v[hit]
         best_v[hit[lower]] = v_ref[pick[lower]]
@@ -558,7 +550,3 @@ class PositivityScanner:
         best_v = np.minimum(best_v, self._v_ss)
         in_n = best_v < -POSITIVITY_TOL
         return NMembership(in_n, np.where(in_n, best_t, np.nan), best_v)
-
-    def evaluate(self, rho0) -> NMembership:
-        """NMembership of one initial state, as a batch of one."""
-        return first_entry(self.evaluate_many(np.asarray(rho0)[None]), "witness_time")

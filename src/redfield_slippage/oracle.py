@@ -43,16 +43,19 @@ class OracleConsistencyError(RuntimeError):
 
 
 class TruncatedBath:
-    """Materialized oscillator modes with a shared Fock cutoff.
+    """Materialized oscillator modes with a shared Fock cutoff: each
+    mode keeps the number states 0 to fock_cutoff.
 
-    Construction fails when the cutoff visibly truncates any mode's
-    thermal occupancy (tail weight above 1e-8) or when the composite
-    Hilbert space would exceed the hard cap.
+    Construction fails when the cutoff is below 1, when it visibly
+    truncates any mode's thermal occupancy (tail weight above 1e-8) or
+    when the composite Hilbert space would exceed the hard cap.
     """
 
-    def __init__(self, spec: DiscreteModes):
+    def __init__(self, spec: DiscreteModes, fock_cutoff):
         self.spec = spec
-        n_max = int(spec.fock_cutoff)
+        n_max = int(fock_cutoff)
+        if n_max < 1:
+            raise ValueError("fock_cutoff must be at least 1")
         w = spec.frequencies
         nu = spec.couplings
         tail = np.exp(-spec.beta * w * (n_max + 1))
@@ -138,8 +141,8 @@ def default_oracle_bath(
     invariant holds with a wide margin.
     """
     continuum = LorentzDrudeBath(omega_c=omega_c, beta=beta)
-    spec = discretize_spectral_density(continuum, n_modes, omega_max, fock_cutoff)
-    return TruncatedBath(spec)
+    spec = discretize_spectral_density(continuum, n_modes, omega_max)
+    return TruncatedBath(spec, fock_cutoff)
 
 
 def build_total_hamiltonian(model: SystemModel, bath: TruncatedBath, lam: float) -> np.ndarray:
@@ -529,7 +532,7 @@ def validate_scaling(
         "bath": {
             "beta": float(bath.spec.beta),
             "modes": [[float(w), float(nu)] for w, nu in bath.spec.modes],
-            "fock_cutoff": int(bath.spec.fock_cutoff),
+            "fock_cutoff": bath.n_max,
         },
     }
 

@@ -20,10 +20,10 @@ kernel terms negligible at each time left out. Scans
 evaluate blocks of SCAN_BLOCK cells as batches: one matrix product for
 the sup on the time grid, then one pass of master.golden_min that
 refines, from the closed-form slopes of B and A, every peak of the grid
-that comes within SUP_RIVAL of a state's grid maximum, and likewise for
-the positivity dips. Batch results are arrays over the states, and a
-scan is one float table in the column order of its CSV, NaN where a
-field is empty.
+that comes within SUP_RIVAL of a state's grid maximum, then one
+master.PositivityScanner.evaluate for N. Batch results are arrays over
+the states, and a scan is one float table in the column order of its
+CSV, NaN where a field is empty.
 Scans evaluate half of the disk. The system is eps S^z with coupling
 S^x, and the rotation by pi about z maps S^x to -S^x and leaves eps S^z
 alone; the coupling enters B, A and the generator at second order, so
@@ -308,7 +308,7 @@ def _scan_block(tables, scanner, lam, xyz):
     """Scan table columns p0 to witness_t (k, 6) at Bloch points xyz (k, 3), as one batch."""
     rhos = bloch_to_density(xyz)
     u = _u_prime_many(tables, lam, rhos)
-    nm = scanner.evaluate_many(rhos)
+    nm = scanner.evaluate(rhos)
     return np.column_stack(
         (u.p0, u.bound, u.in_u_prime, nm.in_n, nm.min_eigenvalue_attained, nm.witness_time)
     )

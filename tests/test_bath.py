@@ -579,5 +579,3 @@ def test_discrete_modes_validation():
         DiscreteModes(((1.0, -0.5),), beta=1.0)
     with pytest.raises(ValueError):
         DiscreteModes(((1.0, 0.5),), beta=-1.0)
-    with pytest.raises(ValueError):
-        DiscreteModes(((1.0, 0.5),), beta=1.0, fock_cutoff=0)

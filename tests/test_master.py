@@ -607,22 +607,22 @@ def test_min_eig_slope_matches_central_differences(generator, rng):
 
 def test_n_membership_stationary_state_is_out(generator):
     rho_ss = stationary_state(generator)
-    res = PositivityScanner(generator).evaluate(rho_ss)
-    assert not res.in_n
-    assert res.witness_time is None
-    assert res.min_eigenvalue_attained > 0.0
+    res = PositivityScanner(generator).evaluate(rho_ss[None])
+    assert not res.in_n[0]
+    assert np.isnan(res.witness_time[0])
+    assert res.min_eigenvalue_attained[0] > 0.0
 
 
 def test_n_membership_mixed_state_is_out(generator):
-    res = PositivityScanner(generator).evaluate(bloch_to_density((0.2, 0.1, -0.3)))
-    assert not res.in_n
+    res = PositivityScanner(generator).evaluate(bloch_to_density((0.2, 0.1, -0.3))[None])
+    assert not res.in_n[0]
 
 
 def test_n_membership_pure_transverse_state_is_in(generator):
-    res = PositivityScanner(generator).evaluate(bloch_to_density((1.0, 0.0, 0.0)))
-    assert res.in_n
-    assert res.witness_time is not None and res.witness_time > 0.0
-    assert res.min_eigenvalue_attained < -1e-6
+    res = PositivityScanner(generator).evaluate(bloch_to_density((1.0, 0.0, 0.0))[None])
+    assert res.in_n[0]
+    assert res.witness_time[0] > 0.0
+    assert res.min_eigenvalue_attained[0] < -1e-6
 
 
 def test_n_membership_some_pure_state_detected(generator):
@@ -631,7 +631,7 @@ def test_n_membership_some_pure_state_detected(generator):
     hits = 0
     for a in angles:
         rho = bloch_to_density((math.cos(a), 0.0, math.sin(a)))
-        if scanner.evaluate(rho).in_n:
+        if scanner.evaluate(rho[None]).in_n[0]:
             hits += 1
     assert hits >= 1
 
@@ -641,11 +641,61 @@ def test_positivity_scanner_refines_below_grid(generator):
     # the scan's time grid, which it would equal without the refinement
     scanner = PositivityScanner(generator)
     rho0 = bloch_to_density((1.0, 0.0, 0.0))
-    res = scanner.evaluate(rho0)
+    res = scanner.evaluate(rho0[None])
     coarse = np.min(propagate_markovian(generator, rho0, scanner.times).min_eigenvalues)
-    assert res.min_eigenvalue_attained < coarse
-    assert res.in_n
-    assert res.min_eigenvalue_attained <= -1e-6
+    assert res.min_eigenvalue_attained[0] < coarse
+    assert res.in_n[0]
+    assert res.min_eigenvalue_attained[0] <= -1e-6
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_positivity_scanner_refines_the_intervals_its_bound_cannot_clear(
+    model, kernel, lam, monkeypatch
+):
+    # every bracket handed to golden_min is a sample interval [t_j, t_j+1]
+    # whose bound 0.5 (1 - sqrt(g_j)) lies below the state's lowest
+    # sample, and every such interval is one. |r|^2 = sum_jk (b_j . b_k)
+    # c_j c_k, so g_j is the larger end value of |r|^2 plus K dt^2 / 8,
+    # rebuilt here from the eigensystem; lambda = 3 takes the
+    # strong-damping grid
+    gen = build_redfield_generator(model, kernel, lam)
+    scanner = PositivityScanner(gen)
+    t = scanner.times
+    w, v, vinv, _ = gen.liouvillian.eigensystem()
+    b = np.einsum("jab,kba->jk", unvec(v.T), 2.0 * np.array([SX, SY, SZ]))
+    curv = np.abs(b @ b.T) * np.abs(w[:, None] + w) ** 2
+    brackets = []
+
+    def recording(f, lo, hi):
+        brackets.append((np.array(lo), np.array(hi)))
+        return golden_min(f, lo, hi)
+
+    monkeypatch.setattr(master, "golden_min", recording)
+    rng = np.random.default_rng(11)
+    xyz = rng.normal(size=(12, 3))
+    xyz /= np.linalg.norm(xyz, axis=1)[:, None]
+    xyz[6:] *= rng.uniform(0.0, 1.0, size=(6, 1))
+    rhos = np.concatenate((bloch_to_density(xyz), stationary_state(gen)[None]))
+    refined = 0
+    for rho in rhos:
+        brackets.clear()
+        scanner.evaluate(rho[None])
+        (lo, hi), = brackets
+        j = np.searchsorted(t, lo)
+        assert np.array_equal(t[j], lo) and np.array_equal(t[j + 1], hi)
+        c = np.exp(np.outer(t, w)) * (vinv @ vec(rho))
+        r2 = np.sum(np.abs(c @ b) ** 2, axis=1)
+        lowest = np.min(0.5 * (1.0 - np.sqrt(r2)))
+        a = np.abs(c[:-1])
+        g = np.maximum(r2[:-1], r2[1:]) + np.einsum("ij,jk,ik->i", a, curv, a) * np.diff(t) ** 2 / 8.0
+        bound = 0.5 * (1.0 - np.sqrt(g))
+        picked = np.zeros(t.size - 1, dtype=bool)
+        picked[j] = True
+        assert np.all(bound[picked] < lowest + 1e-12)
+        assert not np.any(bound[~picked] < lowest - 1e-12)
+        refined += j.size
+    # the stationary state has K = 0 and hands golden_min no bracket
+    assert j.size == 0 and refined > 0
 
 
 def _bloch_generator(generator):
@@ -716,7 +766,7 @@ def test_positivity_scan_matches_dense_brute_force(model, kernel, log_lam, state
             for s in [math.sqrt(1.0 - c * c)]
         ]
     )
-    scan = PositivityScanner(gen).evaluate_many(rhos)
+    scan = PositivityScanner(gen).evaluate(rhos)
     w = np.linalg.eigvals(gen.liouvillian.matrix)
     slowest = np.min(-np.delete(w, np.argmin(np.abs(w))).real)
     period = 2.0 * np.pi / model.epsilon

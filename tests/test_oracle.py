@@ -66,6 +66,11 @@ def test_dimension_cap_guard():
         default_oracle_bath(n_modes=4, fock_cutoff=7)
 
 
+def test_fock_cutoff_guard():
+    with pytest.raises(ValueError, match="fock_cutoff must be at least 1"):
+        TruncatedBath(DiscreteModes(((1.0, 0.5),), beta=40.0), 0)
+
+
 def test_truncated_kernel_matches_trace_formula(oracle_bath):
     # the closed-form kernel must equal Tr[rho_R Y(t) Y(0)] computed
     # from the materialized operators, at the same truncation
@@ -253,8 +258,8 @@ def test_short_time_markovianity_contrast(model, oracle_bath):
 def test_resonant_mode_rejected(model):
     # a mode sitting exactly on the system gap makes the correlation
     # construction secular, which the builder must refuse
-    spec = DiscreteModes(modes=((1.0, 0.3), (1.6, 0.3)), beta=12.0, fock_cutoff=5)
-    bath = TruncatedBath(spec)
+    spec = DiscreteModes(modes=((1.0, 0.3), (1.6, 0.3)), beta=12.0)
+    bath = TruncatedBath(spec, 5)
     rho_s = bloch_to_density((0.6, 0.0, 0.2))
     with pytest.raises(KernelNotIntegrableError):
         thermal_total_state(model, bath, rho_s, NaturalFamily(1.0), 0.1)
@@ -273,9 +278,7 @@ def _random_density(rng, dim):
 
 def _small_bath(freqs, couplings, fock_cutoff):
     # beta = 40 keeps the Fock tail of every mode with w >= 0.5 below 1e-8
-    return TruncatedBath(
-        DiscreteModes(tuple(zip(freqs, couplings)), beta=40.0, fock_cutoff=fock_cutoff)
-    )
+    return TruncatedBath(DiscreteModes(tuple(zip(freqs, couplings)), beta=40.0), fock_cutoff)
 
 
 small_baths = st.integers(1, 2).flatmap(

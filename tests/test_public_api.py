@@ -112,6 +112,24 @@ def test_every_command_parses_the_bench_arguments(command):
     assert (args.command, args.out, args.jobs) == (command, "d", 1)
 
 
+def test_region_scan_reaches_the_spanned_scanner_entry(model, kernel, monkeypatch):
+    # `bench/tracing.py` times the N scan as PositivityScanner.evaluate,
+    # so the scan must call that name, or master.positivity_evaluate_*
+    # read 0 on a scan workload
+    from redfield_slippage import master, regions
+
+    calls = []
+    entry = vars(master.PositivityScanner)["evaluate"]
+
+    def counted(self, rhos):
+        calls.append(len(rhos))
+        return entry(self, rhos)
+
+    monkeypatch.setattr(master.PositivityScanner, "evaluate", counted)
+    regions.region_scan(model, kernel, 0.5, grid_n=5)
+    assert calls and "PositivityScanner.evaluate" in BENCH_NAMES["master"]
+
+
 def test_config_kernel_exposes_its_rates():
     from redfield_slippage.bath import LorentzDrudeBath, fit_exponential_mixture
     from redfield_slippage.config import RunConfig

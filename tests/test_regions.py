@@ -221,13 +221,13 @@ def test_scan_block_matches_single_state_calls(model, kernel, generator, points)
     for v, (p0, bound, in_u, in_n, min_eig, witness) in zip(xyz.tolist(), block.tolist()):
         rho = bloch_to_density(v)
         u = _u_prime_many(tables, 0.5, rho[None])
-        nm = scanner.evaluate(rho)
+        nm = scanner.evaluate(rho[None])
         assert p0 == pytest.approx(u.p0[0], abs=1e-15)
         assert in_u == (1.0 if u.in_u_prime[0] else 0.0)
         assert bound == pytest.approx(u.bound[0], abs=1e-12)
-        assert in_n == (1.0 if nm.in_n else 0.0)
-        assert min_eig == pytest.approx(nm.min_eigenvalue_attained, abs=1e-12)
-        assert math.isnan(witness) == (nm.witness_time is None)
+        assert in_n == (1.0 if nm.in_n[0] else 0.0)
+        assert min_eig == pytest.approx(nm.min_eigenvalue_attained[0], abs=1e-12)
+        assert math.isnan(witness) == math.isnan(nm.witness_time[0])
 
 
 @pytest.fixture(scope="module")
